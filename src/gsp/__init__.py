@@ -16,24 +16,16 @@ from .core import (
 )
 from .dp import dp_solve, gas_values
 from .generate import gen_binomial
-from .heuristic import (
-    HeuristicCache,
-    HeuristicContext,
-    build_heuristic,
-    h_value,
-    heuristic_cache_get,
-)
+from .heuristic import HeuristicContext, build_heuristic
 from .mip import build_mip, check_assignment, solution_to_assignment, validate_lp_text, write_lp
 from .oracle import Route, brute_force_solve, completion_costs, route_min_cost
 from .reach import ReachGraph, compute_reachable_sets
 from .search import (
     Frontier,
     SearchOptions,
-    check_for_prune,
     expand,
     refuel_schedule_for_route,
     rfastar_solve,
-    rfastar_solve_unbounded,
 )
 from .transform import TransformInapplicable, apply_initial_fuel_transform
 
@@ -43,13 +35,12 @@ __all__ = [
     "SearchStats", "Solution", "SolveTimeout",
     "dominates", "scalarized_dominates", "validate_solution",
     "dp_solve", "gas_values", "gen_binomial",
-    "HeuristicCache", "HeuristicContext", "build_heuristic", "h_value",
-    "heuristic_cache_get",
+    "HeuristicContext", "build_heuristic",
     "build_mip", "check_assignment", "solution_to_assignment",
     "validate_lp_text", "write_lp",
     "Route", "brute_force_solve", "completion_costs", "route_min_cost",
     "ReachGraph", "compute_reachable_sets",
-    "Frontier", "SearchOptions", "check_for_prune", "expand",
-    "refuel_schedule_for_route", "rfastar_solve", "rfastar_solve_unbounded",
+    "Frontier", "SearchOptions", "expand",
+    "refuel_schedule_for_route", "rfastar_solve",
     "TransformInapplicable", "apply_initial_fuel_transform",
 ]

@@ -20,12 +20,11 @@ from time import perf_counter
 from .core import FuelGraph, Infeasible, Instance, SearchStats, SolveTimeout
 from .dp import dp_solve
 from .graphio import load_graph
-from .heuristic import HeuristicCache
 from .oracle import InstanceTooLarge, NonIntegralInput, brute_force_solve
 from .reach import compute_reachable_sets
 from .search import SearchOptions, rfastar_solve
 
-SOLVER_NAMES = ("rfastar", "rfastar-noh", "rfastar-cached", "dp", "oracle")
+SOLVER_NAMES = ("rfastar", "rfastar-noh", "dp", "oracle")
 
 CSV_COLUMNS = (
     "instance_id", "solver", "status", "cost", "stops",
@@ -88,16 +87,12 @@ def _fmt_cell(x: float) -> str:
     return repr(x)
 
 
-def _run_cell(solver: str, inst: Instance, reach, cache: HeuristicCache,
-              deadline: float):
+def _run_cell(solver: str, inst: Instance, reach, deadline: float):
     if solver == "rfastar":
         return rfastar_solve(inst, SearchOptions(), reach=reach, deadline=deadline)
     if solver == "rfastar-noh":
         return rfastar_solve(inst, SearchOptions(use_heuristic=False),
                              reach=reach, deadline=deadline)
-    if solver == "rfastar-cached":
-        return rfastar_solve(inst, SearchOptions(use_cache=True),
-                             reach=reach, heuristic_cache=cache, deadline=deadline)
     if solver == "dp":
         return dp_solve(inst, reach=reach, deadline=deadline)
     t0 = perf_counter()
@@ -110,11 +105,6 @@ def _run_cell(solver: str, inst: Instance, reach, cache: HeuristicCache,
 def bench_run(spec: BenchSpec) -> str:
     """Execute the matrix and return (and optionally write) the CSV text."""
     reach = compute_reachable_sets(spec.graph, spec.q_max)
-    cache = HeuristicCache()
-    if "rfastar-cached" in spec.solvers:
-        # The cached mode models a pre-warmed heuristic store.
-        for _, goal in sorted(set(spec.instances)):
-            cache.get_or_build(spec.graph, goal)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -132,8 +122,7 @@ def bench_run(spec: BenchSpec) -> str:
             t0 = perf_counter()
             stats = None
             try:
-                result, stats = _run_cell(solver, inst, reach, cache,
-                                          deadline=t0 + spec.time_limit)
+                result, stats = _run_cell(solver, inst, reach, t0 + spec.time_limit)
                 if isinstance(result, Infeasible):
                     row["status"] = "infeasible"
                 else:

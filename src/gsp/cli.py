@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance")
     _add_instance_args(p)
     p.add_argument("--algo", default="rfastar",
-                   choices=["rfastar", "rfastar-noh", "rfastar-cached", "dp", "oracle"])
+                   choices=["rfastar", "rfastar-noh", "dp", "oracle"])
     p.add_argument("--unbounded", action="store_true", help="ignore the stop limit")
     p.add_argument("--time-limit", type=float, help="seconds before giving up")
     p.add_argument("--json", action="store_true", help="emit the solution as JSON")
@@ -140,7 +140,6 @@ def _cmd_solve(args) -> int:
     else:
         opts = SearchOptions(
             use_heuristic=args.algo != "rfastar-noh",
-            use_cache=args.algo == "rfastar-cached",
             unbounded_stops=args.unbounded,
         )
         result, stats = rfastar_solve(inst, opts, reach=reach, deadline=deadline)

@@ -182,9 +182,6 @@ class Label:
     parent: "Label | None" = None
     refuel_at_parent: float = 0.0
 
-    def key(self) -> tuple[int, float, float, int]:
-        return (self.v, self.g, self.q, self.k)
-
 
 @dataclass(frozen=True)
 class Infeasible:

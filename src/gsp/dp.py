@@ -49,13 +49,15 @@ class _Table:
         levels: list[list[float]] = [
             gas_values(reach, g, v, inst.goal) for v in range(g.n)
         ]
+        # Initial fuel adds states the purchase rule alone cannot reach:
+        # the start level itself and every free-coast arrival.
+        coasts: list[tuple[int, float]] = []
         if inst.q0 > 0.0:
-            # Initial fuel adds states the purchase rule alone cannot reach:
-            # the start level itself and every free-coast arrival.
             levels[inst.start] = sorted(set(levels[inst.start]) | {inst.q0})
-            for v2, d in reach.succ[inst.start]:
-                if d <= inst.q0 and v2 != inst.goal:
-                    levels[v2] = sorted(set(levels[v2]) | {inst.q0 - d})
+            coasts = [(v2, inst.q0 - d) for v2, d in reach.succ[inst.start]
+                      if d <= inst.q0 and v2 != inst.goal]
+            for v2, q in coasts:
+                levels[v2] = sorted(set(levels[v2]) | {q})
 
         self.levels = levels
         self.offset = np.zeros(g.n + 1, dtype=np.int64)
@@ -65,6 +67,9 @@ class _Table:
         self.level_index = [
             {q: i for i, q in enumerate(lv)} for lv in levels
         ]
+        # States that cost nothing: the start and the free-coast arrivals.
+        self.initial = [self.state(inst.start, inst.q0)]
+        self.initial += [self.state(v2, q) for v2, q in coasts]
 
         src: list[int] = []
         dst: list[int] = []
@@ -147,11 +152,7 @@ def build_layers(
     """Relax k_max layers and return (table, [A_0 .. A_kmax])."""
     table = _Table(inst, reach)
     base = np.full(table.size, math.inf)
-    base[table.state(inst.start, inst.q0)] = 0.0
-    if inst.q0 > 0.0:
-        for v2, d in reach.succ[inst.start]:
-            if d <= inst.q0 and v2 != inst.goal:
-                base[table.state(v2, inst.q0 - d)] = 0.0
+    base[table.initial] = 0.0
     layers = [base]
     for _ in range(inst.k_max):
         if deadline is not None and perf_counter() > deadline:

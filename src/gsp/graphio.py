@@ -152,7 +152,13 @@ def save_reach_cache(reach: ReachGraph, graph: FuelGraph, path: str | Path):
 
 
 def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachGraph | None:
-    """Return the cached reach graph when it matches (graph, q_max)."""
+    """Return the cached reach graph when it matches (graph, q_max).
+
+    None when the file is missing, not JSON or keyed to another graph or
+    capacity.  A matching file whose arcs are malformed raises SchemaError:
+    every entry must be a [vertex, fuel] pair with the vertex another valid
+    id, above the previous entry's, and 0 < fuel <= q_max.
+    """
     p = Path(path)
     if not p.exists():
         return None
@@ -160,21 +166,33 @@ def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachG
         doc = json.loads(p.read_text())
     except json.JSONDecodeError:
         return None
+    if not isinstance(doc, dict):
+        raise SchemaError("reach cache: top level must be an object")
     if doc.get("graph_hash") != graph.content_hash() or doc.get("q_max") != q_max:
         return None
-    succ = tuple(tuple((int(v), float(d)) for v, d in entries) for entries in doc["succ"])
-    pred: list[list[tuple[int, float]]] = [[] for _ in range(graph.n)]
-    for u, entries in enumerate(succ):
-        for v, d in entries:
-            pred[v].append((u, d))
-    dist = tuple({v: d for v, d in entries} for entries in succ)
-    return ReachGraph(
-        n=graph.n,
-        q_max=float(q_max),
-        succ=succ,
-        pred=tuple(tuple(sorted(p_)) for p_ in pred),
-        _dist=dist,
-    )
+    rows = doc.get("succ")
+    if not isinstance(rows, list) or len(rows) != graph.n:
+        raise SchemaError(f"reach cache: succ must be a list of {graph.n} lists")
+    succ: list[tuple[tuple[int, float], ...]] = []
+    for u, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"reach cache: succ[{u}] must be a list")
+        entries: list[tuple[int, float]] = []
+        last = -1
+        for i, entry in enumerate(row):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and type(entry[0]) is int and type(entry[1]) in (int, float)):
+                raise SchemaError(f"reach cache: succ[{u}][{i}] must be a [vertex, fuel] pair")
+            v, d = entry[0], float(entry[1])
+            if not (last < v < graph.n) or v == u:
+                raise SchemaError(f"reach cache: succ[{u}][{i}] vertex {v} is out of range, "
+                                  "out of order or the source itself")
+            if not (math.isfinite(d) and 0.0 < d <= q_max):
+                raise SchemaError(f"reach cache: succ[{u}][{i}] fuel {d!r} is outside (0, {q_max:g}]")
+            entries.append((v, d))
+            last = v
+        succ.append(tuple(entries))
+    return ReachGraph.from_succ(graph.n, q_max, tuple(succ))
 
 
 def resolve_instance(

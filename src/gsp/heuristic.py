@@ -3,18 +3,17 @@
 An exhaustive backward Dijkstra from the goal over edge fuel (ignoring tank
 capacity and prices) gives the minimum fuel d(v) still to be burned from
 each vertex.  Multiplying the unavoidable purchase d(v) - q by the global
-minimum price then lower-bounds any completion cost.  Contexts depend only
-on (graph, goal) and can be cached across queries that share a goal.
+minimum price then lower-bounds any completion cost.  The search builds
+one context per query.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import threading
 from dataclasses import dataclass
 
-from .core import FuelGraph, Label
+from .core import FuelGraph
 
 
 @dataclass(frozen=True)
@@ -54,43 +53,3 @@ def h_for(ctx: HeuristicContext, v: int, q: float) -> float:
     if math.isinf(d):
         return math.inf
     return max((d - q) * ctx.c_min, 0.0)
-
-
-def h_value(ctx: HeuristicContext, l: Label) -> float:
-    return h_for(ctx, l.v, l.q)
-
-
-class HeuristicCache:
-    """Goal-keyed context cache with no eviction.
-
-    Keys are (graph content hash, goal).  Concurrent readers are fine; the
-    first builder wins and duplicate builds are discarded.
-    """
-
-    def __init__(self):
-        self._store: dict[tuple[str, int], HeuristicContext] = {}
-        self._lock = threading.Lock()
-
-    def get_or_build(self, graph: FuelGraph, goal: int) -> tuple[HeuristicContext, bool]:
-        """Return (context, hit). hit is True when no Dijkstra was run."""
-        key = (graph.content_hash(), goal)
-        ctx = self._store.get(key)
-        if ctx is not None:
-            return ctx, True
-        built = build_heuristic(graph, goal)
-        with self._lock:
-            ctx = self._store.setdefault(key, built)
-        return ctx, ctx is not built
-
-    def clear(self):
-        with self._lock:
-            self._store.clear()
-
-
-DEFAULT_CACHE = HeuristicCache()
-
-
-def heuristic_cache_get(cache: HeuristicCache, graph: FuelGraph, goal: int) -> HeuristicContext:
-    """Fetch the context for (graph, goal), building and storing on a miss."""
-    ctx, _ = cache.get_or_build(graph, goal)
-    return ctx

@@ -29,6 +29,22 @@ class ReachGraph:
     pred: tuple[tuple[tuple[int, float], ...], ...]
     _dist: tuple[dict[int, float], ...] = field(repr=False)
 
+    @classmethod
+    def from_succ(cls, n: int, q_max: float,
+                  succ: tuple[tuple[tuple[int, float], ...], ...]) -> "ReachGraph":
+        """Derive the predecessor lists and distance lookup from succ."""
+        pred: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for u, entries in enumerate(succ):
+            for v, d in entries:
+                pred[v].append((u, d))
+        return cls(
+            n=n,
+            q_max=float(q_max),
+            succ=succ,
+            pred=tuple(tuple(sorted(p)) for p in pred),
+            _dist=tuple(dict(entries) for entries in succ),
+        )
+
     def distance(self, u: int, v: int) -> float | None:
         """Minimum fuel from u to v, or None when it exceeds the tank."""
         return self._dist[u].get(v)
@@ -73,15 +89,4 @@ def compute_reachable_sets(graph: FuelGraph, q_max: float) -> ReachGraph:
     if not (q_max > 0):
         raise ValueError("q_max must be positive")
     succ = tuple(tuple(_truncated_dijkstra(graph, u, q_max)) for u in range(graph.n))
-    pred: list[list[tuple[int, float]]] = [[] for _ in range(graph.n)]
-    for u, entries in enumerate(succ):
-        for v, d in entries:
-            pred[v].append((u, d))
-    dist = tuple({v: d for v, d in entries} for entries in succ)
-    return ReachGraph(
-        n=graph.n,
-        q_max=float(q_max),
-        succ=succ,
-        pred=tuple(tuple(sorted(p)) for p in pred),
-        _dist=dist,
-    )
+    return ReachGraph.from_succ(graph.n, q_max, succ)

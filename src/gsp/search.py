@@ -30,7 +30,7 @@ from .core import (
     dominates,
     scalarized_dominates,
 )
-from .heuristic import DEFAULT_CACHE, HeuristicCache, HeuristicContext, build_heuristic, h_for
+from .heuristic import HeuristicContext, build_heuristic, h_for
 from .reach import ReachGraph, compute_reachable_sets
 
 
@@ -39,32 +39,30 @@ class SearchOptions:
     """Solver switches.
 
     use_heuristic off gives the no-heuristic mode (h identically 0).
-    use_cache reuses goal-keyed heuristic contexts across solves.
+    unbounded_stops drops the stop limit and prunes with the scalarized rule.
     disable_dominance is for testing pruning safety only and is rejected in
     unbounded mode, where pruning is what guarantees termination.
     """
 
     use_heuristic: bool = True
-    use_cache: bool = False
     unbounded_stops: bool = False
     disable_dominance: bool = False
 
 
 class Frontier:
-    """Per-vertex sets of mutually non-dominated labels.
+    """Per-vertex label sets that prune dominated labels.
 
+    unbounded selects the scalarized relation (the fuel gap priced at the
+    label's vertex) at refuellable vertices; otherwise three-way dominance.
     Insertion appends without removing stored labels that the newcomer
-    dominates; stale entries never change pruning answers (dominance is
-    transitive) and are swept out lazily by compact().
+    dominates; stale entries never change pruning answers because dominance
+    is transitive.
     """
 
     def __init__(self, graph_prices: tuple[float, ...], unbounded: bool = False):
         self._labels: list[list[Label]] = [[] for _ in graph_prices]
         self._price = graph_prices
         self.unbounded = unbounded
-
-    def labels(self, v: int) -> tuple[Label, ...]:
-        return tuple(self._labels[v])
 
     def _beats(self, stored: Label, l: Label) -> bool:
         if self.unbounded and math.isfinite(self._price[l.v]):
@@ -76,33 +74,6 @@ class Frontier:
 
     def insert(self, l: Label):
         self._labels[l.v].append(l)
-
-    def compact(self, v: int):
-        """Drop stored labels dominated by an earlier-kept one."""
-        kept: list[Label] = []
-        for l in self._labels[v]:
-            if not any(self._beats(k, l) for k in kept):
-                kept.append(l)
-        self._labels[v] = kept
-
-
-def check_for_prune(frontier: Frontier, l: Label, mode: str | None = None) -> bool:
-    """True when some stored label at l's vertex dominates l.
-
-    mode overrides the frontier's own relation: "bounded" for three-way
-    dominance, "unbounded" for the scalarized rule.  Never mutates the
-    frontier.
-    """
-    if mode is None:
-        return frontier.dominated(l)
-    if mode not in ("bounded", "unbounded"):
-        raise ValueError(f"unknown dominance mode {mode!r}")
-    saved = frontier.unbounded
-    frontier.unbounded = mode == "unbounded"
-    try:
-        return frontier.dominated(l)
-    finally:
-        frontier.unbounded = saved
 
 
 def refuel_amount(c_here: float, c_next: float, q: float, d: float, q_max: float,
@@ -194,7 +165,6 @@ def rfastar_solve(
     opts: SearchOptions | None = None,
     *,
     reach: ReachGraph | None = None,
-    heuristic_cache: HeuristicCache | None = None,
     deadline: float | None = None,
     label_sink: list[Label] | None = None,
 ) -> tuple[Solution | Infeasible, SearchStats]:
@@ -215,13 +185,8 @@ def rfastar_solve(
     ctx: HeuristicContext | None = None
     if opts.use_heuristic:
         t0 = perf_counter()
-        if opts.use_cache:
-            cache = heuristic_cache if heuristic_cache is not None else DEFAULT_CACHE
-            ctx, hit = cache.get_or_build(inst.graph, inst.goal)
-            stats.heuristic_build_time = 0.0 if hit else perf_counter() - t0
-        else:
-            ctx = build_heuristic(inst.graph, inst.goal)
-            stats.heuristic_build_time = perf_counter() - t0
+        ctx = build_heuristic(inst.graph, inst.goal)
+        stats.heuristic_build_time = perf_counter() - t0
 
     t_search = perf_counter()
     price = inst.graph.price
@@ -276,22 +241,6 @@ def rfastar_solve(
 
     stats.search_time = perf_counter() - t_search
     return Infeasible(), stats
-
-
-def rfastar_solve_unbounded(
-    inst: Instance,
-    opts: SearchOptions | None = None,
-    **kwargs,
-) -> tuple[Solution | Infeasible, SearchStats]:
-    """Variant without a stop limit, pruning with the scalarized rule."""
-    opts = opts or SearchOptions()
-    forced = SearchOptions(
-        use_heuristic=opts.use_heuristic,
-        use_cache=opts.use_cache,
-        unbounded_stops=True,
-        disable_dominance=False,
-    )
-    return rfastar_solve(inst, forced, **kwargs)
 
 
 def refuel_schedule_for_route(

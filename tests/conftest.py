@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gsp import FuelGraph, Instance, compute_reachable_sets, gen_binomial
+from gsp import FuelGraph, Instance, Label, compute_reachable_sets, gen_binomial
 
 
 def worked_example_graph() -> FuelGraph:
@@ -24,6 +24,9 @@ def worked_example(q_max: float = 6.0, k_max: int = 2, q0: float = 0.0) -> Insta
 
 
 O, A, B, T = 0, 1, 2, 3
+
+def label_key(l: Label) -> tuple[int, float, float, int]:
+    return (l.v, l.g, l.q, l.k)
 
 
 @pytest.fixture

@@ -25,17 +25,16 @@ from gsp import (
     dp_solve,
     gen_binomial,
     rfastar_solve,
-    rfastar_solve_unbounded,
     solution_to_assignment,
     validate_lp_text,
     validate_solution,
     write_lp,
 )
-from gsp.heuristic import HeuristicCache, h_for
+from gsp.heuristic import h_for
 from gsp.oracle import enumerate_goal_routes, route_min_cost
 from gsp.search import SearchOptions, refuel_schedule_for_route
 
-from conftest import random_instance, worked_example
+from conftest import label_key, random_instance, worked_example
 
 SUITE1_SIZE = 200
 SUITE6_SIZE = 50
@@ -71,7 +70,7 @@ def suite1():
         nodom, _ = rfastar_solve(inst, SearchOptions(disable_dominance=True), reach=reach)
         dp, _ = dp_solve(inst, reach=reach)
         oracle = brute_force_solve(inst, reach=reach)
-        unbounded, _ = rfastar_solve_unbounded(inst, reach=reach)
+        unbounded, _ = rfastar_solve(inst, SearchOptions(unbounded_stops=True), reach=reach)
         relaxed = Instance(inst.graph, inst.start, inst.goal, inst.q_max, inst.graph.n)
         bounded_n, _ = rfastar_solve(relaxed, reach=reach)
         records.append(Suite1Record(inst, reach, rf, rf_stats, noh, nodom, dp,
@@ -88,24 +87,19 @@ def suite6():
     reach = compute_reachable_sets(graph, q_max)
     rng = random.Random(606)
     pairs = [tuple(rng.sample(range(graph.n), 2)) for _ in range(SUITE6_SIZE)]
-    cache = HeuristicCache()
-    for _, goal in pairs:
-        cache.get_or_build(graph, goal)
 
     rows = []
     for start, goal in pairs:
         inst = Instance(graph, start, goal, q_max, k_max)
         rf, rf_stats = rfastar_solve(inst, reach=reach)
-        cached, cached_stats = rfastar_solve(
-            inst, SearchOptions(use_cache=True), reach=reach, heuristic_cache=cache
-        )
         dp, dp_stats = dp_solve(inst, reach=reach)
-        assert _cost(rf) == _cost(cached) == _cost(dp)
+        assert _cost(rf) == _cost(dp)
         rows.append({
             "inst": inst,
             "labels": rf_stats.labels_generated,
             "dp_states": dp_stats.dp_states_computed,
-            "cached_ms": cached_stats.search_time * 1e3,
+            # End to end: the per-query heuristic build counts against rfastar.
+            "rf_ms": (rf_stats.heuristic_build_time + rf_stats.search_time) * 1e3,
             "dp_ms": dp_stats.search_time * 1e3,
         })
     return {"reach": reach, "rows": rows}
@@ -177,7 +171,7 @@ def test_criterion_05_worked_example():
     sink = []
     result, _ = rfastar_solve(inst, label_sink=sink)
     assert result.total_cost == 15.0
-    keys = {l.key() for l in sink}
+    keys = {label_key(l) for l in sink}
     assert (1, 12.0, 4.0, 1) in keys, "expected label (a, 12, 4, 1)"
     assert (2, 10.0, 0.0, 1) in keys, "expected label (b, 10, 0, 1)"
     tight, _ = rfastar_solve(worked_example(k_max=1))
@@ -190,13 +184,13 @@ def test_criterion_06_desk_scale_states_and_speed(suite6):
     rows = suite6["rows"]
     med_labels = statistics.median(r["labels"] for r in rows)
     med_states = statistics.median(r["dp_states"] for r in rows)
-    med_cached = statistics.median(r["cached_ms"] for r in rows)
+    med_rf = statistics.median(r["rf_ms"] for r in rows)
     med_dp = statistics.median(r["dp_ms"] for r in rows)
     assert med_labels < med_states, (med_labels, med_states)
-    speedup = med_dp / med_cached
-    assert speedup >= 1.5, f"cached speedup {speedup:.2f}x below the 1.5x floor"
+    speedup = med_dp / med_rf
+    assert speedup >= 1.5, f"rfastar speedup {speedup:.2f}x below the 1.5x floor"
     print(f"criterion 6: PASS - median labels {med_labels:.0f} < median DP states "
-          f"{med_states:.0f}; cached speedup {speedup:.1f}x (target 2x, floor 1.5x)")
+          f"{med_states:.0f}; rfastar speedup {speedup:.1f}x (target 2x, floor 1.5x)")
 
 
 def test_criterion_07_unbounded_variant(suite1):

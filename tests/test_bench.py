@@ -33,10 +33,10 @@ def test_all_solvers_agree_on_the_worked_example():
     spec = BenchSpec(
         graph=worked_example_graph(), q_max=6.0, k_max=2,
         instances=((0, 3),),
-        solvers=("rfastar", "rfastar-noh", "rfastar-cached", "dp", "oracle"),
+        solvers=("rfastar", "rfastar-noh", "dp", "oracle"),
     )
     rows = _rows(bench_run(spec))
-    assert len(rows) == 5
+    assert len(rows) == 4
     assert all(r["status"] == "solved" for r in rows)
     assert {r["cost"] for r in rows} == {"15"}
     assert {r["stops"] for r in rows} == {"2"}
@@ -62,15 +62,6 @@ def test_timeout_rows_carry_partial_stats():
     rows = _rows(bench_run(spec))
     assert all(r["status"] == "timeout" for r in rows)
     assert all(r["total_ms"] != "" for r in rows)
-
-
-def test_cached_rows_report_zero_heuristic_build():
-    spec = BenchSpec(
-        graph=worked_example_graph(), q_max=6.0, k_max=2,
-        instances=((0, 3), (1, 3)), solvers=("rfastar-cached",),
-    )
-    rows = _rows(bench_run(spec))
-    assert all(float(r["heuristic_build_ms"]) == 0.0 for r in rows)
 
 
 def test_row_order_is_instance_major():

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
+from gsp import FuelGraph
 from gsp.cli import main
-from gsp.graphio import write_graph
+from gsp.graphio import load_graph, write_graph
 from gsp.mip import validate_lp_text
 
 from conftest import worked_example_graph
@@ -24,8 +26,6 @@ def _solve_args(graph_file, *extra):
 def test_gen_writes_a_parseable_graph(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["gen", "--n", "8", "--p", "0.5", "--seed", "3", "--out", str(out)]) == 0
-    from gsp.graphio import load_graph
-
     assert load_graph(out).n == 8
 
 
@@ -34,7 +34,7 @@ def test_solve_reports_cost(graph_file, capsys):
     assert "cost 15" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("algo", ["rfastar", "rfastar-noh", "rfastar-cached", "dp", "oracle"])
+@pytest.mark.parametrize("algo", ["rfastar", "rfastar-noh", "dp", "oracle"])
 def test_every_algorithm_solves(graph_file, capsys, algo):
     assert main(_solve_args(graph_file, "--algo", algo)) == 0
     assert "cost 15" in capsys.readouterr().out
@@ -130,6 +130,29 @@ def test_reach_cache_flag_creates_and_reuses(graph_file, tmp_path, capsys):
     assert main(_solve_args(graph_file, "--reach-cache", str(cache))) == 0
     assert cache.read_bytes() == first
     assert "cost 15" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param([[[1, 3.0]], [[0, 3.0]]], id="top-level-array"),
+    pytest.param({"succ": [[1], [0]]}, id="entry-not-a-pair"),
+    pytest.param({"succ": [[[1, 3.0]]]}, id="one-row-for-two-vertices"),
+    pytest.param({"succ": [[[7, 3.0]], [[0, 3.0]]]}, id="vertex-out-of-range"),
+    pytest.param({"succ": [[[0, 3.0]], [[0, 3.0]]]}, id="vertex-is-source"),
+    pytest.param({"succ": [[[1, 99.0]], [[0, 3.0]]]}, id="fuel-above-tank"),
+    pytest.param({"succ": [[[1, 0.0]], [[0, 3.0]]]}, id="fuel-zero"),
+    pytest.param({"succ": [[[1, math.nan]], [[0, 3.0]]]}, id="fuel-nan"),
+])
+def test_malformed_reach_cache_exits_3(tmp_path, capsys, doc):
+    graph_path = tmp_path / "pair.json"
+    graph = FuelGraph.build([1.0, 2.0], [(0, 1, 3.0)], names=["a", "b"], undirected=True)
+    graph_path.write_text(write_graph(graph))
+    if isinstance(doc, dict):
+        doc = {"graph_hash": load_graph(graph_path).content_hash(), "q_max": 5.0, **doc}
+    cache = tmp_path / "reach.json"
+    cache.write_text(json.dumps(doc))
+    assert main(["solve", "--graph", str(graph_path), "--start", "a", "--goal", "b",
+                 "--qmax", "5", "--kmax", "2", "--reach-cache", str(cache)]) == 3
+    assert "reach cache" in capsys.readouterr().err
 
 
 def test_bench_command(graph_file, tmp_path):

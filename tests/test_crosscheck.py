@@ -21,7 +21,6 @@ from gsp import (
     dp_solve,
     gen_binomial,
     rfastar_solve,
-    rfastar_solve_unbounded,
     validate_solution,
 )
 from gsp.search import SearchOptions
@@ -63,7 +62,7 @@ def test_all_solvers_agree_on_corner_distributions(trial):
     oracle = brute_force_solve(inst, reach=reach)
     assert _cost(plain) == _cost(noh) == _cost(nodom) == _cost(dp) == _cost(oracle)
 
-    unbounded, _ = rfastar_solve_unbounded(inst, reach=reach)
+    unbounded, _ = rfastar_solve(inst, SearchOptions(unbounded_stops=True), reach=reach)
     relaxed = Instance(inst.graph, inst.start, inst.goal, inst.q_max,
                        inst.graph.n, inst.q0)
     budget_n, _ = rfastar_solve(relaxed, reach=reach)

@@ -1,20 +1,9 @@
 import math
 
-import pytest
-
-from gsp import (
-    FuelGraph,
-    HeuristicCache,
-    Label,
-    build_heuristic,
-    h_value,
-    heuristic_cache_get,
-    rfastar_solve,
-)
+from gsp import FuelGraph, build_heuristic, rfastar_solve
 from gsp.heuristic import h_for
-from gsp.search import SearchOptions
 
-from conftest import A, B, O, T, random_instance, worked_example, worked_example_graph
+from conftest import A, B, O, T, worked_example, worked_example_graph
 
 
 def test_worked_example_context():
@@ -25,10 +14,10 @@ def test_worked_example_context():
 
 def test_h_of_known_labels():
     ctx = build_heuristic(worked_example_graph(), T)
-    assert h_value(ctx, Label(B, 10.0, 0.0, 1)) == 5.0
-    assert h_value(ctx, Label(A, 12.0, 4.0, 1)) == 1.0
-    assert h_value(ctx, Label(T, 15.0, 0.0, 2)) == 0.0
-    assert h_value(ctx, Label(T, 0.0, 6.0, 0)) == 0.0
+    assert h_for(ctx, B, 0.0) == 5.0
+    assert h_for(ctx, A, 4.0) == 1.0
+    assert h_for(ctx, T, 0.0) == 0.0
+    assert h_for(ctx, T, 6.0) == 0.0
 
 
 def test_unreachable_vertex_gets_infinite_estimate():
@@ -60,42 +49,18 @@ def test_surplus_fuel_floors_at_zero():
 
 
 class TestCache:
-    def test_hit_skips_the_dijkstra(self):
-        cache = HeuristicCache()
-        g = worked_example_graph()
-        ctx1, hit1 = cache.get_or_build(g, T)
-        ctx2, hit2 = cache.get_or_build(g, T)
-        assert not hit1 and hit2
-        assert ctx1 is ctx2
-
-    def test_cached_solve_reports_zero_build_time(self):
-        cache = HeuristicCache()
-        inst = worked_example()
-        opts = SearchOptions(use_cache=True)
-        _, first = rfastar_solve(inst, opts, heuristic_cache=cache)
-        _, second = rfastar_solve(inst, opts, heuristic_cache=cache)
-        assert first.heuristic_build_time > 0.0
-        assert second.heuristic_build_time == 0.0
+    """Contexts are built afresh for every query; nothing is cached."""
 
     def test_distinct_goals_get_distinct_contexts(self):
-        cache = HeuristicCache()
         g = worked_example_graph()
-        ctx_t = heuristic_cache_get(cache, g, T)
-        ctx_o = heuristic_cache_get(cache, g, O)
+        ctx_t = build_heuristic(g, T)
+        ctx_o = build_heuristic(g, O)
         assert ctx_t.goal != ctx_o.goal
         assert ctx_t.d_to_goal != ctx_o.d_to_goal
 
     def test_cache_disabled_rebuilds_every_time(self):
         inst = worked_example()
-        _, s1 = rfastar_solve(inst, SearchOptions(use_cache=False))
-        _, s2 = rfastar_solve(inst, SearchOptions(use_cache=False))
+        _, s1 = rfastar_solve(inst)
+        _, s2 = rfastar_solve(inst)
         assert s1.heuristic_build_time > 0.0
         assert s2.heuristic_build_time > 0.0
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_identical_context_regardless_of_cache_path(seed):
-    inst = random_instance(seed)
-    direct = build_heuristic(inst.graph, inst.goal)
-    cached = heuristic_cache_get(HeuristicCache(), inst.graph, inst.goal)
-    assert direct == cached

@@ -11,24 +11,21 @@ from gsp import (
     Instance,
     Label,
     build_heuristic,
-    check_for_prune,
     compute_reachable_sets,
-    dominates,
     expand,
     rfastar_solve,
-    rfastar_solve_unbounded,
     validate_solution,
 )
 from gsp.search import SearchOptions, refuel_amount, refuel_schedule_for_route
 
-from conftest import A, B, O, T, random_instance, worked_example
+from conftest import A, B, O, T, label_key, random_instance, worked_example
 
 
 class TestExpand:
     def test_initial_label_children(self, wx, wx_reach):
         ctx = build_heuristic(wx.graph, wx.goal)
         children = expand(Label(O, 0.0, 0.0, 0), wx_reach, wx, ctx)
-        assert sorted(c.key() for c in children) == [
+        assert sorted(label_key(c) for c in children) == [
             (A, 12.0, 4.0, 1),  # a is pricier than o: fill the tank
             (B, 10.0, 0.0, 1),  # b is cheaper: buy just the hop
         ]
@@ -37,7 +34,7 @@ class TestExpand:
         l1 = Label(A, 12.0, 4.0, 1)
         children = expand(l1, wx_reach, wx, None)
         goal = [c for c in children if c.v == T]
-        assert [c.key() for c in goal] == [(T, 15.0, 0.0, 2)]
+        assert [label_key(c) for c in goal] == [(T, 15.0, 0.0, 2)]
 
     def test_full_tank_toward_pricier_targets_yields_nothing(self):
         g = FuelGraph.build([1.0, 2.0, 3.0], [(0, 1, 2.0), (0, 2, 3.0)])
@@ -67,51 +64,36 @@ class TestExpand:
 
 
 class TestCheckForPrune:
+    """Frontier.dominated, the prune check run on every pop and child."""
+
     def test_empty_frontier_never_prunes(self, wx):
         frontier = Frontier(wx.graph.price)
-        assert not check_for_prune(frontier, Label(O, 0.0, 0.0, 0))
+        assert not frontier.dominated(Label(O, 0.0, 0.0, 0))
 
     def test_dominated_label_is_pruned(self, wx):
         frontier = Frontier(wx.graph.price)
         frontier.insert(Label(O, 0.0, 0.0, 0))
-        assert check_for_prune(frontier, Label(O, 20.0, 0.0, 2))
+        assert frontier.dominated(Label(O, 20.0, 0.0, 2))
 
     def test_incomparable_labels_survive_both_ways(self, wx):
         frontier = Frontier(wx.graph.price)
         frontier.insert(Label(O, 10.0, 3.0, 1))
-        assert not check_for_prune(frontier, Label(O, 9.0, 1.0, 1))
+        assert not frontier.dominated(Label(O, 9.0, 1.0, 1))
         frontier2 = Frontier(wx.graph.price)
         frontier2.insert(Label(O, 9.0, 1.0, 1))
-        assert not check_for_prune(frontier2, Label(O, 10.0, 3.0, 1))
+        assert not frontier2.dominated(Label(O, 10.0, 3.0, 1))
 
     def test_mode_override_switches_relation(self, wx):
-        frontier = Frontier(wx.graph.price, unbounded=False)
-        frontier.insert(Label(O, 10.0, 0.0, 1))
+        stored = Label(O, 10.0, 0.0, 1)
         candidate = Label(O, 15.0, 2.0, 2)
+        bounded = Frontier(wx.graph.price, unbounded=False)
+        scalarized = Frontier(wx.graph.price, unbounded=True)
+        bounded.insert(stored)
+        scalarized.insert(stored)
         # Bounded: more fuel makes it incomparable. Scalarized at price 2:
         # 10 + 2*2 = 14 <= 15 prunes it.
-        assert not check_for_prune(frontier, candidate, "bounded")
-        assert check_for_prune(frontier, candidate, "unbounded")
-
-    def test_does_not_mutate_frontier(self, wx):
-        frontier = Frontier(wx.graph.price)
-        frontier.insert(Label(O, 0.0, 0.0, 0))
-        before = frontier.labels(O)
-        check_for_prune(frontier, Label(O, 1.0, 0.0, 1))
-        assert frontier.labels(O) == before
-
-    def test_compact_restores_pairwise_nondominance(self, wx):
-        frontier = Frontier(wx.graph.price)
-        frontier.insert(Label(O, 5.0, 1.0, 1))
-        frontier.insert(Label(O, 9.0, 1.0, 2))  # dominated by the first
-        frontier.insert(Label(O, 4.0, 0.0, 1))  # incomparable with the first
-        frontier.compact(O)
-        kept = frontier.labels(O)
-        assert len(kept) == 2
-        for x in kept:
-            for y in kept:
-                if x is not y:
-                    assert not dominates(x, y)
+        assert not bounded.dominated(candidate)
+        assert scalarized.dominated(candidate)
 
 
 class TestSolve:
@@ -131,7 +113,7 @@ class TestSolve:
     def test_expected_labels_appear(self, wx):
         sink = []
         rfastar_solve(wx, label_sink=sink)
-        keys = {l.key() for l in sink}
+        keys = {label_key(l) for l in sink}
         assert (A, 12.0, 4.0, 1) in keys
         assert (B, 10.0, 0.0, 1) in keys
 
@@ -197,12 +179,12 @@ class TestModes:
 
 class TestUnbounded:
     def test_worked_example_same_optimum(self, wx):
-        result, _ = rfastar_solve_unbounded(wx)
+        result, _ = rfastar_solve(wx, SearchOptions(unbounded_stops=True))
         assert result.total_cost == 15.0
 
     def test_single_edge_graph(self):
         g = FuelGraph.build([2.0, 5.0], [(0, 1, 3.0)])
-        result, _ = rfastar_solve_unbounded(Instance(g, 0, 1, 4.0, 1))
+        result, _ = rfastar_solve(Instance(g, 0, 1, 4.0, 1), SearchOptions(unbounded_stops=True))
         assert result.total_cost == 6.0
         assert result.stops == ((0, 3.0),)
 
@@ -216,14 +198,14 @@ class TestUnbounded:
         inst = Instance(g, 0, 3, 5.0, 1)
         bounded, _ = rfastar_solve(inst)
         assert isinstance(bounded, Infeasible)
-        unbounded, _ = rfastar_solve_unbounded(inst)
+        unbounded, _ = rfastar_solve(inst, SearchOptions(unbounded_stops=True))
         assert unbounded.total_cost == 12.0
         assert len(unbounded.stops) == 3
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_bounded_with_stop_budget_n(self, seed):
         inst = random_instance(seed)
-        unbounded, _ = rfastar_solve_unbounded(inst)
+        unbounded, _ = rfastar_solve(inst, SearchOptions(unbounded_stops=True))
         relaxed = Instance(inst.graph, inst.start, inst.goal, inst.q_max, inst.graph.n)
         bounded, _ = rfastar_solve(relaxed)
         if isinstance(unbounded, Infeasible):
@@ -278,7 +260,7 @@ class TestAwkwardEndpoints:
         inst = Instance(g, 0, 2, 5.0, 2)
         reach = compute_reachable_sets(g, 5.0)
         bounded, _ = rfastar_solve(inst, reach=reach)
-        unbounded, _ = rfastar_solve_unbounded(inst, reach=reach)
+        unbounded, _ = rfastar_solve(inst, SearchOptions(unbounded_stops=True), reach=reach)
         from gsp import brute_force_solve, dp_solve
 
         dp_result, _ = dp_solve(inst, reach=reach)
@@ -300,15 +282,11 @@ class TestAwkwardEndpoints:
 def test_concurrent_solves_share_immutable_structures():
     from concurrent.futures import ThreadPoolExecutor
 
-    from gsp import HeuristicCache
-
     inst = random_instance(3)
     reach = compute_reachable_sets(inst.graph, inst.q_max)
-    cache = HeuristicCache()
-    opts = SearchOptions(use_cache=True)
 
     def solve(_):
-        return rfastar_solve(inst, opts, reach=reach, heuristic_cache=cache)
+        return rfastar_solve(inst, reach=reach)
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(solve, range(8)))
