@@ -7,10 +7,15 @@ either tops the tank (arrival q_max - d) or covers the hop exactly
 (arrival 0), so each level set is bounded by the refuel-graph in-degree
 plus one.  The answer is the minimum over k of A(goal, k, 0).
 
-Layers are relaxed with flat numpy arrays: all (source state, reach edge)
-transitions are materialised once per instance, then each layer is one
-gather, one add and one grouped minimum.  The naive method determines
-every cell of every layer, which is what the state counter reports.
+The state table is built with numpy array operations over the reach
+graph's CSR arrays (``ReachGraph.arrays``), not Python lists: the level
+sets are one lexsort-and-deduplicate over candidate (v, q) pairs, and the
+transitions are every state repeated over its vertex's out-arcs, filtered
+and priced by the purchase rule as masks.  Each layer is then one gather,
+one add and one unbuffered scatter-minimum (``np.minimum.at``) into the
+destination states.  The naive method determines every cell of every
+layer, which is what the state counter reports; ``gas_values`` is the
+per-vertex reference for the level sets.
 """
 
 from __future__ import annotations
@@ -42,105 +47,89 @@ def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = N
 
 
 class _Table:
-    """Flattened state space and transition arrays for one instance."""
+    """Flattened state space and transition arrays for one instance.
+
+    States are (vertex, admissible fuel level) pairs numbered in (v, q)
+    order: state_v and state_q hold each state's vertex and level, and the
+    states of v are offset[v]:offset[v + 1].  Transition i leaves state
+    src[i], buys amount[i] for cost[i], burns hop[i] and lands in dst[i];
+    transitions are ordered by src.  initial holds the states that cost
+    nothing: the start, then the free-coast arrivals.
+    """
 
     def __init__(self, inst: Instance, reach: ReachGraph):
         g = inst.graph
-        levels: list[list[float]] = [
-            gas_values(reach, g, v, inst.goal) for v in range(g.n)
-        ]
-        # Initial fuel adds states the purchase rule alone cannot reach:
-        # the start level itself and every free-coast arrival.
-        coasts: list[tuple[int, float]] = []
-        if inst.q0 > 0.0:
-            levels[inst.start] = sorted(set(levels[inst.start]) | {inst.q0})
-            coasts = [(v2, inst.q0 - d) for v2, d in reach.succ[inst.start]
-                      if d <= inst.q0 and v2 != inst.goal]
-            for v2, q in coasts:
-                levels[v2] = sorted(set(levels[v2]) | {q})
+        n, start, goal, q_max, q0 = g.n, inst.start, inst.goal, inst.q_max, inst.q0
+        indptr, nbr, dist, tail = reach.arrays
+        price = np.asarray(g.price, dtype=np.float64)
 
-        self.levels = levels
-        self.offset = np.zeros(g.n + 1, dtype=np.int64)
-        for v in range(g.n):
-            self.offset[v + 1] = self.offset[v] + len(levels[v])
-        self.size = int(self.offset[-1])
-        self.level_index = [
-            {q: i for i, q in enumerate(lv)} for lv in levels
-        ]
-        # States that cost nothing: the start and the free-coast arrivals.
-        self.initial = [self.state(inst.start, inst.q0)]
-        self.initial += [self.state(v2, q) for v2, q in coasts]
+        # Fill-up arcs: the next stop is pricier, so the tank is topped and
+        # the arrival level is q_max - d.  The goal only sees empty arrivals.
+        tail_price = price[tail]
+        into_goal = nbr == goal
+        fill = (tail_price < price[nbr]) & ~into_goal
+        fill_arcs = fill.nonzero()[0]
+        # Initial fuel adds states the purchase rule alone cannot reach: the
+        # start level itself and every free-coast arrival.
+        lo, hi = indptr[start], indptr[start + 1]
+        coasts = lo + ((dist[lo:hi] <= q0) & ~into_goal[lo:hi]).nonzero()[0]
 
-        src: list[int] = []
-        dst: list[int] = []
-        cost: list[float] = []
-        amount: list[float] = []
-        hop: list[float] = []
-        q_max = inst.q_max
-        for u in range(g.n):
-            cu = g.price[u]
-            if u == inst.goal or not math.isfinite(cu):
-                continue
-            base_u = int(self.offset[u])
-            for qi, q in enumerate(levels[u]):
-                for v2, d in reach.succ[u]:
-                    if v2 == inst.goal:
-                        if d < q:
-                            continue
-                        a = d - q
-                        arrive = 0.0
-                    elif cu < g.price[v2]:
-                        if q >= q_max:
-                            continue
-                        a = q_max - q
-                        arrive = q_max - d
-                    else:
-                        if d <= q:
-                            continue
-                        a = d - q
-                        arrive = 0.0
-                    src.append(base_u + qi)
-                    dst.append(int(self.offset[v2]) + self.level_index[v2][arrive])
-                    cost.append(a * cu)
-                    amount.append(a)
-                    hop.append(d)
+        # Candidate levels, deduplicated in (v, q) order with exact float
+        # equality: {0} everywhere, the fill-up arrivals (gas_values), the
+        # start level and the coasts.
+        cand_v = np.concatenate((np.arange(n), nbr[fill_arcs], [start], nbr[coasts]))
+        cand_q = np.concatenate((np.zeros(n), q_max - dist[fill_arcs], [q0], q0 - dist[coasts]))
+        order = np.lexsort((cand_q, cand_v))
+        sorted_v, sorted_q = cand_v[order], cand_q[order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        first[1:] = (sorted_v[1:] != sorted_v[:-1]) | (sorted_q[1:] != sorted_q[:-1])
+        cand_state = np.empty(len(order), dtype=np.int64)
+        cand_state[order] = first.cumsum() - 1
+        self.state_v = sorted_v[first]
+        self.state_q = sorted_q[first]
+        self.size = len(self.state_v)
+        self.offset = self.state_v.searchsorted(np.arange(n + 1))
+        self.initial = cand_state[n + len(fill_arcs):]
+        # The state each arc lands in: its fill-up level or empty.
+        landing = self.offset[nbr]
+        landing[fill_arcs] = cand_state[n:n + len(fill_arcs)]
 
-        if src:
-            order = np.lexsort((np.asarray(src), np.asarray(dst)))
-            self.src = np.asarray(src, dtype=np.int64)[order]
-            self.dst = np.asarray(dst, dtype=np.int64)[order]
-            self.cost = np.asarray(cost, dtype=np.float64)[order]
-            self.amount = np.asarray(amount, dtype=np.float64)[order]
-            self.hop = np.asarray(hop, dtype=np.float64)[order]
-            boundaries = np.flatnonzero(np.diff(self.dst)) + 1
-            self.group_starts = np.concatenate(([0], boundaries))
-            self.group_dst = self.dst[self.group_starts]
-        else:
-            self.src = np.empty(0, dtype=np.int64)
-            self.dst = np.empty(0, dtype=np.int64)
-            self.cost = np.empty(0, dtype=np.float64)
-            self.amount = np.empty(0, dtype=np.float64)
-            self.hop = np.empty(0, dtype=np.float64)
-            self.group_starts = np.empty(0, dtype=np.int64)
-            self.group_dst = np.empty(0, dtype=np.int64)
-
-        seg: dict[int, tuple[int, int]] = {}
-        starts = self.group_starts
-        for gi, d0 in enumerate(self.group_dst):
-            lo = int(starts[gi])
-            hi = int(starts[gi + 1]) if gi + 1 < len(starts) else len(self.dst)
-            seg[int(d0)] = (lo, hi)
-        self.dst_segment = seg
+        # Expand every state that can buy fuel (not the goal, finite price)
+        # by its vertex's out-arcs, then keep the moves the purchase rule
+        # allows: into the goal with d >= q (buy d - q), fill up with
+        # q < q_max (buy q_max - q), otherwise d > q (buy the deficit d - q).
+        buys = np.isfinite(price)
+        buys[goal] = False
+        movers = buys[self.state_v].nonzero()[0]
+        u = self.state_v[movers]
+        degree = indptr[u + 1] - indptr[u]
+        src = movers.repeat(degree)
+        # Each state's run of arcs starts at its vertex's first arc.
+        arc = np.arange(len(src)) + (indptr[u] - (degree.cumsum() - degree)).repeat(degree)
+        q = self.state_q[src]
+        d = dist[arc]
+        is_fill = fill[arc]
+        keep = np.where(is_fill, q < q_max, np.where(into_goal[arc], d >= q, d > q)).nonzero()[0]
+        src, arc, q, d, is_fill = src[keep], arc[keep], q[keep], d[keep], is_fill[keep]
+        self.src = src
+        self.dst = landing[arc]
+        self.amount = np.where(is_fill, q_max - q, d - q)
+        self.cost = self.amount * tail_price[arc]
+        self.hop = d
 
     def state(self, v: int, q: float) -> int:
-        return int(self.offset[v]) + self.level_index[v][q]
+        lo, hi = int(self.offset[v]), int(self.offset[v + 1])
+        i = lo + int(self.state_q[lo:hi].searchsorted(q))
+        if i == hi or self.state_q[i] != q:
+            raise KeyError((v, q))
+        return i
 
     def vertex_of(self, state: int) -> int:
-        return int(np.searchsorted(self.offset, state, side="right") - 1)
+        return int(self.state_v[state])
 
     def fuel_of(self, state: int) -> float:
-        v = self.vertex_of(state)
-        return self.levels[v][state - int(self.offset[v])]
+        return float(self.state_q[state])
 
 
 def build_layers(
@@ -157,12 +146,8 @@ def build_layers(
     for _ in range(inst.k_max):
         if deadline is not None and perf_counter() > deadline:
             raise _LayerTimeout(layers)
-        cur = layers[-1]
         nxt = np.full(table.size, math.inf)
-        if len(table.src):
-            cand = cur[table.src] + table.cost
-            mins = np.minimum.reduceat(cand, table.group_starts)
-            nxt[table.group_dst] = mins
+        np.minimum.at(nxt, table.dst, layers[-1][table.src] + table.cost)
         layers.append(nxt)
     return table, layers
 
@@ -196,9 +181,11 @@ def _reconstruct(inst: Instance, table: _Table, layers: list[np.ndarray], k_star
     state = goal_state
     k = k_star
     while k > 0:
-        lo, hi = table.dst_segment[state]
-        cands = layers[k - 1][table.src[lo:hi]] + table.cost[lo:hi]
-        idx = lo + int(np.flatnonzero(cands == layers[k][state])[0])
+        # Moves are ordered by source, so this takes the optimal move into
+        # state with the lowest source state.
+        into = (table.dst == state).nonzero()[0]
+        cands = layers[k - 1][table.src[into]] + table.cost[into]
+        idx = int(into[(cands == layers[k][state]).argmax()])
         steps.append((int(table.src[idx]), float(table.amount[idx]), float(table.hop[idx])))
         state = int(table.src[idx])
         k -= 1
@@ -207,7 +194,7 @@ def _reconstruct(inst: Instance, table: _Table, layers: list[np.ndarray], k_star
     route: list[tuple[int, float]] = [(inst.start, 0.0)]
     arrival: list[float] = [inst.q0]
     stops: list[tuple[int, float]] = []
-    if state != table.state(inst.start, inst.q0):
+    if state != table.initial[0]:
         # The chain begins at a free-coast state reached on the initial fuel.
         v = table.vertex_of(state)
         q = table.fuel_of(state)

@@ -13,6 +13,7 @@ directed form, so parse(write(g)) reproduces g exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -142,11 +143,18 @@ def solution_from_json(graph: FuelGraph, text: str) -> tuple[Solution, float]:
     return sol, cost
 
 
+def _succ_digest(rows: list) -> str:
+    """sha256 of the reach cache's succ payload in its compact JSON form."""
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
 def save_reach_cache(reach: ReachGraph, graph: FuelGraph, path: str | Path):
+    rows = [[[v, d] for v, d in entries] for entries in reach.succ]
     doc = {
         "graph_hash": graph.content_hash(),
         "q_max": reach.q_max,
-        "succ": [[[v, d] for v, d in entries] for entries in reach.succ],
+        "succ": rows,
+        "succ_sha256": _succ_digest(rows),
     }
     Path(path).write_text(json.dumps(doc) + "\n")
 
@@ -157,7 +165,9 @@ def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachG
     None when the file is missing, not JSON or keyed to another graph or
     capacity.  A matching file whose arcs are malformed raises SchemaError:
     every entry must be a [vertex, fuel] pair with the vertex another valid
-    id, above the previous entry's, and 0 < fuel <= q_max.
+    id, above the previous entry's, and 0 < fuel <= q_max.  A well-formed
+    file whose succ_sha256 is absent or does not match its arcs is stale
+    too (None), so edited or corrupted fuels are rebuilt, never used.
     """
     p = Path(path)
     if not p.exists():
@@ -192,6 +202,8 @@ def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachG
             entries.append((v, d))
             last = v
         succ.append(tuple(entries))
+    if doc.get("succ_sha256") != _succ_digest(rows):
+        return None
     return ReachGraph.from_succ(graph.n, q_max, tuple(succ))
 
 

@@ -4,15 +4,34 @@ For every vertex this computes the set of vertices reachable on one full
 tank together with the minimum fuel needed, by running one Dijkstra per
 source truncated at the tank capacity.  The search and the DP baseline both
 run on this derived graph, so the cost is paid once per (graph, capacity)
-pair and can be cached on disk.
+pair and can be cached on disk.  The DP reads the arcs through
+``ReachGraph.arrays``, a CSR view built on first use and kept with the
+graph, so every later query on the same reach graph gets it for free.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import FuelGraph
+
+
+class ReachArrays(NamedTuple):
+    """CSR form of ReachGraph.succ: the arcs of u are indptr[u]:indptr[u + 1].
+
+    nbr and dist hold each arc's head and fuel, src its tail; all are
+    ordered as succ is.
+    """
+
+    indptr: np.ndarray
+    nbr: np.ndarray
+    dist: np.ndarray
+    src: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,23 @@ class ReachGraph:
             pred=tuple(tuple(sorted(p)) for p in pred),
             _dist=tuple(dict(entries) for entries in succ),
         )
+
+    @cached_property
+    def arrays(self) -> ReachArrays:
+        """The arcs as flat numpy arrays, built on first use.
+
+        Not a field, so equality and repr still compare and show succ only.
+        """
+        counts = np.fromiter(map(len, self.succ), dtype=np.int64, count=self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        m = int(indptr[-1])
+        nbr = np.fromiter((v for entries in self.succ for v, _ in entries),
+                          dtype=np.int64, count=m)
+        dist = np.fromiter((d for entries in self.succ for _, d in entries),
+                           dtype=np.float64, count=m)
+        src = np.repeat(np.arange(self.n, dtype=np.int64), counts)
+        return ReachArrays(indptr, nbr, dist, src)
 
     def distance(self, u: int, v: int) -> float | None:
         """Minimum fuel from u to v, or None when it exceeds the tank."""

@@ -155,6 +155,26 @@ def test_malformed_reach_cache_exits_3(tmp_path, capsys, doc):
     assert "reach cache" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digest", ["absent", "stale"])
+def test_reach_cache_with_wrong_fuels_is_rebuilt(tmp_path, capsys, digest):
+    graph_path = tmp_path / "pair.json"
+    graph = FuelGraph.build([1.0, 2.0], [(0, 1, 3.0)], names=["a", "b"], undirected=True)
+    graph_path.write_text(write_graph(graph))
+    cache = tmp_path / "reach.json"
+    args = ["solve", "--graph", str(graph_path), "--start", "a", "--goal", "b",
+            "--qmax", "5", "--kmax", "2", "--reach-cache", str(cache)]
+    doc = {"graph_hash": load_graph(graph_path).content_hash(), "q_max": 5.0}
+    if digest == "stale":
+        assert main(args) == 0
+        doc = json.loads(cache.read_text())
+    doc["succ"] = [[[1, 1.0]], [[0, 1.0]]]  # well formed, but the true fuel is 3
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(args) == 0
+    assert "cost 3" in capsys.readouterr().out
+    assert json.loads(cache.read_text())["succ"] == [[[1, 3.0]], [[0, 3.0]]]
+
+
 def test_bench_command(graph_file, tmp_path):
     spec = tmp_path / "spec.json"
     out = tmp_path / "results.csv"

@@ -13,7 +13,7 @@ from gsp import (
     rfastar_solve,
     validate_solution,
 )
-from gsp.dp import build_layers
+from gsp.dp import _Table, build_layers
 
 from conftest import A, B, O, T, random_instance, worked_example
 
@@ -118,3 +118,68 @@ class TestDpSolve:
                 assert isinstance(oracle_result, Infeasible)
             else:
                 assert dp_result.total_cost == oracle_result.total_cost
+
+
+def _coasts(inst, reach):
+    """Free-coast arrivals (vertex, level) on the initial fuel, in succ order."""
+    return [(v, inst.q0 - d) for v, d in reach.succ[inst.start]
+            if d <= inst.q0 and v != inst.goal]
+
+
+def _reference_moves(inst, reach, table):
+    """Every move of the purchase rule, from Python loops over succ."""
+    g, q_max = inst.graph, inst.q_max
+    moves = set()
+    for s in range(table.size):
+        u, q = table.vertex_of(s), table.fuel_of(s)
+        cu = g.price[u]
+        if u == inst.goal or not math.isfinite(cu):
+            continue
+        for v, d in reach.succ[u]:
+            if v == inst.goal:
+                a, arrive, ok = d - q, 0.0, d >= q
+            elif cu < g.price[v]:
+                a, arrive, ok = q_max - q, q_max - d, q < q_max
+            else:
+                a, arrive, ok = d - q, 0.0, d > q
+            if ok:
+                moves.add((s, table.state(v, arrive), a * cu, a, d))
+    return moves
+
+
+class TestArrayTable:
+    @pytest.mark.parametrize("with_q0", [False, True])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_levels_match_gas_values(self, seed, with_q0):
+        inst = random_instance(seed, with_q0=with_q0)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        table = _Table(inst, reach)
+        coasts = _coasts(inst, reach)
+        for v in range(inst.graph.n):  # the goal and the start included
+            expected = set(gas_values(reach, inst.graph, v, goal=inst.goal))
+            if v == inst.start:
+                expected.add(inst.q0)
+            expected |= {q for w, q in coasts if w == v}
+            lo, hi = table.offset[v], table.offset[v + 1]
+            assert table.state_q[lo:hi].tolist() == sorted(expected)
+            assert (table.state_v[lo:hi] == v).all()
+        assert table.size == table.offset[-1] == len(table.state_v)
+        assert table.initial.tolist() == (
+            [table.state(inst.start, inst.q0)] + [table.state(v, q) for v, q in coasts])
+
+    @pytest.mark.parametrize("with_q0", [False, True])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_moves_match_the_purchase_rule(self, seed, with_q0):
+        inst = random_instance(seed, with_q0=with_q0)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        table = _Table(inst, reach)
+        moves = list(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
+                         table.amount.tolist(), table.hop.tolist()))
+        assert len(moves) == len(set(moves))
+        assert set(moves) == _reference_moves(inst, reach, table)
+        assert table.src.tolist() == sorted(table.src.tolist())
+
+    def test_unknown_state_raises(self, wx, wx_reach):
+        table = _Table(wx, wx_reach)
+        with pytest.raises(KeyError):
+            table.state(B, 4.0)

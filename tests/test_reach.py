@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from gsp import FuelGraph, compute_reachable_sets, gen_binomial
+from gsp import FuelGraph, Infeasible, Instance, compute_reachable_sets, dp_solve, gen_binomial
+from gsp.graphio import load_reach_cache, save_reach_cache
 
 from conftest import A, B, O, T, worked_example_graph
 
@@ -91,3 +92,39 @@ def test_monotone_in_capacity(seed):
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         compute_reachable_sets(worked_example_graph(), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arrays_reproduce_succ(seed):
+    rng = random.Random(seed)
+    graph = gen_binomial(rng.randint(2, 24), 0.3, seed=seed * 31 + 7)
+    reach = compute_reachable_sets(graph, float(rng.randint(1, 20)))
+    indptr, nbr, dist, src = reach.arrays
+    assert indptr[0] == 0 and len(indptr) == reach.n + 1
+    assert nbr.dtype == src.dtype == indptr.dtype == "int64" and dist.dtype == "float64"
+    for u in range(reach.n):
+        lo, hi = indptr[u], indptr[u + 1]
+        assert list(zip(nbr[lo:hi].tolist(), dist[lo:hi].tolist())) == list(reach.succ[u])
+        assert (src[lo:hi] == u).all()
+    assert len(nbr) == len(dist) == len(src) == reach.edge_count()
+
+
+@pytest.mark.parametrize("q0", [0.0, 1.0])
+def test_edgeless_reach_graph_makes_dp_infeasible(q0):
+    reach = compute_reachable_sets(worked_example_graph(), 1.0)
+    assert len(reach.arrays.nbr) == 0
+    result, stats = dp_solve(Instance(worked_example_graph(), O, T, 1.0, 2, q0), reach=reach)
+    assert isinstance(result, Infeasible)
+    assert stats.dp_states_computed == 2 * (reach.n + (q0 > 0))  # level 0, and q0 at the start
+
+
+def test_built_arrays_leave_equality_and_repr_alone(tmp_path):
+    graph = worked_example_graph()
+    reach = compute_reachable_sets(graph, 6.0)
+    text = repr(reach)
+    reach.arrays
+    assert repr(reach) == text
+    path = tmp_path / "reach.json"
+    save_reach_cache(reach, graph, path)
+    loaded = load_reach_cache(graph, 6.0, path)
+    assert loaded == reach and reach == loaded
