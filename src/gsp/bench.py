@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
-from .core import FuelGraph, Infeasible, Instance, SearchStats, SolveTimeout
+from .core import FuelGraph, Infeasible, Instance, SearchStats, Solution, SolveTimeout
 from .dp import dp_solve
 from .graphio import load_graph
 from .oracle import InstanceTooLarge, NonIntegralInput, brute_force_solve
@@ -87,13 +87,20 @@ def _fmt_cell(x: float) -> str:
     return repr(x)
 
 
-def _run_cell(solver: str, inst: Instance, reach, deadline: float):
-    if solver == "rfastar":
-        return rfastar_solve(inst, SearchOptions(), reach=reach, deadline=deadline)
-    if solver == "rfastar-noh":
-        return rfastar_solve(inst, SearchOptions(use_heuristic=False),
-                             reach=reach, deadline=deadline)
-    if solver == "dp":
+def run_solver(name: str, inst: Instance, reach, deadline: float | None,
+               unbounded: bool = False) -> tuple[Solution | Infeasible, SearchStats]:
+    """Run one of SOLVER_NAMES on inst; returns (result, stats).
+
+    unbounded drops the stop limit and applies to the search solvers only
+    (ValueError otherwise).  The oracle keeps no stats of its own, so its
+    wall time is reported as the search time.
+    """
+    if unbounded and name in ("dp", "oracle"):
+        raise ValueError("--unbounded applies only to the search algorithms")
+    if name in ("rfastar", "rfastar-noh"):
+        opts = SearchOptions(use_heuristic=name == "rfastar", unbounded_stops=unbounded)
+        return rfastar_solve(inst, opts, reach=reach, deadline=deadline)
+    if name == "dp":
         return dp_solve(inst, reach=reach, deadline=deadline)
     t0 = perf_counter()
     result = brute_force_solve(inst, reach=reach, deadline=deadline)
@@ -122,7 +129,7 @@ def bench_run(spec: BenchSpec) -> str:
             t0 = perf_counter()
             stats = None
             try:
-                result, stats = _run_cell(solver, inst, reach, t0 + spec.time_limit)
+                result, stats = run_solver(solver, inst, reach, t0 + spec.time_limit)
                 if isinstance(result, Infeasible):
                     row["status"] = "infeasible"
                 else:

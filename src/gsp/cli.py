@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .bench import bench_run, load_bench_spec
+from .bench import SOLVER_NAMES, bench_run, load_bench_spec, run_solver
 from .core import (
     Infeasible,
     InvalidInstance,
@@ -19,7 +19,6 @@ from .core import (
     SolveTimeout,
     validate_solution,
 )
-from .dp import dp_solve
 from .generate import GenerationFailed, gen_binomial
 from .graphio import (
     ParseError,
@@ -34,9 +33,7 @@ from .graphio import (
 )
 from .reach import compute_reachable_sets
 from .mip import build_mip, write_lp
-from .oracle import InstanceTooLarge, NonIntegralInput, brute_force_solve
-from .core import SearchStats
-from .search import SearchOptions, rfastar_solve
+from .oracle import InstanceTooLarge, NonIntegralInput
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -89,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance")
     _add_instance_args(p)
     p.add_argument("--algo", default="rfastar",
-                   choices=["rfastar", "rfastar-noh", "dp", "oracle"])
+                   choices=SOLVER_NAMES)
     p.add_argument("--unbounded", action="store_true", help="ignore the stop limit")
     p.add_argument("--time-limit", type=float, help="seconds before giving up")
     p.add_argument("--json", action="store_true", help="emit the solution as JSON")
@@ -127,23 +124,7 @@ def _cmd_solve(args) -> int:
     inst = resolve_instance(graph, args.start, args.goal, args.qmax, args.kmax, args.q0)
     reach = _load_reach(args, graph, inst.q_max)
     deadline = perf_counter() + args.time_limit if args.time_limit else None
-    if args.unbounded and args.algo in ("dp", "oracle"):
-        raise ValueError("--unbounded applies only to the search algorithms")
-
-    if args.algo == "dp":
-        result, stats = dp_solve(inst, reach=reach, deadline=deadline)
-    elif args.algo == "oracle":
-        t0 = perf_counter()
-        result = brute_force_solve(inst, reach=reach, deadline=deadline)
-        stats = SearchStats()
-        stats.search_time = perf_counter() - t0
-    else:
-        opts = SearchOptions(
-            use_heuristic=args.algo != "rfastar-noh",
-            unbounded_stops=args.unbounded,
-        )
-        result, stats = rfastar_solve(inst, opts, reach=reach, deadline=deadline)
-
+    result, stats = run_solver(args.algo, inst, reach, deadline, args.unbounded)
     if isinstance(result, Infeasible):
         if args.json:
             print('{"cost": null, "stops": [], "route": [], "stats": {}}')

@@ -247,12 +247,12 @@ def validate_solution(inst: Instance, sol: Solution, reach=None) -> float:
 
     Hops are priced with the refuel graph's minimum-fuel distances.  Raises
     TankExceeded, FuelNegative, TooManyStops or BadEndpoints naming the
-    first violation, and InvalidSolution for malformed schedules.
+    first violation, and InvalidSolution for malformed schedules.  A reach
+    graph passed in must match the instance (``reach_for``, else ValueError).
     """
-    from .reach import compute_reachable_sets
+    from .reach import reach_for
 
-    if reach is None:
-        reach = compute_reachable_sets(inst.graph, inst.q_max)
+    reach = reach_for(inst, reach)
     if not sol.route:
         raise InvalidSolution("route is empty")
     names = inst.graph.names

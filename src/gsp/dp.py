@@ -26,7 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from .core import FuelGraph, Infeasible, Instance, SearchStats, Solution, SolveTimeout
-from .reach import ReachGraph, compute_reachable_sets
+from .reach import ReachGraph, reach_for
 
 
 def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = None) -> list[float]:
@@ -34,14 +34,17 @@ def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = N
 
     {0} plus q_max - d for every reach predecessor u with a strictly
     cheaper price (the fill-up arrivals).  The goal only ever sees empty
-    arrivals.
+    arrivals.  A pure-Python reference for the level sets that _Table
+    builds from ``ReachGraph.arrays``: it finds the arcs into v by looking
+    up every tail with ``reach.distance``, so it shares no code with _Table.
     """
     if v == goal:
         return [0.0]
     vals = {0.0}
     pv = graph.price[v]
-    for u, d in reach.pred[v]:
-        if graph.price[u] < pv:
+    for u in range(reach.n):
+        d = reach.distance(u, v)
+        if d is not None and graph.price[u] < pv:
             vals.add(reach.q_max - d)
     return sorted(vals)
 
@@ -229,8 +232,7 @@ def dp_solve(
     """
     stats = SearchStats()
     t0 = perf_counter()
-    if reach is None:
-        reach = compute_reachable_sets(inst.graph, inst.q_max)
+    reach = reach_for(inst, reach)
     if inst.start == inst.goal:
         stats.search_time = perf_counter() - t0
         return _trivial_solution(inst), stats

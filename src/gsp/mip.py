@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .core import Instance, Solution
-from .reach import ReachGraph, compute_reachable_sets
+from .reach import ReachGraph, reach_for
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def build_mip(inst: Instance, include_smart_refuel: bool = True,
     vertex is pricier, otherwise (and always into the goal) cover at least
     the hop.
     """
-    if reach is None:
-        reach = compute_reachable_sets(inst.graph, inst.q_max)
+    reach = reach_for(inst, reach)
     g = inst.graph
     tok = {v: _vertex_token(inst, v) for v in range(g.n)}
     edges = [(u, v, d) for u in range(g.n) for v, d in reach.succ[u]]
@@ -109,15 +108,14 @@ def build_mip(inst: Instance, include_smart_refuel: bool = True,
     )
 
     rows: list[MipRow] = []
-    incident = [False] * g.n
-    for u, v, _ in edges:
-        incident[u] = True
-        incident[v] = True
+    tails_into: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in edges:  # ascending u, so every list comes out sorted
+        tails_into[v].append(u)
     for u in range(g.n):
-        if not incident[u]:
+        if not (reach.succ[u] or tails_into[u]):
             continue
         terms = [(1.0, f"x_{tok[u]}_{tok[v]}") for v, _ in reach.succ[u]]
-        terms += [(-1.0, f"x_{tok[v]}_{tok[u]}") for v, _ in reach.pred[u]]
+        terms += [(-1.0, f"x_{tok[v]}_{tok[u]}") for v in tails_into[u]]
         rhs = 1.0 if u == inst.start else -1.0 if u == inst.goal else 0.0
         rows.append(MipRow(f"flow_{tok[u]}", tuple(terms), "=", rhs))
 

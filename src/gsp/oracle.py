@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .core import Infeasible, Instance, SearchStats, Solution, SolveTimeout
-from .reach import ReachGraph, compute_reachable_sets
+from .reach import ReachGraph, reach_for
 
 MAX_VERTICES = 10
 MAX_STOPS = 5
@@ -197,8 +197,7 @@ def brute_force_solve(
     """
     _check_size(inst)
     _check_integral(inst)
-    if reach is None:
-        reach = compute_reachable_sets(inst.graph, inst.q_max)
+    reach = reach_for(inst, reach)
     if inst.start == inst.goal:
         return Solution(stops=(), route=((inst.start, 0.0),), total_cost=0.0,
                         arrival_fuel=(inst.q0,))

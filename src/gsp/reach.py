@@ -4,21 +4,30 @@ For every vertex this computes the set of vertices reachable on one full
 tank together with the minimum fuel needed, by running one Dijkstra per
 source truncated at the tank capacity.  The search and the DP baseline both
 run on this derived graph, so the cost is paid once per (graph, capacity)
-pair and can be cached on disk.  The DP reads the arcs through
-``ReachGraph.arrays``, a CSR view built on first use and kept with the
-graph, so every later query on the same reach graph gets it for free.
+pair and can be cached on disk.
+
+``ReachGraph.succ`` is the only stored copy of the arcs.  The DP reads them
+through ``ReachGraph.arrays``, a CSR view built on first use and kept with
+the graph, so every later query on the same reach graph gets it for free;
+``distance`` is a binary search in the sorted arc list of the tail.  Every
+solver and checker gets its reach graph from ``reach_for``, which builds
+one for the instance or rejects one built for another graph size or tank.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import FuelGraph
+from .core import FuelGraph, Instance
+
+_HEAD = itemgetter(0)  # the arc head of a (v, d) entry in succ
 
 
 class ReachArrays(NamedTuple):
@@ -38,31 +47,14 @@ class ReachArrays(NamedTuple):
 class ReachGraph:
     """Tankful transitions: arcs (u -> v, d) with 0 < d <= q_max.
 
-    d is the unconstrained shortest fuel distance from u to v.  succ and
-    pred are sorted by vertex id for deterministic iteration.
+    d is the unconstrained shortest fuel distance from u to v.  succ[u]
+    holds the arcs out of u as (v, d) pairs sorted by v; it is the only
+    stored arc list, and ``arrays`` and ``distance`` both read it.
     """
 
     n: int
     q_max: float
     succ: tuple[tuple[tuple[int, float], ...], ...]
-    pred: tuple[tuple[tuple[int, float], ...], ...]
-    _dist: tuple[dict[int, float], ...] = field(repr=False)
-
-    @classmethod
-    def from_succ(cls, n: int, q_max: float,
-                  succ: tuple[tuple[tuple[int, float], ...], ...]) -> "ReachGraph":
-        """Derive the predecessor lists and distance lookup from succ."""
-        pred: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, entries in enumerate(succ):
-            for v, d in entries:
-                pred[v].append((u, d))
-        return cls(
-            n=n,
-            q_max=float(q_max),
-            succ=succ,
-            pred=tuple(tuple(sorted(p)) for p in pred),
-            _dist=tuple(dict(entries) for entries in succ),
-        )
 
     @cached_property
     def arrays(self) -> ReachArrays:
@@ -83,10 +75,11 @@ class ReachGraph:
 
     def distance(self, u: int, v: int) -> float | None:
         """Minimum fuel from u to v, or None when it exceeds the tank."""
-        return self._dist[u].get(v)
-
-    def indegree(self, v: int) -> int:
-        return len(self.pred[v])
+        row = self.succ[u]
+        i = bisect_left(row, v, key=_HEAD)
+        if i < len(row) and row[i][0] == v:
+            return row[i][1]
+        return None
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.succ)
@@ -125,4 +118,21 @@ def compute_reachable_sets(graph: FuelGraph, q_max: float) -> ReachGraph:
     if not (q_max > 0):
         raise ValueError("q_max must be positive")
     succ = tuple(tuple(_truncated_dijkstra(graph, u, q_max)) for u in range(graph.n))
-    return ReachGraph.from_succ(graph.n, q_max, succ)
+    return ReachGraph(graph.n, float(q_max), succ)
+
+
+def reach_for(inst: Instance, reach: ReachGraph | None = None) -> ReachGraph:
+    """The refuel graph an instance is solved or checked on.
+
+    Builds it when reach is None.  A reach graph passed in must have been
+    built for the instance's vertex count and tank capacity, since arcs for
+    a larger tank would let a schedule overfill it; otherwise ValueError.
+    """
+    if reach is None:
+        return compute_reachable_sets(inst.graph, inst.q_max)
+    if reach.n != inst.graph.n or reach.q_max != inst.q_max:
+        raise ValueError(
+            f"reach graph built for {reach.n} vertices and tank {reach.q_max:g}, "
+            f"but the instance has {inst.graph.n} vertices and tank {inst.q_max:g}"
+        )
+    return reach

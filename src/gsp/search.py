@@ -31,7 +31,7 @@ from .core import (
     scalarized_dominates,
 )
 from .heuristic import HeuristicContext, build_heuristic, h_for
-from .reach import ReachGraph, compute_reachable_sets
+from .reach import ReachGraph, reach_for
 
 
 @dataclass
@@ -170,7 +170,8 @@ def rfastar_solve(
 ) -> tuple[Solution | Infeasible, SearchStats]:
     """Solve one instance; returns (Solution or Infeasible, stats).
 
-    The refuel graph is computed on demand when not supplied.  label_sink,
+    The refuel graph is computed on demand when not supplied; a supplied
+    one must match the instance (``reach_for``, else ValueError).  label_sink,
     when given, receives every generated label (a testing hook).  deadline
     is a perf_counter timestamp; crossing it raises SolveTimeout carrying
     the partial stats.
@@ -179,8 +180,7 @@ def rfastar_solve(
     if opts.unbounded_stops and opts.disable_dominance:
         raise ValueError("dominance pruning cannot be disabled in unbounded mode")
     stats = SearchStats()
-    if reach is None:
-        reach = compute_reachable_sets(inst.graph, inst.q_max)
+    reach = reach_for(inst, reach)
 
     ctx: HeuristicContext | None = None
     if opts.use_heuristic:

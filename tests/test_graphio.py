@@ -113,7 +113,7 @@ def test_reach_cache_round_trip(tmp_path):
     loaded = load_reach_cache(g, 6.0, path)
     assert loaded is not None
     assert loaded.succ == reach.succ
-    assert loaded.pred == reach.pred
+    assert loaded == reach
 
 
 def test_reach_cache_rejects_mismatched_key(tmp_path):

@@ -3,10 +3,21 @@ import random
 
 import pytest
 
-from gsp import FuelGraph, Infeasible, Instance, compute_reachable_sets, dp_solve, gen_binomial
+from gsp import (
+    FuelGraph,
+    Infeasible,
+    Instance,
+    brute_force_solve,
+    build_mip,
+    compute_reachable_sets,
+    dp_solve,
+    gen_binomial,
+    rfastar_solve,
+    validate_solution,
+)
 from gsp.graphio import load_reach_cache, save_reach_cache
 
-from conftest import A, B, O, T, worked_example_graph
+from conftest import A, B, O, T, worked_example, worked_example_graph
 
 
 def test_worked_example_reach_sets():
@@ -27,9 +38,6 @@ def test_distance_lookup_and_reverse_index():
     assert reach.distance(O, T) is None
     for u in range(reach.n):
         for v, d in reach.succ[u]:
-            assert (u, d) in reach.pred[v]
-    for v in range(reach.n):
-        for u, d in reach.pred[v]:
             assert reach.distance(u, v) == d
 
 
@@ -128,3 +136,28 @@ def test_built_arrays_leave_equality_and_repr_alone(tmp_path):
     save_reach_cache(reach, graph, path)
     loaded = load_reach_cache(graph, 6.0, path)
     assert loaded == reach and reach == loaded
+
+
+_TAKES_REACH = {
+    "rfastar_solve": lambda inst, reach: rfastar_solve(inst, reach=reach),
+    "dp_solve": lambda inst, reach: dp_solve(inst, reach=reach),
+    "brute_force_solve": lambda inst, reach: brute_force_solve(inst, reach=reach),
+    "build_mip": lambda inst, reach: build_mip(inst, reach=reach),
+    "validate_solution": lambda inst, reach: validate_solution(
+        inst, rfastar_solve(inst)[0], reach),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["tank", "vertex-count"])
+@pytest.mark.parametrize("call", sorted(_TAKES_REACH))
+def test_reach_graph_for_another_instance_is_rejected(call, mismatch):
+    # Arcs built for a tank of 8 let the search buy 7 at o on a tank of 6
+    # (cost 14, where the optimum is 15); a reach graph for another vertex
+    # count does not describe the instance's graph at all.
+    inst = worked_example()  # q_max 6, 4 vertices
+    if mismatch == "tank":
+        reach = compute_reachable_sets(inst.graph, 8.0)
+    else:
+        reach = compute_reachable_sets(gen_binomial(5, 0.6, seed=1), inst.q_max)
+    with pytest.raises(ValueError, match="reach graph built for"):
+        _TAKES_REACH[call](inst, reach)
