@@ -122,8 +122,10 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     graph = load_graph(args.graph)
     inst = resolve_instance(graph, args.start, args.goal, args.qmax, args.kmax, args.q0)
+    if args.time_limit is not None and not (args.time_limit > 0):  # also rejects NaN
+        raise ValueError("time limit must be positive")
     reach = _load_reach(args, graph, inst.q_max)
-    deadline = perf_counter() + args.time_limit if args.time_limit else None
+    deadline = perf_counter() + args.time_limit if args.time_limit is not None else None
     result, stats = run_solver(args.algo, inst, reach, deadline, args.unbounded)
     if isinstance(result, Infeasible):
         if args.json:

@@ -157,8 +157,8 @@ class Instance:
             raise InvalidInstance(f"start vertex {self.start} out of range")
         if not (0 <= self.goal < self.graph.n):
             raise InvalidInstance(f"goal vertex {self.goal} out of range")
-        if not (self.q_max > 0):
-            raise InvalidInstance("q_max must be positive")
+        if not (0 < self.q_max < math.inf):  # also rejects NaN
+            raise InvalidInstance("q_max must be finite and positive")
         if not (isinstance(self.k_max, int) and self.k_max >= 1):
             raise InvalidInstance("k_max must be an integer >= 1")
         if not (0.0 <= self.q0 <= self.q_max):

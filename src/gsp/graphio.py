@@ -204,7 +204,7 @@ def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachG
         succ.append(tuple(entries))
     if doc.get("succ_sha256") != _succ_digest(rows):
         return None
-    return ReachGraph(graph.n, float(q_max), tuple(succ))
+    return ReachGraph(graph, float(q_max), tuple(succ))
 
 
 def resolve_instance(

@@ -205,9 +205,8 @@ def write_lp(model: MipModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def check_assignment(model: MipModel, assignment: dict[str, float],
-                     tol: float = 0.0) -> MipCheckReport:
-    """Evaluate every row and bound; missing variables count as zero."""
+def check_assignment(model: MipModel, assignment: dict[str, float]) -> MipCheckReport:
+    """Evaluate every row and bound exactly; missing variables count as zero."""
     def val(name: str) -> float:
         return assignment.get(name, 0.0)
 
@@ -216,9 +215,9 @@ def check_assignment(model: MipModel, assignment: dict[str, float],
         lhs = sum(coef * val(var) for coef, var in row.terms)
         slack = lhs - row.rhs
         bad = (
-            (row.sense == "<=" and slack > tol)
-            or (row.sense == ">=" and slack < -tol)
-            or (row.sense == "=" and abs(slack) > tol)
+            (row.sense == "<=" and slack > 0.0)
+            or (row.sense == ">=" and slack < 0.0)
+            or (row.sense == "=" and slack != 0.0)
         )
         if bad:
             violations.append((row.name, slack))
@@ -227,9 +226,9 @@ def check_assignment(model: MipModel, assignment: dict[str, float],
         if var.kind == "B" and x not in (0.0, 1.0):
             violations.append((f"binary_{var.name}", x))
             continue
-        if x < var.lb - tol:
+        if x < var.lb:
             violations.append((f"bound_{var.name}", x - var.lb))
-        elif var.ub is not None and x > var.ub + tol:
+        elif var.ub is not None and x > var.ub:
             violations.append((f"bound_{var.name}", x - var.ub))
     objective = sum(coef * val(var) for coef, var in model.objective)
     return MipCheckReport(violations=tuple(violations), objective=objective)

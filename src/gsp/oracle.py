@@ -65,17 +65,15 @@ def _check_size(inst: Instance):
         raise InstanceTooLarge(f"q_max {inst.q_max} exceeds the guard {MAX_TANK}")
 
 
-def enumerate_goal_routes(inst: Instance, reach: ReachGraph, start: int | None = None,
-                          max_hops: int | None = None):
-    """Yield every start-to-goal walk with at most max_hops hops.
+def enumerate_goal_routes(inst: Instance, reach: ReachGraph, start: int | None = None):
+    """Yield every walk of at most k_max hops from start to the goal.
 
-    Walks may revisit vertices, including the goal; a walk is yielded each
-    time its tip sits on the goal.  Walks are cut at non-refuellable
-    vertices because no purchase, and therefore no further hop, is possible
-    there.
+    start defaults to inst.start.  Walks may revisit vertices, including
+    the goal; a walk is yielded each time its tip sits on the goal.  Walks
+    are cut at non-refuellable vertices because no purchase, and therefore
+    no further hop, is possible there.
     """
     origin = inst.start if start is None else start
-    limit = inst.k_max if max_hops is None else max_hops
     price = inst.graph.price
     verts: list[int] = [origin]
     fuels: list[float] = []
@@ -84,7 +82,7 @@ def enumerate_goal_routes(inst: Instance, reach: ReachGraph, start: int | None =
         tip = verts[-1]
         if tip == inst.goal and fuels:
             yield Route(tuple(verts), tuple(fuels))
-        if len(fuels) == limit or math.isinf(price[tip]):
+        if len(fuels) == inst.k_max or math.isinf(price[tip]):
             return
         for v2, d in reach.succ[tip]:
             verts.append(v2)

@@ -11,14 +11,15 @@ through ``ReachGraph.arrays``, a CSR view built on first use and kept with
 the graph, so every later query on the same reach graph gets it for free;
 ``distance`` is a binary search in the sorted arc list of the tail.  Every
 solver and checker gets its reach graph from ``reach_for``, which builds
-one for the instance or rejects one built for another graph size or tank.
+one for the instance or rejects one built for another graph or tank.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -49,12 +50,17 @@ class ReachGraph:
 
     d is the unconstrained shortest fuel distance from u to v.  succ[u]
     holds the arcs out of u as (v, d) pairs sorted by v; it is the only
-    stored arc list, and ``arrays`` and ``distance`` both read it.
+    stored arc list, and ``arrays`` and ``distance`` both read it.  graph
+    is the graph the arcs were built from.
     """
 
-    n: int
+    graph: FuelGraph = field(repr=False)
     q_max: float
     succ: tuple[tuple[tuple[int, float], ...], ...]
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
     @cached_property
     def arrays(self) -> ReachArrays:
@@ -115,24 +121,26 @@ def compute_reachable_sets(graph: FuelGraph, q_max: float) -> ReachGraph:
     expanded.  Empty reach sets are valid (capacity below the smallest edge
     fuel yields an edgeless refuel graph).
     """
-    if not (q_max > 0):
-        raise ValueError("q_max must be positive")
+    if not (0 < q_max < math.inf):
+        raise ValueError("q_max must be finite and positive")
     succ = tuple(tuple(_truncated_dijkstra(graph, u, q_max)) for u in range(graph.n))
-    return ReachGraph(graph.n, float(q_max), succ)
+    return ReachGraph(graph, float(q_max), succ)
 
 
 def reach_for(inst: Instance, reach: ReachGraph | None = None) -> ReachGraph:
     """The refuel graph an instance is solved or checked on.
 
     Builds it when reach is None.  A reach graph passed in must have been
-    built for the instance's vertex count and tank capacity, since arcs for
-    a larger tank would let a schedule overfill it; otherwise ValueError.
+    built from the instance's graph (the same object or an equal one) and
+    tank capacity, since arcs of another graph or a larger tank would let a
+    schedule use roads that do not exist or overfill the tank; otherwise
+    ValueError.
     """
     if reach is None:
         return compute_reachable_sets(inst.graph, inst.q_max)
-    if reach.n != inst.graph.n or reach.q_max != inst.q_max:
-        raise ValueError(
-            f"reach graph built for {reach.n} vertices and tank {reach.q_max:g}, "
-            f"but the instance has {inst.graph.n} vertices and tank {inst.q_max:g}"
-        )
+    if not (reach.graph is inst.graph or reach.graph == inst.graph):
+        raise ValueError("reach graph built for a different graph")
+    if reach.q_max != inst.q_max:
+        raise ValueError(f"reach graph built for tank {reach.q_max:g}, "
+                         f"but the instance has tank {inst.q_max:g}")
     return reach

@@ -40,13 +40,10 @@ class SearchOptions:
 
     use_heuristic off gives the no-heuristic mode (h identically 0).
     unbounded_stops drops the stop limit and prunes with the scalarized rule.
-    disable_dominance is for testing pruning safety only and is rejected in
-    unbounded mode, where pruning is what guarantees termination.
     """
 
     use_heuristic: bool = True
     unbounded_stops: bool = False
-    disable_dominance: bool = False
 
 
 class Frontier:
@@ -166,19 +163,15 @@ def rfastar_solve(
     *,
     reach: ReachGraph | None = None,
     deadline: float | None = None,
-    label_sink: list[Label] | None = None,
 ) -> tuple[Solution | Infeasible, SearchStats]:
     """Solve one instance; returns (Solution or Infeasible, stats).
 
     The refuel graph is computed on demand when not supplied; a supplied
-    one must match the instance (``reach_for``, else ValueError).  label_sink,
-    when given, receives every generated label (a testing hook).  deadline
-    is a perf_counter timestamp; crossing it raises SolveTimeout carrying
-    the partial stats.
+    one must have been built from the instance's graph and tank
+    (``reach_for``, else ValueError).  deadline is a perf_counter
+    timestamp; crossing it raises SolveTimeout carrying the partial stats.
     """
     opts = opts or SearchOptions()
-    if opts.unbounded_stops and opts.disable_dominance:
-        raise ValueError("dominance pruning cannot be disabled in unbounded mode")
     stats = SearchStats()
     reach = reach_for(inst, reach)
 
@@ -203,14 +196,10 @@ def rfastar_solve(
         stats.search_time = perf_counter() - t_search
         return Infeasible(), stats
     stats.labels_generated += 1
-    if label_sink is not None:
-        label_sink.append(root)
     push(root)
     if inst.q0 > 0.0 and inst.start != inst.goal:
         for child in _coast_children(root, reach, inst, ctx):
             stats.labels_generated += 1
-            if label_sink is not None:
-                label_sink.append(child)
             push(child)
 
     while heap:
@@ -218,7 +207,7 @@ def rfastar_solve(
             stats.search_time = perf_counter() - t_search
             raise SolveTimeout(stats)
         _, _, _, _, lbl = heappop(heap)
-        if not opts.disable_dominance and frontier.dominated(lbl):
+        if frontier.dominated(lbl):
             stats.labels_pruned += 1
             continue
         frontier.insert(lbl)
@@ -232,9 +221,7 @@ def rfastar_solve(
         stats.labels_expanded += 1
         for child in expand(lbl, reach, inst, ctx):
             stats.labels_generated += 1
-            if label_sink is not None:
-                label_sink.append(child)
-            if not opts.disable_dominance and frontier.dominated(child):
+            if frontier.dominated(child):
                 stats.labels_pruned += 1
                 continue
             push(child)

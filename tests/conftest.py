@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from gsp import FuelGraph, Instance, Label, compute_reachable_sets, gen_binomial
+from gsp import FuelGraph, Infeasible, Instance, Label, compute_reachable_sets, gen_binomial
+from gsp import search
 
 
 def worked_example_graph() -> FuelGraph:
@@ -49,3 +51,46 @@ def random_instance(seed: int, with_q0: bool = False) -> Instance:
     k_max = rng.randint(1, 4)
     q0 = float(rng.randint(1, int(q_max) - 1)) if with_q0 else 0.0
     return Instance(graph, start, goal, q_max, k_max, q0)
+
+
+def unpruned_solve(inst: Instance, reach):
+    """Cheapest goal label of the whole label tree, with no pruning at all.
+
+    Walks every label that gsp.search.expand generates from the start, plus
+    the start's free coasts on initial fuel, with no frontier and no
+    heuristic.  Goal labels are leaves and bounded labels stop at k_max, so
+    the tree is finite.  Returns a Solution, or Infeasible when no goal
+    label exists; its cost is what pruning must preserve.
+    """
+    root = Label(inst.start, 0.0, inst.q0, 0)
+    stack = [root]
+    if inst.q0 > 0.0 and inst.start != inst.goal:
+        stack += search._coast_children(root, reach, inst, None)
+    best = None
+    while stack:
+        l = stack.pop()
+        if l.v == inst.goal:
+            if best is None or l.g < best.g:
+                best = l
+        elif l.k < inst.k_max and math.isfinite(inst.graph.price[l.v]):
+            stack += search.expand(l, reach, inst, None)
+    return Infeasible() if best is None else search._reconstruct(best, reach)
+
+
+@pytest.fixture
+def generated_labels(monkeypatch) -> list[Label]:
+    """Every child label the search generates while the test runs.
+
+    Wraps gsp.search.expand and gsp.search._coast_children by module
+    attribute; rfastar_solve looks both up at call time.  The start label
+    itself is not a child and is not recorded.
+    """
+    labels: list[Label] = []
+    for name in ("expand", "_coast_children"):
+        def recording(*args, _original=getattr(search, name)):
+            children = _original(*args)
+            labels.extend(children)
+            return children
+
+        monkeypatch.setattr(search, name, recording)
+    return labels

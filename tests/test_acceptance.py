@@ -34,7 +34,7 @@ from gsp.heuristic import h_for
 from gsp.oracle import enumerate_goal_routes, route_min_cost
 from gsp.search import SearchOptions, refuel_schedule_for_route
 
-from conftest import label_key, random_instance, worked_example
+from conftest import label_key, random_instance, unpruned_solve, worked_example
 
 SUITE1_SIZE = 200
 SUITE6_SIZE = 50
@@ -67,7 +67,7 @@ def suite1():
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         rf, rf_stats = rfastar_solve(inst, reach=reach)
         noh, _ = rfastar_solve(inst, SearchOptions(use_heuristic=False), reach=reach)
-        nodom, _ = rfastar_solve(inst, SearchOptions(disable_dominance=True), reach=reach)
+        nodom = unpruned_solve(inst, reach)
         dp, _ = dp_solve(inst, reach=reach)
         oracle = brute_force_solve(inst, reach=reach)
         unbounded, _ = rfastar_solve(inst, SearchOptions(unbounded_stops=True), reach=reach)
@@ -166,12 +166,11 @@ def test_criterion_04_pruning_safety_and_heuristic_neutrality(suite1):
           f"{SUITE1_SIZE} instances")
 
 
-def test_criterion_05_worked_example():
+def test_criterion_05_worked_example(generated_labels):
     inst = worked_example()
-    sink = []
-    result, _ = rfastar_solve(inst, label_sink=sink)
+    result, _ = rfastar_solve(inst)
     assert result.total_cost == 15.0
-    keys = {label_key(l) for l in sink}
+    keys = {label_key(l) for l in generated_labels}
     assert (1, 12.0, 4.0, 1) in keys, "expected label (a, 12, 4, 1)"
     assert (2, 10.0, 0.0, 1) in keys, "expected label (b, 10, 0, 1)"
     tight, _ = rfastar_solve(worked_example(k_max=1))

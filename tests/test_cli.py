@@ -69,6 +69,21 @@ def test_invalid_inputs_exit_3(graph_file, tmp_path, capsys):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--qmax", "inf"),
+    ("--time-limit", "0"),
+    ("--time-limit", "nan"),
+    ("--time-limit", "-1"),
+])
+def test_infinite_tank_or_non_positive_time_limit_exits_3(graph_file, capsys, flag, value):
+    args = _solve_args(graph_file)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    assert main(args) == 3
+
+
 def test_export_mip_passes_grammar_check(graph_file, tmp_path):
     out = tmp_path / "model.lp"
     assert main([

@@ -57,8 +57,9 @@ class TestInstance:
         g = FuelGraph.build([1.0, 1.0], [(0, 1, 1.0)])
         with pytest.raises(InvalidInstance):
             Instance(g, 0, 5, 1.0, 1)
-        with pytest.raises(InvalidInstance):
-            Instance(g, 0, 1, 0.0, 1)
+        for q_max in (0.0, math.inf, math.nan):  # inf made search and DP disagree
+            with pytest.raises(InvalidInstance):
+                Instance(g, 0, 1, q_max, 1)
         with pytest.raises(InvalidInstance):
             Instance(g, 0, 1, 1.0, 0)
         with pytest.raises(InvalidInstance):

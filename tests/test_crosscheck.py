@@ -25,6 +25,8 @@ from gsp import (
 )
 from gsp.search import SearchOptions
 
+from conftest import unpruned_solve
+
 
 def _corner_instance(trial: int) -> Instance:
     rng = random.Random(515_000 + trial)
@@ -57,7 +59,7 @@ def test_all_solvers_agree_on_corner_distributions(trial):
     reach = compute_reachable_sets(inst.graph, inst.q_max)
     plain, _ = rfastar_solve(inst, reach=reach)
     noh, _ = rfastar_solve(inst, SearchOptions(use_heuristic=False), reach=reach)
-    nodom, _ = rfastar_solve(inst, SearchOptions(disable_dominance=True), reach=reach)
+    nodom = unpruned_solve(inst, reach)
     dp, _ = dp_solve(inst, reach=reach)
     oracle = brute_force_solve(inst, reach=reach)
     assert _cost(plain) == _cost(noh) == _cost(nodom) == _cost(dp) == _cost(oracle)

@@ -98,8 +98,9 @@ def test_monotone_in_capacity(seed):
 
 
 def test_invalid_capacity():
-    with pytest.raises(ValueError):
-        compute_reachable_sets(worked_example_graph(), 0.0)
+    for q_max in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            compute_reachable_sets(worked_example_graph(), q_max)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -148,16 +149,22 @@ _TAKES_REACH = {
 }
 
 
-@pytest.mark.parametrize("mismatch", ["tank", "vertex-count"])
+@pytest.mark.parametrize("mismatch", ["tank", "vertex-count", "same-size-graph"])
 @pytest.mark.parametrize("call", sorted(_TAKES_REACH))
 def test_reach_graph_for_another_instance_is_rejected(call, mismatch):
     # Arcs built for a tank of 8 let the search buy 7 at o on a tank of 6
     # (cost 14, where the optimum is 15); a reach graph for another vertex
-    # count does not describe the instance's graph at all.
+    # count does not describe the instance's graph at all; one built on
+    # the same four stations plus an o-t road of fuel 3 gives cost 6 along
+    # a road the instance does not have.
     inst = worked_example()  # q_max 6, 4 vertices
     if mismatch == "tank":
         reach = compute_reachable_sets(inst.graph, 8.0)
-    else:
+    elif mismatch == "vertex-count":
         reach = compute_reachable_sets(gen_binomial(5, 0.6, seed=1), inst.q_max)
+    else:
+        g = inst.graph
+        other = FuelGraph.build(list(g.price), [*g.edges, (O, T, 3.0), (T, O, 3.0)], list(g.names))
+        reach = compute_reachable_sets(other, inst.q_max)
     with pytest.raises(ValueError, match="reach graph built for"):
         _TAKES_REACH[call](inst, reach)

@@ -18,7 +18,7 @@ from gsp import (
 )
 from gsp.search import SearchOptions, refuel_amount, refuel_schedule_for_route
 
-from conftest import A, B, O, T, label_key, random_instance, worked_example
+from conftest import A, B, O, T, label_key, random_instance, unpruned_solve, worked_example
 
 
 class TestExpand:
@@ -110,10 +110,9 @@ class TestSolve:
         assert [v for v, _ in result.route] == [O, A, T]
         assert result.stops == ((O, 6.0), (A, 1.0))
 
-    def test_expected_labels_appear(self, wx):
-        sink = []
-        rfastar_solve(wx, label_sink=sink)
-        keys = {label_key(l) for l in sink}
+    def test_expected_labels_appear(self, wx, generated_labels):
+        rfastar_solve(wx)
+        keys = {label_key(l) for l in generated_labels}
         assert (A, 12.0, 4.0, 1) in keys
         assert (B, 10.0, 0.0, 1) in keys
 
@@ -150,10 +149,6 @@ class TestSolve:
         assert isinstance(result, Infeasible)
         assert stats.labels_expanded == 0  # the start estimate is already infinite
 
-    def test_unbounded_with_dominance_disabled_rejected(self, wx):
-        with pytest.raises(ValueError):
-            rfastar_solve(wx, SearchOptions(unbounded_stops=True, disable_dominance=True))
-
 
 class TestModes:
     @pytest.mark.parametrize("seed", range(12))
@@ -170,7 +165,7 @@ class TestModes:
     def test_dominance_off_matches(self, seed):
         inst = random_instance(seed)
         base, _ = rfastar_solve(inst)
-        off, _ = rfastar_solve(inst, SearchOptions(disable_dominance=True))
+        off = unpruned_solve(inst, compute_reachable_sets(inst.graph, inst.q_max))
         if isinstance(base, Infeasible):
             assert isinstance(off, Infeasible)
         else:
@@ -235,12 +230,12 @@ class TestInitialFuel:
         result, _ = rfastar_solve(inst)
         assert result.total_cost == 3.0
 
-    def test_label_invariants_hold_for_every_generated_label(self):
+    def test_label_invariants_hold_for_every_generated_label(self, generated_labels):
         for seed in range(8):
             inst = random_instance(seed, with_q0=True)
-            sink = []
-            rfastar_solve(inst, label_sink=sink)
-            for l in sink:
+            generated_labels.clear()
+            rfastar_solve(inst)
+            for l in generated_labels:
                 assert 0.0 <= l.q <= inst.q_max
                 assert l.g >= 0.0
                 assert 0 <= l.k <= inst.k_max
