@@ -12,17 +12,9 @@ from pathlib import Path
 from time import perf_counter
 
 from .bench import SOLVER_NAMES, bench_run, load_bench_spec, run_solver
-from .core import (
-    Infeasible,
-    InvalidInstance,
-    SolutionError,
-    SolveTimeout,
-    validate_solution,
-)
+from .core import Infeasible, SolveTimeout, validate_solution
 from .generate import GenerationFailed, gen_binomial
 from .graphio import (
-    ParseError,
-    SchemaError,
     load_graph,
     load_reach_cache,
     resolve_instance,
@@ -33,18 +25,15 @@ from .graphio import (
 )
 from .reach import compute_reachable_sets
 from .mip import build_mip, write_lp
-from .oracle import InstanceTooLarge, NonIntegralInput
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 EXIT_TIMEOUT = 4
 
-_INPUT_ERRORS = (
-    ParseError, SchemaError, InvalidInstance, SolutionError,
-    InstanceTooLarge, NonIntegralInput, GenerationFailed,
-    FileNotFoundError, ValueError, KeyError,
-)
+# ParseError, SchemaError, InvalidInstance, SolutionError, InstanceTooLarge
+# and NonIntegralInput are ValueErrors.
+_INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError, GenerationFailed)
 
 
 def _add_instance_args(p: argparse.ArgumentParser):

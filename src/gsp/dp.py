@@ -141,23 +141,22 @@ def build_layers(
     *,
     deadline: float | None = None,
 ) -> tuple[_Table, list[np.ndarray]]:
-    """Relax k_max layers and return (table, [A_0 .. A_kmax])."""
+    """Relax k_max layers and return (table, [A_0 .. A_kmax]).
+
+    Past the deadline, raises SolveTimeout with the states of the layers
+    relaxed so far.
+    """
     table = _Table(inst, reach)
     base = np.full(table.size, math.inf)
     base[table.initial] = 0.0
     layers = [base]
     for _ in range(inst.k_max):
         if deadline is not None and perf_counter() > deadline:
-            raise _LayerTimeout(layers)
+            raise SolveTimeout(SearchStats(dp_states_computed=(len(layers) - 1) * table.size))
         nxt = np.full(table.size, math.inf)
         np.minimum.at(nxt, table.dst, layers[-1][table.src] + table.cost)
         layers.append(nxt)
     return table, layers
-
-
-class _LayerTimeout(Exception):
-    def __init__(self, layers):
-        self.layers = layers
 
 
 def _trivial_solution(inst: Instance) -> Solution:
@@ -244,10 +243,9 @@ def dp_solve(
 
     try:
         table, layers = build_layers(inst, reach, deadline=deadline)
-    except _LayerTimeout as t:
-        stats.dp_states_computed = (len(t.layers) - 1) * _size_of(t.layers)
-        stats.search_time = perf_counter() - t0
-        raise SolveTimeout(stats) from None
+    except SolveTimeout as t:
+        t.stats.search_time = perf_counter() - t0
+        raise
 
     stats.dp_states_computed = inst.k_max * table.size
     goal_state = table.state(inst.goal, 0.0)
@@ -263,7 +261,3 @@ def dp_solve(
     sol = _reconstruct(inst, table, layers, best_k)
     stats.search_time = perf_counter() - t0
     return sol, stats
-
-
-def _size_of(layers: list[np.ndarray]) -> int:
-    return int(layers[0].shape[0]) if layers else 0

@@ -9,11 +9,11 @@ one context per query.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 from .core import FuelGraph
+from .reach import shortest_fuel
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,7 @@ def build_heuristic(graph: FuelGraph, goal: int) -> HeuristicContext:
     non-goal vertex is non-refuellable, c_min degenerates to 0 so the
     estimate becomes the trivial (still admissible) zero heuristic.
     """
-    dist = [math.inf] * graph.n
-    dist[goal] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, goal)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for u, w in graph.pred[v]:
-            nd = d + w
-            if nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
+    dist, _ = shortest_fuel(graph.pred, goal)
     finite_prices = [p for v, p in enumerate(graph.price) if v != goal and math.isfinite(p)]
     c_min = min(finite_prices) if finite_prices else 0.0
     return HeuristicContext(goal=goal, d_to_goal=tuple(dist), c_min=c_min)

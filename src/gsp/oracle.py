@@ -8,7 +8,10 @@ what the optimised solvers are tested against.
 
 Only integral fuel data is accepted: the fixed-route relaxation then has
 an integral optimal vertex, so the integer-state DP is exact.  Prices may
-be arbitrary non-negative reals.
+be any non-negative reals, short decimals such as 1.1 included: one DP
+both prices a route and reconstructs its schedule, choosing each purchase
+from the same float values it minimised.  The reported cost is the
+schedule's own, summed stop by stop.
 """
 
 from __future__ import annotations
@@ -94,24 +97,25 @@ def enumerate_goal_routes(inst: Instance, reach: ReachGraph, start: int | None =
     yield from walk()
 
 
-def _cost_vector(route: Route, inst: Instance, f0: int) -> list[float]:
-    """Minimal cost to finish the route, by arrival fuel at the goal.
+def _cost_layers(route: Route, inst: Instance, f0: int) -> list[list[float]]:
+    """Minimal cost by fuel level after each hop of the route.
 
-    One DP pass per hop over integer fuel levels 0..q_max.  At each stop
-    any purchase amount a >= 0 keeping the tank within capacity is allowed;
-    cur[f] - f*c is prefix-minimised so each hop costs O(q_max).
+    layers[0] is the start (f0 fuel at no cost) and layers[-1] the goal, by
+    arrival fuel.  One DP pass per hop over integer fuel levels 0..q_max.
+    At each stop any purchase amount a >= 0 keeping the tank within
+    capacity is allowed; cur[f] - f*c is prefix-minimised so each hop costs
+    O(q_max).  A hop longer than the tank leaves every later level at +inf.
     """
     q_cap = int(inst.q_max)
     inf = math.inf
     cur = [inf] * (q_cap + 1)
     cur[f0] = 0.0
+    layers = [cur]
     for i, d in enumerate(route.hop_fuels):
         c = inst.graph.price[route.vertices[i]]
         if not math.isfinite(c):
             raise ValueError("route stops must all be refuellable")
         di = int(d)
-        if di > q_cap:
-            return [inf] * (q_cap + 1)
         best = inf
         prefix = [inf] * (q_cap + 1)
         for f in range(q_cap + 1):
@@ -125,7 +129,8 @@ def _cost_vector(route: Route, inst: Instance, f0: int) -> list[float]:
             if base < inf:
                 nxt[f2] = (f2 + di) * c + base
         cur = nxt
-    return cur
+        layers.append(cur)
+    return layers
 
 
 def route_min_cost(route: Route, inst: Instance) -> float | Infeasible:
@@ -133,51 +138,30 @@ def route_min_cost(route: Route, inst: Instance) -> float | Infeasible:
     _check_integral(inst)
     if any(d > inst.q_max for d in route.hop_fuels):
         return Infeasible()
-    vec = _cost_vector(route, inst, int(inst.q0))
-    best = min(vec)
+    best = min(_cost_layers(route, inst, int(inst.q0))[-1])
     return best if math.isfinite(best) else Infeasible()
 
 
-def _route_amounts(route: Route, inst: Instance, f0: int, total: float) -> tuple[list[float], list[float]]:
-    """Recover one optimal purchase schedule for a route by re-walking the DP."""
-    q_cap = int(inst.q_max)
-    m = len(route.hop_fuels)
-    vectors = [ [math.inf] * (q_cap + 1) for _ in range(m + 1) ]
-    vectors[0][f0] = 0.0
-    for i in range(m):
-        c = inst.graph.price[route.vertices[i]]
-        di = int(route.hop_fuels[i])
-        cur, nxt = vectors[i], vectors[i + 1]
-        for f in range(q_cap + 1):
-            if not math.isfinite(cur[f]):
-                continue
-            for after in range(max(f, di), q_cap + 1):
-                cand = cur[f] + (after - f) * c
-                if cand < nxt[after - di]:
-                    nxt[after - di] = cand
-    final = min(range(q_cap + 1), key=lambda f: (vectors[m][f], f))
-    assert vectors[m][final] == total
-    # Walk backwards choosing the smallest arrival fuel achieving each value.
-    state = final
-    states = [state]
-    for i in range(m - 1, -1, -1):
-        c = inst.graph.price[route.vertices[i]]
-        di = int(route.hop_fuels[i])
-        after = state + di
-        want = vectors[i + 1][state]
-        chosen = None
-        for f in range(after + 1):
-            if math.isfinite(vectors[i][f]) and vectors[i][f] + (after - f) * c == want:
-                chosen = f
-                break
-        assert chosen is not None
-        state = chosen
-        states.append(state)
-    states.reverse()
+def _route_amounts(route: Route, inst: Instance, layers: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Read one optimal purchase schedule back from the route's cost layers.
+
+    Takes the least goal fuel among the cheapest, then, hop by hop from the
+    goal, the least fuel before the stop that minimises layers[i][f] - f*c,
+    the expression the forward pass minimised, so the choice is exact.
+    """
+    goal = layers[-1]
+    state = goal.index(min(goal))
+    arrivals = [float(state)]
     amounts = []
-    arrivals = [float(s) for s in states]
-    for i in range(m):
-        amounts.append(arrivals[i + 1] + route.hop_fuels[i] - arrivals[i])
+    for i in range(len(route.hop_fuels) - 1, -1, -1):
+        c = inst.graph.price[route.vertices[i]]
+        after = state + int(route.hop_fuels[i])
+        vals = [layers[i][f] - f * c for f in range(after + 1)]
+        state = vals.index(min(vals))
+        amounts.append(float(after - state))
+        arrivals.append(float(state))
+    amounts.reverse()
+    arrivals.reverse()
     return amounts, arrivals
 
 
@@ -203,59 +187,54 @@ def brute_force_solve(
     stats = SearchStats()
     t0 = perf_counter()
     f0 = int(inst.q0)
-    best: tuple[float, Route, int] | None = None  # (cost, route, start fuel)
+    # (cost, route, the part of it priced by the DP, that part's cost layers)
+    best: tuple[float, Route, Route, list[list[float]]] | None = None
 
-    def consider(route: Route, start_fuel: int):
+    def consider(route: Route, coast: float = 0.0):
+        """Price route; a coast > 0 makes its first hop free on the initial fuel."""
         nonlocal best
-        vec = _cost_vector(route, inst, start_fuel)
-        cost = min(vec)
+        priced = Route(route.vertices[1:], route.hop_fuels[1:]) if coast else route
+        layers = _cost_layers(priced, inst, f0 - int(coast))
+        cost = min(layers[-1])
         if math.isfinite(cost) and (best is None or cost < best[0]):
-            best = (cost, route, start_fuel)
+            best = (cost, route, priced, layers)
 
     checked = 0
     for route in enumerate_goal_routes(inst, reach):
-        consider(route, f0)
+        consider(route)
         checked += 1
         if deadline is not None and checked % 256 == 0 and perf_counter() > deadline:
             stats.search_time = perf_counter() - t0
             raise SolveTimeout(stats)
 
-    coast_prefix: dict[tuple[int, ...], float] = {}
     if f0 > 0:
         d_direct = reach.distance(inst.start, inst.goal)
         if d_direct is not None and d_direct <= f0:
-            direct = Route((inst.start, inst.goal), (d_direct,))
-            if best is None or 0.0 < best[0]:
-                best = (0.0, direct, f0)
-                coast_prefix[direct.vertices] = d_direct
+            consider(Route((inst.start, inst.goal), (d_direct,)), d_direct)
         for x, d in reach.succ[inst.start]:
             if d > f0 or x == inst.goal or math.isinf(inst.graph.price[x]):
                 continue
             for sub in enumerate_goal_routes(inst, reach, start=x):
-                route = Route((inst.start,) + sub.vertices, (d,) + sub.hop_fuels)
-                vec = _cost_vector(sub, inst, f0 - int(d))
-                cost = min(vec)
-                if math.isfinite(cost) and (best is None or cost < best[0]):
-                    best = (cost, route, f0)
-                    coast_prefix[route.vertices] = d
+                consider(Route((inst.start,) + sub.vertices, (d,) + sub.hop_fuels), d)
 
     if best is None:
         return Infeasible()
-    cost, route, start_fuel = best
-    coast_d = coast_prefix.get(route.vertices)
-    if coast_d is not None:
-        sub = Route(route.vertices[1:], route.hop_fuels[1:])
-        amounts, arrivals = _route_amounts(sub, inst, start_fuel - int(coast_d), cost)
+    _, route, priced, layers = best
+    amounts, arrivals = _route_amounts(priced, inst, layers)
+    if priced is not route:  # the first hop was a free coast
         amounts = [0.0] + amounts
-        arrivals = [float(start_fuel)] + arrivals
-    else:
-        amounts, arrivals = _route_amounts(route, inst, start_fuel, cost)
+        arrivals = [float(f0)] + arrivals
     stops = tuple(
         (route.vertices[i], amounts[i]) for i in range(len(amounts)) if amounts[i] > 0.0
     )
     hops = ((route.vertices[0], 0.0),) + tuple(
         (route.vertices[i + 1], route.hop_fuels[i]) for i in range(len(route.hop_fuels))
     )
+    # The schedule's own cost, summed stop by stop as validate_solution and
+    # the label search do; the DP's value can differ from it in the last bit.
+    cost = 0.0
+    for v, amount in stops:
+        cost += amount * inst.graph.price[v]
     return Solution(stops=stops, route=hops, total_cost=cost, arrival_fuel=tuple(arrivals))
 
 

@@ -2,9 +2,10 @@
 
 For every vertex this computes the set of vertices reachable on one full
 tank together with the minimum fuel needed, by running one Dijkstra per
-source truncated at the tank capacity.  The search and the DP baseline both
-run on this derived graph, so the cost is paid once per (graph, capacity)
-pair and can be cached on disk.
+source truncated at the tank capacity.  That Dijkstra, ``shortest_fuel``,
+is also the heuristic's backward search from the goal.  The search and
+the DP baseline both run on this derived graph, so the cost is paid once
+per (graph, capacity) pair and can be cached on disk.
 
 ``ReachGraph.succ`` is the only stored copy of the arcs.  The DP reads them
 through ``ReachGraph.arrays``, a CSR view built on first use and kept with
@@ -91,40 +92,49 @@ class ReachGraph:
         return sum(len(s) for s in self.succ)
 
 
-def _truncated_dijkstra(graph: FuelGraph, source: int, q_max: float) -> list[tuple[int, float]]:
-    dist: dict[int, float] = {source: 0.0}
+def shortest_fuel(
+    adj: tuple[tuple[tuple[int, float], ...], ...],
+    source: int,
+    limit: float = math.inf,
+) -> tuple[list[float], list[int]]:
+    """Dijkstra over fuel from source on an adjacency list of (v, w) pairs.
+
+    Returns (dist, settled): dist[v] is the least fuel from source to v, or
+    +inf when that exceeds limit or v cannot be reached; settled lists the
+    vertices within limit in the order they were settled, source first.
+    A vertex beyond limit is never pushed, so never expanded.
+    """
+    dist = [math.inf] * len(adj)
+    dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
-    out: list[tuple[int, float]] = []
-    done: set[int] = set()
+    settled: list[int] = []
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if d > dist[u]:
             continue
-        if d > q_max:
-            break  # all remaining entries are at least this far
-        done.add(u)
-        if u != source:
-            out.append((u, d))
-        for v, w in graph.succ[u]:
+        settled.append(u)
+        for v, w in adj[u]:
             nd = d + w
-            if nd <= q_max and nd < dist.get(v, float("inf")):
+            if nd < dist[v] and nd <= limit:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    out.sort()
-    return out
+    return dist, settled
 
 
 def compute_reachable_sets(graph: FuelGraph, q_max: float) -> ReachGraph:
     """Build the refuel graph for a tank capacity.
 
-    A settled vertex whose distance exceeds q_max is discarded and never
-    expanded.  Empty reach sets are valid (capacity below the smallest edge
-    fuel yields an edgeless refuel graph).
+    Row u holds every vertex other than u that a Dijkstra from u truncated
+    at q_max settles, with its fuel distance.  Empty reach sets are valid
+    (capacity below the smallest edge fuel yields an edgeless refuel graph).
     """
     if not (0 < q_max < math.inf):
         raise ValueError("q_max must be finite and positive")
-    succ = tuple(tuple(_truncated_dijkstra(graph, u, q_max)) for u in range(graph.n))
-    return ReachGraph(graph, float(q_max), succ)
+    rows = []
+    for u in range(graph.n):
+        dist, settled = shortest_fuel(graph.succ, u, q_max)
+        rows.append(tuple((v, dist[v]) for v in sorted(settled[1:])))
+    return ReachGraph(graph, float(q_max), tuple(rows))
 
 
 def reach_for(inst: Instance, reach: ReachGraph | None = None) -> ReachGraph:

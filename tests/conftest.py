@@ -25,6 +25,16 @@ def worked_example(q_max: float = 6.0, k_max: int = 2, q0: float = 0.0) -> Insta
     return Instance(worked_example_graph(), 0, 3, q_max, k_max, q0)
 
 
+def decimal_price_graph() -> FuelGraph:
+    """Three vertices priced 1.1, 2.9 and 1.3 with integral edge fuels.
+
+    Solved from v0 to v2 with tank 10, two stops and 9 units of initial
+    fuel, the optimum buys 1 at v0 for 1.1.
+    """
+    return FuelGraph.build([1.1, 2.9, 1.3],
+                           [(0, 1, 5.0), (1, 0, 2.0), (1, 2, 5.0), (2, 0, 6.0), (2, 1, 5.0)])
+
+
 O, A, B, T = 0, 1, 2, 3
 
 def label_key(l: Label) -> tuple[int, float, float, int]:

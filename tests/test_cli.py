@@ -8,7 +8,7 @@ from gsp.cli import main
 from gsp.graphio import load_graph, write_graph
 from gsp.mip import validate_lp_text
 
-from conftest import worked_example_graph
+from conftest import decimal_price_graph, worked_example_graph
 
 
 @pytest.fixture
@@ -203,6 +203,20 @@ def test_bench_command(graph_file, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("instance_id,solver,status")
+
+
+def test_oracle_solves_short_decimal_prices(tmp_path, capsys):
+    path = tmp_path / "decimal.json"
+    path.write_text(write_graph(decimal_price_graph()))
+    code = main(["solve", "--graph", str(path), "--start", "v0", "--goal", "v2",
+                 "--qmax", "10", "--kmax", "2", "--q0", "9", "--algo", "oracle"])
+    assert code == 0
+    assert "cost 1.1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algo", ["rfastar", "rfastar-noh", "dp"])
+def test_tiny_time_limit_exits_4(graph_file, algo):
+    assert main(_solve_args(graph_file, "--algo", algo, "--time-limit", "1e-9")) == 4
 
 
 def test_solve_timeout_exit_code(tmp_path):

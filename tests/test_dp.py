@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from time import perf_counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from gsp import (
     FuelGraph,
     Infeasible,
     Instance,
+    SolveTimeout,
     brute_force_solve,
     compute_reachable_sets,
     dp_solve,
@@ -49,6 +51,11 @@ class TestDpSolve:
         assert layers[1][table.state(B, 0.0)] == 10.0
         assert layers[2][table.state(T, 0.0)] == 15.0
         assert stats.dp_states_computed == wx.k_max * table.size
+
+    def test_past_deadline_times_out_before_any_layer(self, wx, wx_reach):
+        with pytest.raises(SolveTimeout) as info:
+            dp_solve(wx, reach=wx_reach, deadline=perf_counter() - 1.0)
+        assert info.value.stats.dp_states_computed == 0
 
     def test_degenerate_start_equals_goal(self, wx):
         inst = Instance(wx.graph, O, O, 6.0, 2)

@@ -19,7 +19,7 @@ from gsp.heuristic import build_heuristic, h_for
 from gsp.oracle import InstanceTooLarge, NonIntegralInput, enumerate_goal_routes
 from gsp.search import refuel_schedule_for_route
 
-from conftest import A, B, O, T, random_instance, worked_example
+from conftest import A, B, O, T, decimal_price_graph, random_instance, worked_example
 
 
 class TestRouteMinCost:
@@ -61,6 +61,14 @@ class TestBruteForce:
         result = brute_force_solve(wx)
         assert result.total_cost == 15.0
         assert validate_solution(wx, result) == 15.0
+
+    def test_short_decimal_prices(self):
+        # Buy 1 at 1.1 on 9 units of initial fuel.  Pricing the route and
+        # reading its schedule back once rounded differently and crashed.
+        inst = Instance(decimal_price_graph(), 0, 2, q_max=10.0, k_max=2, q0=9.0)
+        result = brute_force_solve(inst)
+        assert result.total_cost == 1.1
+        assert validate_solution(inst, result) == 1.1
 
     def test_disconnected_is_infeasible(self):
         g = FuelGraph.build([1.0, 1.0, 1.0], [(0, 1, 1.0)], undirected=True)

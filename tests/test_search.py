@@ -1,4 +1,5 @@
 import math
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from gsp import (
     Infeasible,
     Instance,
     Label,
+    SolveTimeout,
     build_heuristic,
     compute_reachable_sets,
     expand,
@@ -170,6 +172,17 @@ class TestModes:
             assert isinstance(off, Infeasible)
         else:
             assert off.total_cost == base.total_cost
+
+
+@pytest.mark.parametrize("opts", [
+    SearchOptions(),
+    SearchOptions(use_heuristic=False),
+    SearchOptions(unbounded_stops=True),
+], ids=["bounded", "no-heuristic", "unbounded"])
+def test_past_deadline_times_out_before_expanding(wx, wx_reach, opts):
+    with pytest.raises(SolveTimeout) as info:
+        rfastar_solve(wx, opts, reach=wx_reach, deadline=perf_counter() - 1.0)
+    assert info.value.stats.labels_expanded == 0
 
 
 class TestUnbounded:
