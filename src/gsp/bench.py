@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from time import perf_counter
 
 from .core import FuelGraph, Infeasible, Instance, SearchStats, Solution, SolveTimeout
 from .dp import dp_solve
-from .graphio import load_graph
+from .graphio import SchemaError, load_graph
 from .oracle import InstanceTooLarge, NonIntegralInput, brute_force_solve
 from .reach import compute_reachable_sets
 from .search import SearchOptions, rfastar_solve
@@ -54,30 +55,59 @@ class BenchSpec:
             raise ValueError("time limit must be positive")
 
 
+def _spec_number(doc: dict, key: str, default: float | None = None) -> float:
+    x = doc.get(key, default)
+    if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+        raise SchemaError(f"bench spec: {key} must be a finite number")
+    return x
+
+
+def _spec_pairs(doc: dict, graph: FuelGraph) -> list[tuple[int, int]]:
+    """Instances as (start, goal) vertex ids: sampled from {"count", "seed"},
+    or named by a list of {"start", "goal"} objects."""
+    spec_instances = doc.get("instances")
+    if isinstance(spec_instances, dict):
+        rng = random.Random(int(_spec_number(spec_instances, "seed", 0)))
+        count = int(_spec_number(spec_instances, "count"))
+        return [tuple(rng.sample(range(graph.n), 2)) for _ in range(count)]
+    if not isinstance(spec_instances, list):
+        raise SchemaError("bench spec: instances must be an object or a list")
+    index = graph.name_index()
+    pairs: list[tuple[int, int]] = []
+    for i, entry in enumerate(spec_instances):
+        if not isinstance(entry, dict) or not {"start", "goal"} <= entry.keys():
+            raise SchemaError(f"bench spec: instances[{i}] must be an object with start and goal")
+        for key in ("start", "goal"):
+            if str(entry[key]) not in index:
+                raise SchemaError(f"bench spec: instances[{i}].{key} names no vertex")
+        pairs.append((index[str(entry["start"])], index[str(entry["goal"])]))
+    return pairs
+
+
 def load_bench_spec(path: str | Path) -> BenchSpec:
+    """Read a bench spec file; a document of the wrong shape raises SchemaError."""
     p = Path(path)
     doc = json.loads(p.read_text())
+    if not isinstance(doc, dict):
+        raise SchemaError("bench spec: top level must be an object")
+    if not isinstance(doc.get("graph"), str):
+        raise SchemaError("bench spec: graph must be a file name")
+    solvers = doc.get("solvers", list(SOLVER_NAMES))
+    if not isinstance(solvers, list) or not all(isinstance(s, str) for s in solvers):
+        raise SchemaError("bench spec: solvers must be a list of names")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise SchemaError("bench spec: out must be a file name")
     graph = load_graph((p.parent / doc["graph"]).resolve())
-    index = graph.name_index()
-    spec_instances = doc["instances"]
-    pairs: list[tuple[int, int]] = []
-    if isinstance(spec_instances, dict):
-        rng = random.Random(int(spec_instances.get("seed", 0)))
-        for _ in range(int(spec_instances["count"])):
-            s, g = rng.sample(range(graph.n), 2)
-            pairs.append((s, g))
-    else:
-        for entry in spec_instances:
-            pairs.append((index[str(entry["start"])], index[str(entry["goal"])]))
     return BenchSpec(
         graph=graph,
-        q_max=float(doc["q_max"]),
-        k_max=int(doc["k_max"]),
-        q0=float(doc.get("q0", 0.0)),
-        instances=tuple(pairs),
-        solvers=tuple(doc.get("solvers", list(SOLVER_NAMES))),
-        time_limit=float(doc.get("time_limit", 30.0)),
-        out=doc.get("out"),
+        q_max=float(_spec_number(doc, "q_max")),
+        k_max=int(_spec_number(doc, "k_max")),
+        q0=float(_spec_number(doc, "q0", 0.0)),
+        instances=tuple(_spec_pairs(doc, graph)),
+        solvers=tuple(solvers),
+        time_limit=float(_spec_number(doc, "time_limit", 30.0)),
+        out=out,
     )
 
 

@@ -206,7 +206,14 @@ class Solution:
 
 @dataclass
 class SearchStats:
-    """Work counters shared by all solvers; times are in seconds."""
+    """Work counters shared by all solvers; times are in seconds.
+
+    For the label search, labels_generated counts labels materialised: the
+    start, its coasts on initial fuel, and every child taken off a parent's
+    cursor.  Children that expand() computes but the search never reaches
+    are not counted.  labels_pruned counts labels found dominated when
+    popped.
+    """
 
     labels_generated: int = 0
     labels_expanded: int = 0

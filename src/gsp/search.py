@@ -4,8 +4,14 @@ Labels (vertex, cost, fuel, stops) are popped in f = g + h order from a
 priority queue.  Expanding a label buys fuel at its vertex following the
 optimal refuelling rule: fill the tank when the next stop is pricier, buy
 exactly the hop's deficit otherwise, and always buy just enough to arrive
-empty at the goal.  Per-vertex frontier sets prune dominated labels both
-when children are generated and again when labels are popped.
+empty at the goal.
+
+Successors are generated lazily (partial-expansion A*).  Expanding a label
+computes its children as plain tuples in one per-parent heap, and the open
+list holds a single cursor entry for that heap, keyed on its cheapest
+child.  A child becomes a Label only when its cursor reaches the top of the
+open list; it is then checked against the per-vertex frontier sets, which
+prune dominated labels once, when they are materialised and popped.
 
 Two variants share the loop: the bounded mode enforces the stop limit and
 uses three-way dominance; the unbounded mode drops the limit and prunes
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from time import perf_counter
 
@@ -32,6 +38,9 @@ from .core import (
 )
 from .heuristic import HeuristicContext, build_heuristic, h_for
 from .reach import ReachGraph, reach_for
+
+# One child in expand()'s heap: (f, -arrival fuel, vertex, cost, amount bought).
+ChildEntry = tuple[float, float, int, float, float]
 
 
 @dataclass
@@ -53,7 +62,8 @@ class Frontier:
     label's vertex) at refuellable vertices; otherwise three-way dominance.
     Insertion appends without removing stored labels that the newcomer
     dominates; stale entries never change pruning answers because dominance
-    is transitive.
+    is transitive.  Each label is checked once, when it is materialised and
+    popped; children still waiting in a cursor's heap are never checked.
     """
 
     def __init__(self, graph_prices: tuple[float, ...], unbounded: bool = False):
@@ -87,8 +97,13 @@ def refuel_amount(c_here: float, c_next: float, q: float, d: float, q_max: float
 
 
 def expand(l: Label, reach: ReachGraph, inst: Instance,
-           ctx: HeuristicContext | None = None) -> list[Label]:
+           ctx: HeuristicContext | None = None) -> list[ChildEntry]:
     """Children of l: one purchase at l's vertex, one tankful hop.
+
+    Returns a heapified list of (f, -q, v, g, amount) tuples: the child's
+    f = g + h, its arrival fuel negated, its vertex, its cost and the amount
+    bought at l's vertex.  The heap order is the open list's pop order, so
+    the search can take children off it one at a time.
 
     No child is created when the required purchase would be non-positive
     (such itineraries are subsumed by the refuel graph's transitive
@@ -97,19 +112,22 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
     the target.
     """
     price = inst.graph.price
+    goal, q_max, q, g = inst.goal, inst.q_max, l.q, l.g
     c_here = price[l.v]
-    children: list[Label] = []
+    children: list[ChildEntry] = []
     for v2, d in reach.succ[l.v]:
-        into_goal = v2 == inst.goal
-        if not into_goal:
-            if math.isinf(price[v2]):
-                continue
-            if ctx is not None and math.isinf(ctx.d_to_goal[v2]):
-                continue
-        a, arrive = refuel_amount(c_here, price[v2], l.q, d, inst.q_max, into_goal)
+        into_goal = v2 == goal
+        if not into_goal and math.isinf(price[v2]):
+            continue
+        a, arrive = refuel_amount(c_here, price[v2], q, d, q_max, into_goal)
         if a <= 0.0:
             continue
-        children.append(Label(v2, l.g + a * c_here, arrive, l.k + 1, l, a))
+        h = h_for(ctx, v2, arrive) if ctx is not None else 0.0
+        if h == math.inf:
+            continue
+        g2 = g + a * c_here
+        children.append((g2 + h, -arrive, v2, g2, a))
+    heapify(children)
     return children
 
 
@@ -184,12 +202,19 @@ def rfastar_solve(
     t_search = perf_counter()
     price = inst.graph.price
     frontier = Frontier(price, unbounded=opts.unbounded_stops)
-    heap: list[tuple[float, float, int, int, Label]] = []
+    # Entries are (f, -q, k, seq, label, None) for an eager label and
+    # (f, -q, k, seq, parent, children) for a cursor over expand()'s heap,
+    # keyed on its top child; seq is unique, so payloads never compare.
+    heap: list[tuple] = []
     seq = count()
 
     def push(lbl: Label):
         h = h_for(ctx, lbl.v, lbl.q) if ctx is not None else 0.0
-        heappush(heap, (lbl.g + h, -lbl.q, lbl.k, next(seq), lbl))
+        heappush(heap, (lbl.g + h, -lbl.q, lbl.k, next(seq), lbl, None))
+
+    def push_cursor(parent: Label, k: int, children: list[ChildEntry]):
+        f, neg_q = children[0][:2]
+        heappush(heap, (f, neg_q, k, next(seq), parent, children))
 
     root = Label(inst.start, 0.0, inst.q0, 0)
     if ctx is not None and math.isinf(ctx.d_to_goal[inst.start]):
@@ -206,7 +231,13 @@ def rfastar_solve(
         if deadline is not None and perf_counter() > deadline:
             stats.search_time = perf_counter() - t_search
             raise SolveTimeout(stats)
-        _, _, _, _, lbl = heappop(heap)
+        _, _, k, _, lbl, children = heappop(heap)
+        if children is not None:
+            _, neg_q, v, g, a = heappop(children)
+            if children:
+                push_cursor(lbl, k, children)
+            lbl = Label(v, g, -neg_q, k, lbl, a)
+            stats.labels_generated += 1
         if frontier.dominated(lbl):
             stats.labels_pruned += 1
             continue
@@ -219,12 +250,9 @@ def rfastar_solve(
         if math.isinf(price[lbl.v]):
             continue
         stats.labels_expanded += 1
-        for child in expand(lbl, reach, inst, ctx):
-            stats.labels_generated += 1
-            if frontier.dominated(child):
-                stats.labels_pruned += 1
-                continue
-            push(child)
+        children = expand(lbl, reach, inst, ctx)
+        if children:
+            push_cursor(lbl, lbl.k + 1, children)
 
     stats.search_time = perf_counter() - t_search
     return Infeasible(), stats

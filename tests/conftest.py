@@ -63,6 +63,15 @@ def random_instance(seed: int, with_q0: bool = False) -> Instance:
     return Instance(graph, start, goal, q_max, k_max, q0)
 
 
+def child_labels(parent: Label, entries) -> list[Label]:
+    """The Labels behind gsp.search.expand's (f, -q, v, g, amount) entries.
+
+    Each child uses one more stop than parent and links back to it, as the
+    search builds it when the child is taken off its parent's cursor.
+    """
+    return [Label(v, g, -neg_q, parent.k + 1, parent, a) for _, neg_q, v, g, a in entries]
+
+
 def unpruned_solve(inst: Instance, reach):
     """Cheapest goal label of the whole label tree, with no pruning at all.
 
@@ -83,23 +92,24 @@ def unpruned_solve(inst: Instance, reach):
             if best is None or l.g < best.g:
                 best = l
         elif l.k < inst.k_max and math.isfinite(inst.graph.price[l.v]):
-            stack += search.expand(l, reach, inst, None)
+            stack += child_labels(l, search.expand(l, reach, inst, None))
     return Infeasible() if best is None else search._reconstruct(best, reach)
 
 
 @pytest.fixture
 def generated_labels(monkeypatch) -> list[Label]:
-    """Every child label the search generates while the test runs.
+    """Every child label the search computes while the test runs.
 
     Wraps gsp.search.expand and gsp.search._coast_children by module
-    attribute; rfastar_solve looks both up at call time.  The start label
-    itself is not a child and is not recorded.
+    attribute; rfastar_solve looks both up at call time.  Every child in
+    expand's heap is recorded, whether or not the search later takes it off
+    its cursor.  The start label itself is not a child and is not recorded.
     """
     labels: list[Label] = []
     for name in ("expand", "_coast_children"):
-        def recording(*args, _original=getattr(search, name)):
+        def recording(*args, _name=name, _original=getattr(search, name)):
             children = _original(*args)
-            labels.extend(children)
+            labels.extend(child_labels(args[0], children) if _name == "expand" else children)
             return children
 
         monkeypatch.setattr(search, name, recording)

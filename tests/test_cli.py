@@ -205,6 +205,25 @@ def test_bench_command(graph_file, tmp_path):
     assert lines[0].startswith("instance_id,solver,status")
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param([], id="top-level-array"),
+    pytest.param({"instances": 5}, id="instances-a-number"),
+    pytest.param({"instances": [["o", "t"]]}, id="instance-not-an-object"),
+    pytest.param({"solvers": None}, id="solvers-null"),
+    pytest.param({"graph": 3}, id="graph-a-number"),
+    pytest.param({"k_max": float("inf")}, id="k_max-infinite"),
+])
+def test_malformed_bench_spec_exits_3(graph_file, tmp_path, capsys, change):
+    doc = change
+    if isinstance(change, dict):
+        doc = {"graph": graph_file.name, "q_max": 6, "k_max": 2,
+               "instances": [{"start": "o", "goal": "t"}], **change}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["bench", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 3
+    assert "bench spec" in capsys.readouterr().err
+
+
 def test_oracle_solves_short_decimal_prices(tmp_path, capsys):
     path = tmp_path / "decimal.json"
     path.write_text(write_graph(decimal_price_graph()))

@@ -14,19 +14,23 @@ from gsp import (
     SolveTimeout,
     build_heuristic,
     compute_reachable_sets,
+    dp_solve,
     expand,
+    gen_binomial,
     rfastar_solve,
     validate_solution,
 )
+from gsp.heuristic import h_for
 from gsp.search import SearchOptions, refuel_amount, refuel_schedule_for_route
 
-from conftest import A, B, O, T, label_key, random_instance, unpruned_solve, worked_example
+from conftest import A, B, O, T, child_labels, label_key, random_instance, unpruned_solve, worked_example
 
 
 class TestExpand:
     def test_initial_label_children(self, wx, wx_reach):
         ctx = build_heuristic(wx.graph, wx.goal)
-        children = expand(Label(O, 0.0, 0.0, 0), wx_reach, wx, ctx)
+        root = Label(O, 0.0, 0.0, 0)
+        children = child_labels(root, expand(root, wx_reach, wx, ctx))
         assert sorted(label_key(c) for c in children) == [
             (A, 12.0, 4.0, 1),  # a is pricier than o: fill the tank
             (B, 10.0, 0.0, 1),  # b is cheaper: buy just the hop
@@ -34,7 +38,7 @@ class TestExpand:
 
     def test_goal_child_tops_up_exactly(self, wx, wx_reach):
         l1 = Label(A, 12.0, 4.0, 1)
-        children = expand(l1, wx_reach, wx, None)
+        children = child_labels(l1, expand(l1, wx_reach, wx, None))
         goal = [c for c in children if c.v == T]
         assert [label_key(c) for c in goal] == [(T, 15.0, 0.0, 2)]
 
@@ -51,7 +55,8 @@ class TestExpand:
         g = FuelGraph.build([1.0, math.inf, 2.0], [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 5.0)])
         inst = Instance(g, 0, 2, 5.0, 2)
         reach = compute_reachable_sets(g, 5.0)
-        children = expand(Label(0, 0.0, 0.0, 0), reach, inst, None)
+        root = Label(0, 0.0, 0.0, 0)
+        children = child_labels(root, expand(root, reach, inst, None))
         assert {c.v for c in children} == {2}
 
     def test_unreachable_goal_targets_are_skipped(self):
@@ -61,12 +66,49 @@ class TestExpand:
         reach = compute_reachable_sets(g, 5.0)
         ctx = build_heuristic(g, 0)
         assert math.isinf(ctx.d_to_goal[2])
-        children = expand(Label(1, 3.0, 0.0, 1), reach, inst, ctx)
+        l1 = Label(1, 3.0, 0.0, 1)
+        children = child_labels(l1, expand(l1, reach, inst, ctx))
         assert children and all(c.v != 2 for c in children)
 
 
+class TestLazyChildren:
+    """expand() returns a heap of plain tuples; the search builds a Label only
+    for the children it takes off a parent's cursor."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entries_form_a_heap_priced_by_the_shared_rules(self, seed):
+        inst = random_instance(seed, with_q0=True)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        ctx = build_heuristic(inst.graph, inst.goal)
+        price = inst.graph.price
+        parents = [Label(inst.start, 0.0, inst.q0, 0), Label(inst.start, 3.0, 0.0, 1)]
+        for l in parents:
+            entries = expand(l, reach, inst, ctx)
+            assert all(entries[(i - 1) // 2] <= e for i, e in enumerate(entries) if i)
+            by_vertex = {e[2]: e for e in entries}
+            assert len(by_vertex) == len(entries)
+            for v2, d in reach.succ[l.v]:
+                into_goal = v2 == inst.goal
+                a, arrive = refuel_amount(price[l.v], price[v2], l.q, d, inst.q_max, into_goal)
+                h = h_for(ctx, v2, arrive)
+                if a <= 0.0 or math.isinf(h) or (not into_goal and math.isinf(price[v2])):
+                    assert v2 not in by_vertex
+                    continue
+                g = l.g + a * price[l.v]
+                assert by_vertex[v2] == (g + h, -arrive, v2, g, a)
+
+    def test_dense_graph_materialises_fewer_labels_than_it_computes(self, generated_labels):
+        graph = gen_binomial(40, 0.9, seed=4)
+        q_max = max(d for _, _, d in graph.edges)  # one tankful covers every arc
+        inst = Instance(graph, 0, 39, q_max, 4)
+        reach = compute_reachable_sets(graph, q_max)
+        result, stats = rfastar_solve(inst, reach=reach)
+        assert stats.labels_generated < len(generated_labels)
+        assert result.total_cost == dp_solve(inst, reach=reach)[0].total_cost
+
+
 class TestCheckForPrune:
-    """Frontier.dominated, the prune check run on every pop and child."""
+    """Frontier.dominated, the prune check run on every popped label."""
 
     def test_empty_frontier_never_prunes(self, wx):
         frontier = Frontier(wx.graph.price)
