@@ -32,8 +32,9 @@ EXIT_INVALID = 3
 EXIT_TIMEOUT = 4
 
 # ParseError, SchemaError, InvalidInstance, SolutionError, InstanceTooLarge
-# and NonIntegralInput are ValueErrors.
-_INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError, GenerationFailed)
+# and NonIntegralInput are ValueErrors.  OSError covers a path that is
+# missing, names a directory or cannot be read.
+_INPUT_ERRORS = (ValueError, KeyError, OSError, GenerationFailed)
 
 
 def _add_instance_args(p: argparse.ArgumentParser):

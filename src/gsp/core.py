@@ -212,13 +212,19 @@ class SearchStats:
     start, its coasts on initial fuel, and every child taken off a parent's
     cursor.  Children that expand() computes but the search never reaches
     are not counted.  labels_pruned counts labels found dominated when
-    popped.
+    popped.  heuristic_settled counts the vertices the heuristic's backward
+    search settled beyond the goal's reach column, on demand; it is 0 when
+    every vertex the search asked about lies within one tank of the goal.
+
+    heuristic_build_time covers only seeding the heuristic from the reach
+    column; the settling done on demand is part of search_time.
     """
 
     labels_generated: int = 0
     labels_expanded: int = 0
     labels_pruned: int = 0
     dp_states_computed: int = 0
+    heuristic_settled: int = 0
     heuristic_build_time: float = 0.0
     search_time: float = 0.0
 

@@ -1,44 +1,125 @@
 """Admissible cost-to-go estimates.
 
-An exhaustive backward Dijkstra from the goal over edge fuel (ignoring tank
-capacity and prices) gives the minimum fuel d(v) still to be burned from
-each vertex.  Multiplying the unavoidable purchase d(v) - q by the global
-minimum price then lower-bounds any completion cost.  The search builds
-one context per query.
+The minimum fuel d(v) still to be burned from each vertex to the goal
+(ignoring tank capacity and prices), times the global minimum price,
+lower-bounds any completion cost once the fuel q already held is taken
+off: h = max((d(v) - q) * c_min, 0).
+
+d is computed lazily, one context per query.  A reach arc u -> goal holds
+the exact shortest fuel from u to the goal, so the goal's column of the
+reach graph (``ReachGraph.into``) gives d for every vertex within one tank
+of the goal at no search cost.  Those are exactly the vertices a backward
+Dijkstra from the goal would settle first, so the rest are settled by a
+backward Dijkstra over the graph's reversed edges that starts from the
+column, stops as soon as the vertex asked for is settled, and resumes on
+the next ask (Resumable A*; Silver, "Cooperative Pathfinding", 2005).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .core import FuelGraph
-from .reach import shortest_fuel
+from .reach import ReachGraph
 
 
-@dataclass(frozen=True)
 class HeuristicContext:
-    goal: int
-    d_to_goal: tuple[float, ...]
-    c_min: float
+    """Distances to one goal, settled on demand; one per query, not shared.
 
-
-def build_heuristic(graph: FuelGraph, goal: int) -> HeuristicContext:
-    """Backward Dijkstra from the goal; c_min over finite non-goal prices.
-
-    Vertices that cannot reach the goal get distance +inf.  When every
-    non-goal vertex is non-refuellable, c_min degenerates to 0 so the
-    estimate becomes the trivial (still admissible) zero heuristic.
+    column is the goal's reach column (``ReachGraph.into[goal]``) and pred
+    the graph's reversed edges.  dist[v] is d(v) once known (+inf when the
+    goal is unreachable from v) and None before; the column is known from
+    the start.  settled counts the vertices settle() settled beyond it.
     """
-    dist, _ = shortest_fuel(graph.pred, goal)
-    finite_prices = [p for v, p in enumerate(graph.price) if v != goal and math.isfinite(p)]
-    c_min = min(finite_prices) if finite_prices else 0.0
-    return HeuristicContext(goal=goal, d_to_goal=tuple(dist), c_min=c_min)
+
+    def __init__(self, goal: int, c_min: float, column: tuple[int | float, ...],
+                 pred: tuple[tuple[tuple[int, float], ...], ...]):
+        self.goal = goal
+        self.c_min = c_min
+        dist: list[float | None] = [None] * len(pred)
+        dist[goal] = 0.0
+        for u, d in zip(column[::2], column[1::2]):
+            dist[u] = d
+        self.dist = dist
+        self.settled = 0
+        self._column = column
+        self._pred = pred
+        self._heap: list[tuple[float, int]] | None = None  # None until the first settle()
+        self._tentative: list[float] = []
+
+    def _seed(self) -> list[tuple[float, int]]:
+        """Relax the reversed edges out of the goal and its reach column."""
+        dist, pred, col = self.dist, self._pred, self._column
+        tentative = self._tentative = [math.inf] * len(dist)
+        heap: list[tuple[float, int]] = []
+        for u, du in ((self.goal, 0.0), *zip(col[::2], col[1::2])):
+            for w, fuel in pred[u]:
+                if dist[w] is None:
+                    nd = du + fuel
+                    if nd < tentative[w]:
+                        tentative[w] = nd
+                        heappush(heap, (nd, w))
+        return heap
+
+    def settle(self, v: int) -> float:
+        """Continue the backward Dijkstra until v is settled; d(v).
+
+        Stores and returns +inf when the goal cannot be reached from v.
+        """
+        if self._heap is None:
+            self._heap = self._seed()
+        dist, pred, tentative, heap = self.dist, self._pred, self._tentative, self._heap
+        pop, push = heappop, heappush
+        settled = self.settled
+        while heap:
+            du, u = pop(heap)
+            if dist[u] is not None:
+                continue
+            dist[u] = du
+            settled += 1
+            for w, fuel in pred[u]:
+                if dist[w] is None:
+                    nd = du + fuel
+                    if nd < tentative[w]:
+                        tentative[w] = nd
+                        push(heap, (nd, w))
+            if u == v:
+                self.settled = settled
+                return du
+        self.settled = settled
+        dist[v] = math.inf
+        return math.inf
+
+    @property
+    def d_to_goal(self) -> tuple[float, ...]:
+        """d for every vertex, settling all that remain."""
+        for v, d in enumerate(self.dist):
+            if d is None:
+                self.settle(v)
+        return tuple(self.dist)
+
+
+def build_heuristic(reach: ReachGraph, goal: int) -> HeuristicContext:
+    """Context for one query, seeded with the goal's reach column.
+
+    c_min is the least finite price of a non-goal vertex (a price is
+    non-negative or +inf, so it is the least non-goal price when that is
+    finite).  When every non-goal vertex is non-refuellable it degenerates
+    to 0, so the estimate becomes the trivial (still admissible) zero
+    heuristic.
+    """
+    price = reach.graph.price
+    c_min = min(price[:goal] + price[goal + 1:], default=math.inf)
+    if math.isinf(c_min):
+        c_min = 0.0
+    return HeuristicContext(goal, c_min, reach.into[goal], reach.graph.pred)
 
 
 def h_for(ctx: HeuristicContext, v: int, q: float) -> float:
     """Estimate for being at v with q fuel; +inf if the goal is unreachable."""
-    d = ctx.d_to_goal[v]
+    d = ctx.dist[v]
+    if d is None:
+        d = ctx.settle(v)
     if math.isinf(d):
         return math.inf
     return max((d - q) * ctx.c_min, 0.0)

@@ -2,17 +2,18 @@
 
 For every vertex this computes the set of vertices reachable on one full
 tank together with the minimum fuel needed, by running one Dijkstra per
-source truncated at the tank capacity.  That Dijkstra, ``shortest_fuel``,
-is also the heuristic's backward search from the goal.  The search and
-the DP baseline both run on this derived graph, so the cost is paid once
-per (graph, capacity) pair and can be cached on disk.
+source (``shortest_fuel``) truncated at the tank capacity.  The search,
+its heuristic and the DP baseline all run on this derived graph, so the
+cost is paid once per (graph, capacity) pair and can be cached on disk.
 
-``ReachGraph.succ`` is the only stored copy of the arcs.  The DP reads them
-through ``ReachGraph.arrays``, a CSR view built on first use and kept with
-the graph, so every later query on the same reach graph gets it for free;
-``distance`` is a binary search in the sorted arc list of the tail.  Every
-solver and checker gets its reach graph from ``reach_for``, which builds
-one for the instance or rejects one built for another graph or tank.
+``ReachGraph.succ`` is the only stored copy of the arcs.  Two views of it
+are built on first use and kept with the graph, so every later query on
+the same reach graph gets them for free: the DP reads the CSR arrays
+``ReachGraph.arrays``, and the heuristic reads the goal's column of
+``ReachGraph.into``, the arcs into each vertex.  ``distance`` is a binary
+search in the sorted arc list of the tail.  Every solver and checker gets
+its reach graph from ``reach_for``, which builds one for the instance or
+rejects one built for another graph or tank.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class ReachGraph:
 
     d is the unconstrained shortest fuel distance from u to v.  succ[u]
     holds the arcs out of u as (v, d) pairs sorted by v; it is the only
-    stored arc list, and ``arrays`` and ``distance`` both read it.  graph
-    is the graph the arcs were built from.
+    stored arc list, and ``arrays``, ``into`` and ``distance`` all read it.
+    graph is the graph the arcs were built from.
     """
 
     graph: FuelGraph = field(repr=False)
@@ -79,6 +80,23 @@ class ReachGraph:
                            dtype=np.float64, count=m)
         src = np.repeat(np.arange(self.n, dtype=np.int64), counts)
         return ReachArrays(indptr, nbr, dist, src)
+
+    @cached_property
+    def into(self) -> tuple[tuple[int | float, ...], ...]:
+        """The arcs into each vertex, built on first use.
+
+        into[v] is one flat tuple (u0, d0, u1, d1, ...) of the tails u and
+        fuels d of the arcs u -> v, tails in increasing order.  The d are
+        the float objects of succ, so nothing is copied.  Not a field, like
+        arrays.
+        """
+        cols: list = [[] for _ in range(self.n)]
+        for u, row in enumerate(self.succ):
+            for v, d in row:
+                cols[v] += (u, d)
+        for v, col in enumerate(cols):
+            cols[v] = tuple(col)  # frees each list as soon as it is copied
+        return tuple(cols)
 
     def distance(self, u: int, v: int) -> float | None:
         """Minimum fuel from u to v, or None when it exceeds the tank."""

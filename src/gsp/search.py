@@ -147,7 +147,7 @@ def _coast_children(root: Label, reach: ReachGraph, inst: Instance,
         if v2 != inst.goal:
             if math.isinf(price[v2]):
                 continue
-            if ctx is not None and math.isinf(ctx.d_to_goal[v2]):
+            if ctx is not None and math.isinf(h_for(ctx, v2, 0.0)):
                 continue
         children.append(Label(v2, root.g, root.q - d, root.k, root, 0.0))
     return children
@@ -196,10 +196,25 @@ def rfastar_solve(
     ctx: HeuristicContext | None = None
     if opts.use_heuristic:
         t0 = perf_counter()
-        ctx = build_heuristic(inst.graph, inst.goal)
+        ctx = build_heuristic(reach, inst.goal)
         stats.heuristic_build_time = perf_counter() - t0
 
     t_search = perf_counter()
+    try:
+        goal_label = _search(inst, opts, reach, ctx, stats, deadline)
+    finally:
+        stats.search_time = perf_counter() - t_search
+        if ctx is not None:
+            stats.heuristic_settled = ctx.settled
+    if goal_label is None:
+        return Infeasible(), stats
+    return _reconstruct(goal_label, reach), stats
+
+
+def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
+            ctx: HeuristicContext | None, stats: SearchStats,
+            deadline: float | None) -> Label | None:
+    """The search loop of rfastar_solve: the first goal label popped, or None."""
     price = inst.graph.price
     frontier = Frontier(price, unbounded=opts.unbounded_stops)
     # Entries are (f, -q, k, seq, label, None) for an eager label and
@@ -217,9 +232,8 @@ def rfastar_solve(
         heappush(heap, (f, neg_q, k, next(seq), parent, children))
 
     root = Label(inst.start, 0.0, inst.q0, 0)
-    if ctx is not None and math.isinf(ctx.d_to_goal[inst.start]):
-        stats.search_time = perf_counter() - t_search
-        return Infeasible(), stats
+    if ctx is not None and math.isinf(h_for(ctx, inst.start, inst.q0)):
+        return None
     stats.labels_generated += 1
     push(root)
     if inst.q0 > 0.0 and inst.start != inst.goal:
@@ -229,7 +243,6 @@ def rfastar_solve(
 
     while heap:
         if deadline is not None and perf_counter() > deadline:
-            stats.search_time = perf_counter() - t_search
             raise SolveTimeout(stats)
         _, _, k, _, lbl, children = heappop(heap)
         if children is not None:
@@ -243,8 +256,7 @@ def rfastar_solve(
             continue
         frontier.insert(lbl)
         if lbl.v == inst.goal:
-            stats.search_time = perf_counter() - t_search
-            return _reconstruct(lbl, reach), stats
+            return lbl
         if not opts.unbounded_stops and lbl.k >= inst.k_max:
             continue
         if math.isinf(price[lbl.v]):
@@ -253,9 +265,7 @@ def rfastar_solve(
         children = expand(lbl, reach, inst, ctx)
         if children:
             push_cursor(lbl, lbl.k + 1, children)
-
-    stats.search_time = perf_counter() - t_search
-    return Infeasible(), stats
+    return None
 
 
 def refuel_schedule_for_route(

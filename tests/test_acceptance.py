@@ -150,7 +150,7 @@ def test_criterion_02_refuel_rule_validation(suite1):
 def test_criterion_03_heuristic_admissibility(suite1):
     states = 0
     for rec in suite1:
-        ctx = build_heuristic(rec.inst.graph, rec.inst.goal)
+        ctx = build_heuristic(rec.reach, rec.inst.goal)
         for (v, fuel, _), cost in completion_costs(rec.inst).items():
             if math.isfinite(cost):
                 states += 1

@@ -49,6 +49,12 @@ def test_solve_json_schema(graph_file, capsys):
     assert all(set(s) == {"vertex", "amount"} for s in doc["stops"])
 
 
+def test_solve_json_reports_heuristic_settled(graph_file, capsys):
+    assert main(_solve_args(graph_file, "--json")) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["heuristic_settled"] == 1  # only o lies beyond one tank of t
+
+
 def test_infeasible_exit_code(graph_file, capsys):
     args = _solve_args(graph_file)
     args[args.index("--kmax") + 1] = "1"
@@ -222,6 +228,33 @@ def test_malformed_bench_spec_exits_3(graph_file, tmp_path, capsys, change):
     spec.write_text(json.dumps(doc))
     assert main(["bench", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 3
     assert "bench spec" in capsys.readouterr().err
+
+
+def _bench_args(spec):
+    return ["bench", "--spec", str(spec), "--out", str(spec.parent / "out.csv")]
+
+
+def _spec_that_is_a_directory(tmp_path):
+    (tmp_path / "spec.json").mkdir()
+    return _bench_args(tmp_path / "spec.json")
+
+
+def _spec_whose_graph_is_a_directory(tmp_path):
+    (tmp_path / "graphs").mkdir()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"graph": "graphs", "q_max": 6, "k_max": 2,
+                                "instances": [{"start": "o", "goal": "t"}]}))
+    return _bench_args(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_solve_args, id="solve-graph-a-directory"),
+    pytest.param(_spec_that_is_a_directory, id="bench-spec-a-directory"),
+    pytest.param(_spec_whose_graph_is_a_directory, id="spec-graph-a-directory"),
+])
+def test_path_naming_a_directory_exits_3(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_oracle_solves_short_decimal_prices(tmp_path, capsys):

@@ -150,7 +150,7 @@ class TestCompletionCosts:
     def test_every_finite_state_dominates_the_heuristic(self):
         for seed in range(10):
             inst = random_instance(seed)
-            ctx = build_heuristic(inst.graph, inst.goal)
+            ctx = build_heuristic(compute_reachable_sets(inst.graph, inst.q_max), inst.goal)
             for (v, fuel, _), cost in completion_costs(inst).items():
                 if math.isfinite(cost):
                     assert h_for(ctx, v, float(fuel)) <= cost

@@ -28,7 +28,7 @@ from conftest import A, B, O, T, child_labels, label_key, random_instance, unpru
 
 class TestExpand:
     def test_initial_label_children(self, wx, wx_reach):
-        ctx = build_heuristic(wx.graph, wx.goal)
+        ctx = build_heuristic(wx_reach, wx.goal)
         root = Label(O, 0.0, 0.0, 0)
         children = child_labels(root, expand(root, wx_reach, wx, ctx))
         assert sorted(label_key(c) for c in children) == [
@@ -64,7 +64,7 @@ class TestExpand:
         g = FuelGraph.build([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)])
         inst = Instance(g, 1, 0, 5.0, 2)
         reach = compute_reachable_sets(g, 5.0)
-        ctx = build_heuristic(g, 0)
+        ctx = build_heuristic(reach, 0)
         assert math.isinf(ctx.d_to_goal[2])
         l1 = Label(1, 3.0, 0.0, 1)
         children = child_labels(l1, expand(l1, reach, inst, ctx))
@@ -79,7 +79,7 @@ class TestLazyChildren:
     def test_entries_form_a_heap_priced_by_the_shared_rules(self, seed):
         inst = random_instance(seed, with_q0=True)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
-        ctx = build_heuristic(inst.graph, inst.goal)
+        ctx = build_heuristic(reach, inst.goal)
         price = inst.graph.price
         parents = [Label(inst.start, 0.0, inst.q0, 0), Label(inst.start, 3.0, 0.0, 1)]
         for l in parents:
