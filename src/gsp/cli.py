@@ -117,14 +117,10 @@ def _cmd_solve(args) -> int:
     reach = _load_reach(args, graph, inst.q_max)
     deadline = perf_counter() + args.time_limit if args.time_limit is not None else None
     result, stats = run_solver(args.algo, inst, reach, deadline, args.unbounded)
-    if isinstance(result, Infeasible):
-        if args.json:
-            print('{"cost": null, "stops": [], "route": [], "stats": {}}')
-        else:
-            print("infeasible")
-        return EXIT_INFEASIBLE
     if args.json:
         sys.stdout.write(solution_to_json(graph, result, stats))
+    elif isinstance(result, Infeasible):
+        print("infeasible")
     else:
         stops = " ".join(f"{graph.names[v]}+{a:g}" for v, a in result.stops) or "(none)"
         route = "->".join(graph.names[v] for v, _ in result.route)
@@ -133,7 +129,7 @@ def _cmd_solve(args) -> int:
         print(f"stops {stops}")
         print(f"labels generated {stats.labels_generated} expanded {stats.labels_expanded} "
               f"pruned {stats.labels_pruned} dp states {stats.dp_states_computed}")
-    return EXIT_OK
+    return EXIT_INFEASIBLE if isinstance(result, Infeasible) else EXIT_OK
 
 
 def _cmd_bench(args) -> int:

@@ -208,13 +208,14 @@ class Solution:
 class SearchStats:
     """Work counters shared by all solvers; times are in seconds.
 
-    For the label search, labels_generated counts labels materialised: the
-    start, its coasts on initial fuel, and every child taken off a parent's
-    cursor.  Children that expand() computes but the search never reaches
-    are not counted.  labels_pruned counts labels found dominated when
-    popped.  heuristic_settled counts the vertices the heuristic's backward
-    search settled beyond the goal's reach column, on demand; it is 0 when
-    every vertex the search asked about lies within one tank of the goal.
+    For the label search, labels_generated counts the labels taken off the
+    open list, each as the child of a cursor: the start, its coasts on
+    initial fuel and every child of an expanded label.  Children that are
+    computed but never reach the top of the open list are not counted.
+    labels_pruned counts labels found dominated when popped.
+    heuristic_settled counts the vertices the heuristic's backward search
+    settled beyond the goal's reach column, on demand; it is 0 when every
+    vertex the search asked about lies within one tank of the goal.
 
     heuristic_build_time covers only seeding the heuristic from the reach
     column; the settling done on demand is part of search_time.

@@ -18,7 +18,7 @@ import json
 import math
 from pathlib import Path
 
-from .core import NON_REFUELLABLE, FuelGraph, Instance, SearchStats, Solution
+from .core import NON_REFUELLABLE, FuelGraph, Infeasible, Instance, SearchStats, Solution
 from .reach import ReachGraph
 
 
@@ -108,17 +108,15 @@ def load_graph(path: str | Path) -> FuelGraph:
     return parse_graph(Path(path).read_text())
 
 
-def save_graph(graph: FuelGraph, path: str | Path):
-    Path(path).write_text(write_graph(graph))
-
-
-def solution_to_json(graph: FuelGraph, sol: Solution, stats: SearchStats | None = None) -> str:
-    doc = {
-        "cost": sol.total_cost,
-        "stops": [{"vertex": graph.names[v], "amount": a} for v, a in sol.stops],
-        "route": [graph.names[v] for v, _ in sol.route],
-        "stats": stats.__dict__ if stats is not None else {},
-    }
+def solution_to_json(graph: FuelGraph, result: Solution | Infeasible,
+                     stats: SearchStats | None = None) -> str:
+    """JSON of one solve; an infeasible result has a null cost and no stops or route."""
+    doc = {"cost": None, "stops": [], "route": [],
+           "stats": stats.__dict__ if stats is not None else {}}
+    if isinstance(result, Solution):
+        doc["cost"] = result.total_cost
+        doc["stops"] = [{"vertex": graph.names[v], "amount": a} for v, a in result.stops]
+        doc["route"] = [graph.names[v] for v, _ in result.route]
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -60,9 +60,17 @@ class MipCheckReport:
 _NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _vertex_token(inst: Instance, v: int) -> str:
-    name = inst.graph.names[v]
-    return name if _NAME_OK.match(name) else f"v{v}"
+def _vertex_tokens(inst: Instance) -> list[str]:
+    """LP name of each vertex.
+
+    The graph's names when every one is an LP identifier, else v0, v1, ...
+    for all.  Mixing the two could collide (a station named "v1" beside
+    vertex 1's fallback); names are unique, so neither choice does.
+    """
+    names = inst.graph.names
+    if all(_NAME_OK.match(name) for name in names):
+        return list(names)
+    return [f"v{v}" for v in range(len(names))]
 
 
 def _fmt(x: float) -> str:
@@ -85,7 +93,7 @@ def build_mip(inst: Instance, include_smart_refuel: bool = True,
     """
     reach = reach_for(inst, reach)
     g = inst.graph
-    tok = {v: _vertex_token(inst, v) for v in range(g.n)}
+    tok = _vertex_tokens(inst)
     edges = [(u, v, d) for u in range(g.n) for v, d in reach.succ[u]]
     big_m = inst.q_max + (max(d for _, _, d in edges) if edges else 0.0)
 
@@ -243,7 +251,7 @@ def solution_to_assignment(inst: Instance, sol: Solution) -> dict[str, float]:
     verts = [v for v, _ in sol.route]
     if len(set(verts)) != len(verts):
         raise ValueError("route revisits a vertex; not encodable as a simple path")
-    tok = {v: _vertex_token(inst, v) for v in range(inst.graph.n)}
+    tok = _vertex_tokens(inst)
     assignment: dict[str, float] = {}
     for i in range(len(verts) - 1):
         assignment[f"x_{tok[verts[i]]}_{tok[verts[i + 1]]}"] = 1.0

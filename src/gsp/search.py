@@ -9,9 +9,13 @@ empty at the goal.
 Successors are generated lazily (partial-expansion A*).  Expanding a label
 computes its children as plain tuples in one per-parent heap, and the open
 list holds a single cursor entry for that heap, keyed on its cheapest
-child.  A child becomes a Label only when its cursor reaches the top of the
-open list; it is then checked against the per-vertex frontier sets, which
-prune dominated labels once, when they are materialised and popped.
+child.  Every label enters the open list this way: the start is the one
+child of a cursor with no parent, and its free coasts on initial fuel are
+one more cursor, pushed when the start is popped.  A child becomes a Label
+only when its cursor reaches the top of the open list; it is then checked
+against the per-vertex frontier sets, which prune dominated labels once,
+when they are materialised and popped.  labels_generated counts exactly
+the labels taken off the open list.
 
 Two variants share the loop: the bounded mode enforces the stop limit and
 uses three-way dominance; the unbounded mode drops the limit and prunes
@@ -132,24 +136,27 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
 
 
 def _coast_children(root: Label, reach: ReachGraph, inst: Instance,
-                    ctx: HeuristicContext | None) -> list[Label]:
+                    ctx: HeuristicContext | None) -> list[ChildEntry]:
     """Free moves on the initial fuel, no purchase and no stop used.
 
-    Only the start label can coast: later labels arrive with exactly the
-    fuel their last purchase provided, and driving further on it is already
-    covered by the previous stop's direct reach arcs.
+    Returns a heapified list of expand()'s (f, -q, v, g, amount) tuples,
+    each buying nothing.  Only the start label can coast: later labels
+    arrive with exactly the fuel their last purchase provided, and driving
+    further on it is already covered by the previous stop's direct reach
+    arcs.
     """
     price = inst.graph.price
-    children: list[Label] = []
+    g, q = root.g, root.q
+    children: list[ChildEntry] = []
     for v2, d in reach.succ[root.v]:
-        if d > root.q:
+        if d > q or (v2 != inst.goal and math.isinf(price[v2])):
             continue
-        if v2 != inst.goal:
-            if math.isinf(price[v2]):
-                continue
-            if ctx is not None and math.isinf(h_for(ctx, v2, 0.0)):
-                continue
-        children.append(Label(v2, root.g, root.q - d, root.k, root, 0.0))
+        h = h_for(ctx, v2, q - d) if ctx is not None else 0.0
+        if h == math.inf:
+            continue
+        # -(q - d), not d - q: a coast that empties the tank arrives with 0.0.
+        children.append((g + h, -(q - d), v2, g, 0.0))
+    heapify(children)
     return children
 
 
@@ -217,46 +224,40 @@ def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
     """The search loop of rfastar_solve: the first goal label popped, or None."""
     price = inst.graph.price
     frontier = Frontier(price, unbounded=opts.unbounded_stops)
-    # Entries are (f, -q, k, seq, label, None) for an eager label and
-    # (f, -q, k, seq, parent, children) for a cursor over expand()'s heap,
-    # keyed on its top child; seq is unique, so payloads never compare.
+    # Entries are (f, -q, k, seq, parent, children): a cursor over a heap of
+    # ChildEntry tuples, keyed on its top child; seq is unique, so payloads
+    # never compare.  The start is the one child of a cursor with no parent.
     heap: list[tuple] = []
     seq = count()
 
-    def push(lbl: Label):
-        h = h_for(ctx, lbl.v, lbl.q) if ctx is not None else 0.0
-        heappush(heap, (lbl.g + h, -lbl.q, lbl.k, next(seq), lbl, None))
-
-    def push_cursor(parent: Label, k: int, children: list[ChildEntry]):
+    def push(parent: Label | None, k: int, children: list[ChildEntry]):
         f, neg_q = children[0][:2]
         heappush(heap, (f, neg_q, k, next(seq), parent, children))
 
-    root = Label(inst.start, 0.0, inst.q0, 0)
-    if ctx is not None and math.isinf(h_for(ctx, inst.start, inst.q0)):
+    h0 = h_for(ctx, inst.start, inst.q0) if ctx is not None else 0.0
+    if h0 == math.inf:
         return None
-    stats.labels_generated += 1
-    push(root)
-    if inst.q0 > 0.0 and inst.start != inst.goal:
-        for child in _coast_children(root, reach, inst, ctx):
-            stats.labels_generated += 1
-            push(child)
+    push(None, 0, [(h0, -inst.q0, inst.start, 0.0, 0.0)])
 
     while heap:
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout(stats)
-        _, _, k, _, lbl, children = heappop(heap)
-        if children is not None:
-            _, neg_q, v, g, a = heappop(children)
-            if children:
-                push_cursor(lbl, k, children)
-            lbl = Label(v, g, -neg_q, k, lbl, a)
-            stats.labels_generated += 1
+        _, _, k, _, parent, children = heappop(heap)
+        _, neg_q, v, g, a = heappop(children)
+        if children:
+            push(parent, k, children)
+        lbl = Label(v, g, -neg_q, k, parent, a)
+        stats.labels_generated += 1
         if frontier.dominated(lbl):
             stats.labels_pruned += 1
             continue
         frontier.insert(lbl)
         if lbl.v == inst.goal:
             return lbl
+        if parent is None and inst.q0 > 0.0:
+            coasts = _coast_children(lbl, reach, inst, ctx)
+            if coasts:
+                push(lbl, k, coasts)
         if not opts.unbounded_stops and lbl.k >= inst.k_max:
             continue
         if math.isinf(price[lbl.v]):
@@ -264,7 +265,7 @@ def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
         stats.labels_expanded += 1
         children = expand(lbl, reach, inst, ctx)
         if children:
-            push_cursor(lbl, lbl.k + 1, children)
+            push(lbl, k + 1, children)
     return None
 
 

@@ -63,13 +63,14 @@ def random_instance(seed: int, with_q0: bool = False) -> Instance:
     return Instance(graph, start, goal, q_max, k_max, q0)
 
 
-def child_labels(parent: Label, entries) -> list[Label]:
-    """The Labels behind gsp.search.expand's (f, -q, v, g, amount) entries.
+def child_labels(parent: Label, entries, stops: int = 1) -> list[Label]:
+    """The Labels behind the search's (f, -q, v, g, amount) child entries.
 
-    Each child uses one more stop than parent and links back to it, as the
-    search builds it when the child is taken off its parent's cursor.
+    Each child uses stops more stops than parent (0 for the start's coasts)
+    and links back to it, as the search builds it when the child is taken
+    off its parent's cursor.
     """
-    return [Label(v, g, -neg_q, parent.k + 1, parent, a) for _, neg_q, v, g, a in entries]
+    return [Label(v, g, -neg_q, parent.k + stops, parent, a) for _, neg_q, v, g, a in entries]
 
 
 def unpruned_solve(inst: Instance, reach):
@@ -84,7 +85,7 @@ def unpruned_solve(inst: Instance, reach):
     root = Label(inst.start, 0.0, inst.q0, 0)
     stack = [root]
     if inst.q0 > 0.0 and inst.start != inst.goal:
-        stack += search._coast_children(root, reach, inst, None)
+        stack += child_labels(root, search._coast_children(root, reach, inst, None), stops=0)
     best = None
     while stack:
         l = stack.pop()
@@ -102,14 +103,15 @@ def generated_labels(monkeypatch) -> list[Label]:
 
     Wraps gsp.search.expand and gsp.search._coast_children by module
     attribute; rfastar_solve looks both up at call time.  Every child in
-    expand's heap is recorded, whether or not the search later takes it off
-    its cursor.  The start label itself is not a child and is not recorded.
+    either function's heap is recorded, whether or not the search takes it off
+    its cursor.  The start label, which neither function returns, is not
+    recorded.
     """
     labels: list[Label] = []
     for name in ("expand", "_coast_children"):
         def recording(*args, _name=name, _original=getattr(search, name)):
             children = _original(*args)
-            labels.extend(child_labels(args[0], children) if _name == "expand" else children)
+            labels.extend(child_labels(args[0], children, stops=1 if _name == "expand" else 0))
             return children
 
         monkeypatch.setattr(search, name, recording)

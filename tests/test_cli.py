@@ -61,6 +61,15 @@ def test_infeasible_exit_code(graph_file, capsys):
     assert main(args) == 2
 
 
+def test_infeasible_json_reports_the_search_stats(graph_file, capsys):
+    args = _solve_args(graph_file, "--json")
+    args[args.index("--kmax") + 1] = "1"
+    assert main(args) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cost"] is None and doc["stops"] == [] and doc["route"] == []
+    assert doc["stats"]["labels_expanded"] > 0
+
+
 def test_unbounded_flag(graph_file, capsys):
     assert main(_solve_args(graph_file, "--unbounded")) == 0
     assert main(_solve_args(graph_file, "--unbounded", "--algo", "dp")) == 3

@@ -52,6 +52,16 @@ class TestBuildMip:
         assert a_v1.ub == 0.0
         assert all(var != "a_v1" for _, var in model.objective)
 
+    def test_names_stay_unique_when_a_station_name_is_not_an_identifier(self):
+        # "a b" is no LP identifier; its fallback must not reuse the name "v1".
+        g = FuelGraph.build([1.0, 2.0, 3.0], [(0, 1, 2.0), (1, 2, 2.0)],
+                            names=["v1", "a b", "t"], undirected=True)
+        model = build_mip(Instance(g, 0, 2, 5.0, 2))
+        variables = [v.name for v in model.variables]
+        rows = [r.name for r in model.rows]
+        assert len(set(variables)) == len(variables)
+        assert len(set(rows)) == len(rows)
+
 
 class TestCheckAssignment:
     def test_known_optimum_satisfies_all_rows(self, wx_model):

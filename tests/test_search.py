@@ -285,6 +285,14 @@ class TestInitialFuel:
         result, _ = rfastar_solve(inst)
         assert result.total_cost == 3.0
 
+    def test_coasts_left_on_the_open_list_are_not_counted(self):
+        # The start pops, then its coast to the goal; the coasts to 2 and 3
+        # stay on their cursor, so only those two labels are generated.
+        g = FuelGraph.build([1.0] * 4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)], undirected=True)
+        result, stats = rfastar_solve(Instance(g, 0, 1, 5.0, 1, q0=3.0))
+        assert result.total_cost == 0.0
+        assert stats.labels_generated == 2
+
     def test_label_invariants_hold_for_every_generated_label(self, generated_labels):
         for seed in range(8):
             inst = random_instance(seed, with_q0=True)
