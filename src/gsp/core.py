@@ -15,8 +15,10 @@ inputs are the recommended usage.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 NON_REFUELLABLE = math.inf
 """Price sentinel for vertices where no fuel can be bought."""
@@ -135,6 +137,15 @@ class FuelGraph:
 
     def name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def cheapest(self) -> tuple[tuple[float, int], ...]:
+        """The two least (price, vertex) pairs, built on first use.
+
+        The least price of every vertex but one is read off them in O(1).
+        Not a field, so equality, repr and content_hash ignore it.
+        """
+        return tuple(heapq.nsmallest(2, zip(self.price, range(self.n))))
 
 
 @dataclass(frozen=True)

@@ -231,33 +231,29 @@ def dp_solve(
     """
     stats = SearchStats()
     t0 = perf_counter()
-    reach = reach_for(inst, reach)
-    if inst.start == inst.goal:
-        stats.search_time = perf_counter() - t0
-        return _trivial_solution(inst), stats
-    if inst.q0 > 0.0:
-        d_direct = reach.distance(inst.start, inst.goal)
-        if d_direct is not None and d_direct <= inst.q0:
-            stats.search_time = perf_counter() - t0
-            return _coast_solution(inst, d_direct), stats
-
     try:
-        table, layers = build_layers(inst, reach, deadline=deadline)
-    except SolveTimeout as t:
-        t.stats.search_time = perf_counter() - t0
-        raise
+        reach = reach_for(inst, reach)
+        if inst.start == inst.goal:
+            return _trivial_solution(inst), stats
+        if inst.q0 > 0.0:
+            d_direct = reach.distance(inst.start, inst.goal)
+            if d_direct is not None and d_direct <= inst.q0:
+                return _coast_solution(inst, d_direct), stats
 
-    stats.dp_states_computed = inst.k_max * table.size
-    goal_state = table.state(inst.goal, 0.0)
-    best_k = -1
-    best = math.inf
-    for k, layer in enumerate(layers):
-        if layer[goal_state] < best:
-            best = float(layer[goal_state])
-            best_k = k
-    if not math.isfinite(best):
+        table, layers = build_layers(inst, reach, deadline=deadline)
+        stats.dp_states_computed = inst.k_max * table.size
+        goal_state = table.state(inst.goal, 0.0)
+        best_k = -1
+        best = math.inf
+        for k, layer in enumerate(layers):
+            if layer[goal_state] < best:
+                best = float(layer[goal_state])
+                best_k = k
+        if not math.isfinite(best):
+            return Infeasible(), stats
+        return _reconstruct(inst, table, layers, best_k), stats
+    except SolveTimeout as t:
+        stats = t.stats  # carries the states of the layers built in time
+        raise
+    finally:
         stats.search_time = perf_counter() - t0
-        return Infeasible(), stats
-    sol = _reconstruct(inst, table, layers, best_k)
-    stats.search_time = perf_counter() - t0
-    return sol, stats

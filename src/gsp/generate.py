@@ -16,6 +16,8 @@ from collections import deque
 from .core import FuelGraph
 
 _SCALE = 1_000_000
+MAX_ATTEMPTS = 1000
+"""Samples drawn before gen_binomial gives up on a connected graph."""
 
 
 class GenerationFailed(RuntimeError):
@@ -49,8 +51,6 @@ def gen_binomial(
     price_hi: int = 10,
     fuel_lo: int = 1,
     fuel_hi: int = 10,
-    *,
-    max_attempts: int = 1000,
 ) -> FuelGraph:
     """Connected G(n, p) with integer prices and symmetric integer fuels."""
     if n < 2:
@@ -64,7 +64,7 @@ def gen_binomial(
 
     threshold = round(p * _SCALE)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         pairs = [
             (i, j)
             for i in range(n)
@@ -74,7 +74,7 @@ def gen_binomial(
         if _connected(n, pairs):
             break
     else:
-        raise GenerationFailed(f"no connected G({n}, {p}) sample in {max_attempts} attempts")
+        raise GenerationFailed(f"no connected G({n}, {p}) sample in {MAX_ATTEMPTS} attempts")
 
     prices = [float(rng.randint(price_lo, price_hi)) for _ in range(n)]
     edges = [(u, v, float(rng.randint(fuel_lo, fuel_hi))) for u, v in pairs]

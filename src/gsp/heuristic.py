@@ -9,18 +9,34 @@ d is computed lazily, one context per query.  A reach arc u -> goal holds
 the exact shortest fuel from u to the goal, so the goal's column of the
 reach graph (``ReachGraph.into``) gives d for every vertex within one tank
 of the goal at no search cost.  Those are exactly the vertices a backward
-Dijkstra from the goal would settle first, so the rest are settled by a
-backward Dijkstra over the graph's reversed edges that starts from the
-column, stops as soon as the vertex asked for is settled, and resumes on
-the next ask (Resumable A*; Silver, "Cooperative Pathfinding", 2005).
+Dijkstra from the goal would settle first.  The rest are settled by the
+reach build's generator ``reach.dijkstra`` over the reversed edges, seeded
+with the goal and its column and resumed on each ask until the vertex asked
+for is settled (Resumable A*; Silver, "Cooperative Pathfinding", 2005).
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from collections.abc import Iterator
+from heapq import heapify
 
-from .reach import ReachGraph
+from .reach import ReachGraph, dijkstra
+
+
+def _backward(goal: int, column: tuple[int | float, ...],
+              pred: tuple[tuple[tuple[int, float], ...], ...]) -> Iterator[tuple[int, float]]:
+    """Yield (v, d(v)) from the goal and its reach column, over pred.
+
+    Seeds nothing before the first next().  It takes no context, so a
+    context that holds it is freed by reference counting alone.
+    """
+    heap = [(0.0, goal), *zip(column[1::2], column[::2])]
+    dist = [math.inf] * len(pred)
+    for d, u in heap:
+        dist[u] = d
+    heapify(heap)
+    yield from dijkstra(pred, heap, dist)
 
 
 class HeuristicContext:
@@ -42,51 +58,20 @@ class HeuristicContext:
             dist[u] = d
         self.dist = dist
         self.settled = 0
-        self._column = column
-        self._pred = pred
-        self._heap: list[tuple[float, int]] | None = None  # None until the first settle()
-        self._tentative: list[float] = []
-
-    def _seed(self) -> list[tuple[float, int]]:
-        """Relax the reversed edges out of the goal and its reach column."""
-        dist, pred, col = self.dist, self._pred, self._column
-        tentative = self._tentative = [math.inf] * len(dist)
-        heap: list[tuple[float, int]] = []
-        for u, du in ((self.goal, 0.0), *zip(col[::2], col[1::2])):
-            for w, fuel in pred[u]:
-                if dist[w] is None:
-                    nd = du + fuel
-                    if nd < tentative[w]:
-                        tentative[w] = nd
-                        heappush(heap, (nd, w))
-        return heap
+        self._search = _backward(goal, column, pred)
 
     def settle(self, v: int) -> float:
         """Continue the backward Dijkstra until v is settled; d(v).
 
         Stores and returns +inf when the goal cannot be reached from v.
         """
-        if self._heap is None:
-            self._heap = self._seed()
-        dist, pred, tentative, heap = self.dist, self._pred, self._tentative, self._heap
-        pop, push = heappop, heappush
-        settled = self.settled
-        while heap:
-            du, u = pop(heap)
-            if dist[u] is not None:
-                continue
-            dist[u] = du
-            settled += 1
-            for w, fuel in pred[u]:
-                if dist[w] is None:
-                    nd = du + fuel
-                    if nd < tentative[w]:
-                        tentative[w] = nd
-                        push(heap, (nd, w))
-            if u == v:
-                self.settled = settled
-                return du
-        self.settled = settled
+        dist = self.dist
+        for u, d in self._search:
+            if dist[u] is None:
+                dist[u] = d
+                self.settled += 1
+                if u == v:
+                    return d
         dist[v] = math.inf
         return math.inf
 
@@ -102,14 +87,13 @@ class HeuristicContext:
 def build_heuristic(reach: ReachGraph, goal: int) -> HeuristicContext:
     """Context for one query, seeded with the goal's reach column.
 
-    c_min is the least finite price of a non-goal vertex (a price is
-    non-negative or +inf, so it is the least non-goal price when that is
-    finite).  When every non-goal vertex is non-refuellable it degenerates
-    to 0, so the estimate becomes the trivial (still admissible) zero
-    heuristic.
+    c_min is the least finite price of a non-goal vertex, read off
+    ``FuelGraph.cheapest`` (a price is non-negative or +inf, so it is the
+    least non-goal price when that is finite).  When every non-goal vertex
+    is non-refuellable it degenerates to 0, so the estimate becomes the
+    trivial (still admissible) zero heuristic.
     """
-    price = reach.graph.price
-    c_min = min(price[:goal] + price[goal + 1:], default=math.inf)
+    c_min = next((p for p, v in reach.graph.cheapest if v != goal), math.inf)
     if math.isinf(c_min):
         c_min = 0.0
     return HeuristicContext(goal, c_min, reach.into[goal], reach.graph.pred)

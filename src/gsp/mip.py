@@ -57,18 +57,20 @@ class MipCheckReport:
         return not self.violations
 
 
-_NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_TOKEN_OK = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")  # an LP identifier without "_"
 
 
 def _vertex_tokens(inst: Instance) -> list[str]:
     """LP name of each vertex.
 
-    The graph's names when every one is an LP identifier, else v0, v1, ...
-    for all.  Mixing the two could collide (a station named "v1" beside
-    vertex 1's fallback); names are unique, so neither choice does.
+    The graph's names when every one is an LP identifier without "_", else
+    v0, v1, ... for all.  Names are joined with "_" (x_u_v), so a name
+    holding one could collide ("a_b" + "c" and "a" + "b_c"); mixing the
+    two could too (a station named "v1" beside vertex 1's fallback).
+    Names are unique, so neither choice does.
     """
     names = inst.graph.names
-    if all(_NAME_OK.match(name) for name in names):
+    if all(_TOKEN_OK.match(name) for name in names):
         return list(names)
     return [f"v{v}" for v in range(len(names))]
 
@@ -116,14 +118,12 @@ def build_mip(inst: Instance, include_smart_refuel: bool = True,
     )
 
     rows: list[MipRow] = []
-    tails_into: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in edges:  # ascending u, so every list comes out sorted
-        tails_into[v].append(u)
     for u in range(g.n):
-        if not (reach.succ[u] or tails_into[u]):
+        tails = reach.into[u][::2]
+        if not (reach.succ[u] or tails):
             continue
         terms = [(1.0, f"x_{tok[u]}_{tok[v]}") for v, _ in reach.succ[u]]
-        terms += [(-1.0, f"x_{tok[v]}_{tok[u]}") for v in tails_into[u]]
+        terms += [(-1.0, f"x_{tok[v]}_{tok[u]}") for v in tails]
         rhs = 1.0 if u == inst.start else -1.0 if u == inst.goal else 0.0
         rows.append(MipRow(f"flow_{tok[u]}", tuple(terms), "=", rhs))
 

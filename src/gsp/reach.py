@@ -1,10 +1,10 @@
 """Refuel-graph preprocessing.
 
 For every vertex this computes the set of vertices reachable on one full
-tank together with the minimum fuel needed, by running one Dijkstra per
-source (``shortest_fuel``) truncated at the tank capacity.  The search,
-its heuristic and the DP baseline all run on this derived graph, so the
-cost is paid once per (graph, capacity) pair and can be cached on disk.
+tank together with the minimum fuel needed, by running ``dijkstra``, the
+package's one fuel Dijkstra, from each source up to the tank capacity.  The
+search, its heuristic and the DP baseline all run on this derived graph, so
+the cost is paid once per (graph, capacity) pair and can be cached on disk.
 
 ``ReachGraph.succ`` is the only stored copy of the arcs.  Two views of it
 are built on first use and kept with the graph, so every later query on
@@ -18,11 +18,12 @@ rejects one built for another graph or tank.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -110,32 +111,41 @@ class ReachGraph:
         return sum(len(s) for s in self.succ)
 
 
+def dijkstra(adj: tuple[tuple[tuple[int, float], ...], ...], heap: list[tuple[float, int]],
+             dist: list[float], limit: float = math.inf) -> Iterator[tuple[int, float]]:
+    """Lazy Dijkstra over fuel on an adjacency list of (v, w) pairs.
+
+    Seeded with heap, (fuel, vertex) pairs in heap order, and dist, the least
+    fuel found so far to each vertex (+inf for none).  Yields (v, fuel) as
+    each vertex is settled, updating both in place; nothing beyond limit is
+    pushed, so nothing beyond it is settled.
+    """
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        yield u, d
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v] and nd <= limit:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+
+
 def shortest_fuel(
     adj: tuple[tuple[tuple[int, float], ...], ...],
     source: int,
     limit: float = math.inf,
 ) -> tuple[list[float], list[int]]:
-    """Dijkstra over fuel from source on an adjacency list of (v, w) pairs.
+    """Dijkstra over fuel from source, run to completion.
 
     Returns (dist, settled): dist[v] is the least fuel from source to v, or
     +inf when that exceeds limit or v cannot be reached; settled lists the
     vertices within limit in the order they were settled, source first.
-    A vertex beyond limit is never pushed, so never expanded.
     """
     dist = [math.inf] * len(adj)
     dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    settled: list[int] = []
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        settled.append(u)
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v] and nd <= limit:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    settled = [v for v, _ in dijkstra(adj, [(0.0, source)], dist, limit)]
     return dist, settled
 
 
@@ -150,8 +160,11 @@ def compute_reachable_sets(graph: FuelGraph, q_max: float) -> ReachGraph:
         raise ValueError("q_max must be finite and positive")
     rows = []
     for u in range(graph.n):
-        dist, settled = shortest_fuel(graph.succ, u, q_max)
-        rows.append(tuple((v, dist[v]) for v in sorted(settled[1:])))
+        dist = [math.inf] * graph.n
+        dist[u] = 0.0
+        found = dijkstra(graph.succ, [(0.0, u)], dist, q_max)
+        next(found)  # u itself, settled first at fuel 0
+        rows.append(tuple(sorted(found)))  # by head; heads are distinct
     return ReachGraph(graph, float(q_max), tuple(rows))
 
 

@@ -71,7 +71,7 @@ class Frontier:
     """
 
     def __init__(self, graph_prices: tuple[float, ...], unbounded: bool = False):
-        self._labels: list[list[Label]] = [[] for _ in graph_prices]
+        self._labels: dict[int, list[Label]] = {}  # filled on first insert at a vertex
         self._price = graph_prices
         self.unbounded = unbounded
 
@@ -81,10 +81,10 @@ class Frontier:
         return dominates(stored, l)
 
     def dominated(self, l: Label) -> bool:
-        return any(self._beats(stored, l) for stored in self._labels[l.v])
+        return any(self._beats(stored, l) for stored in self._labels.get(l.v, ()))
 
     def insert(self, l: Label):
-        self._labels[l.v].append(l)
+        self._labels.setdefault(l.v, []).append(l)
 
 
 def refuel_amount(c_here: float, c_next: float, q: float, d: float, q_max: float,

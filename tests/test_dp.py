@@ -56,6 +56,7 @@ class TestDpSolve:
         with pytest.raises(SolveTimeout) as info:
             dp_solve(wx, reach=wx_reach, deadline=perf_counter() - 1.0)
         assert info.value.stats.dp_states_computed == 0
+        assert info.value.stats.search_time > 0.0
 
     def test_degenerate_start_equals_goal(self, wx):
         inst = Instance(wx.graph, O, O, 6.0, 2)

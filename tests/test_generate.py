@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gsp import gen_binomial
+from gsp import gen_binomial, generate
 from gsp.generate import GenerationFailed, _connected
 from gsp.graphio import write_graph
 
@@ -45,9 +45,10 @@ def test_edge_count_within_three_sigma():
     assert abs(edges - mean) <= 3 * sigma
 
 
-def test_generation_failure_after_budget():
-    with pytest.raises(GenerationFailed):
-        gen_binomial(40, 0.01, seed=0, max_attempts=3)
+def test_generation_failure_after_budget(monkeypatch):
+    monkeypatch.setattr(generate, "MAX_ATTEMPTS", 3)
+    with pytest.raises(GenerationFailed, match="in 3 attempts"):
+        gen_binomial(40, 0.01, seed=0)
 
 
 def test_parameter_validation():

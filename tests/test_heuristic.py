@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -46,6 +48,37 @@ def test_all_non_refuellable_degenerates_to_zero():
     ctx = build_heuristic(compute_reachable_sets(g, 5.0), 2)
     assert ctx.c_min == 0.0
     assert h_for(ctx, 0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("prices", [
+    [3.0, 1.0, 1.0, 2.0],  # vertices 1 and 2 tie for the cheapest price
+    [1.0, math.inf, math.inf],  # goal 0 leaves only non-refuellable vertices
+    [math.inf, 0.0, 5.0, 0.0, math.inf],
+    [4.0],
+], ids=["tie", "inf-rest", "zero-tie", "n1"])
+def test_c_min_is_the_least_non_goal_price(prices):
+    n = len(prices)
+    graph = FuelGraph.build(prices, [(v, (v + 1) % n, 1.0) for v in range(n)] if n > 1 else [])
+    reach = compute_reachable_sets(graph, 1.0)
+    for goal in range(n):
+        rest = [p for v, p in enumerate(prices) if v != goal]
+        expected = min(rest, default=math.inf)
+        assert build_heuristic(reach, goal).c_min == (0.0 if math.isinf(expected) else expected)
+
+
+def test_context_is_freed_by_reference_counting():
+    """The resumable search must not hold its context, or every query's
+    distances would wait for the cycle collector."""
+    reach = compute_reachable_sets(_grid(), GRID_TANK)
+    ctx = build_heuristic(reach, 0)
+    assert ctx.settle(reach.n - 1) < math.inf and ctx.settled > 0
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_estimate_is_nonnegative_and_monotone_in_fuel():

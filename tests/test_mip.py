@@ -52,15 +52,26 @@ class TestBuildMip:
         assert a_v1.ub == 0.0
         assert all(var != "a_v1" for _, var in model.objective)
 
-    def test_names_stay_unique_when_a_station_name_is_not_an_identifier(self):
-        # "a b" is no LP identifier; its fallback must not reuse the name "v1".
-        g = FuelGraph.build([1.0, 2.0, 3.0], [(0, 1, 2.0), (1, 2, 2.0)],
-                            names=["v1", "a b", "t"], undirected=True)
-        model = build_mip(Instance(g, 0, 2, 5.0, 2))
+    @staticmethod
+    def _assert_unique_names(model):
         variables = [v.name for v in model.variables]
         rows = [r.name for r in model.rows]
         assert len(set(variables)) == len(variables)
         assert len(set(rows)) == len(rows)
+
+    def test_names_stay_unique_when_a_station_name_is_not_an_identifier(self):
+        # "a b" is no LP identifier; its fallback must not reuse the name "v1".
+        g = FuelGraph.build([1.0, 2.0, 3.0], [(0, 1, 2.0), (1, 2, 2.0)],
+                            names=["v1", "a b", "t"], undirected=True)
+        self._assert_unique_names(build_mip(Instance(g, 0, 2, 5.0, 2)))
+
+    def test_names_stay_unique_when_station_names_hold_underscores(self):
+        # Joined with "_", arcs a -> b_c and a_b -> c would both be x_a_b_c.
+        g = FuelGraph.build([1.0] * 4, [(0, 2, 1.0), (1, 3, 1.0), (0, 1, 1.0)],
+                            names=["a", "a_b", "b_c", "c"])
+        model = build_mip(Instance(g, 0, 3, 2.0, 2))
+        self._assert_unique_names(model)
+        assert validate_lp_text(write_lp(model)) == []
 
 
 class TestCheckAssignment:
