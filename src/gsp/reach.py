@@ -1,10 +1,21 @@
 """Refuel-graph preprocessing.
 
 For every vertex this computes the set of vertices reachable on one full
-tank together with the minimum fuel needed, by running ``dijkstra``, the
-package's one fuel Dijkstra, from each source up to the tank capacity.  The
-search, its heuristic and the DP baseline all run on this derived graph, so
-the cost is paid once per (graph, capacity) pair and can be cached on disk.
+tank together with the minimum fuel needed.  The search, its heuristic and
+the DP baseline all run on this derived graph, so the cost is paid once per
+(graph, capacity) pair and can be cached on disk.
+
+There are two builds with the same output.  A dense graph whose fuels are
+integers is closed under all-pairs shortest fuel by one numpy Floyd-Warshall
+and cut at the tank; every other graph runs ``dijkstra``, the package's one
+fuel Dijkstra, from each source up to the tank.  ``_use_floyd_warshall``
+picks between them from the vertex count, the arc count and the fuels only:
+Floyd-Warshall does n^3 cell updates whatever the tank, so it pays only
+when the graph has enough vertices to amortise numpy's per-pass cost and
+enough arcs that a Dijkstra per source relaxes many of them.  Its sums are
+exact integers below 2^53, so its rows equal the Dijkstra rows bit for bit;
+decimal fuels would round differently in the two orders of addition and
+always take Dijkstra.
 
 ``ReachGraph.succ`` is the only stored copy of the arcs.  Two views of it
 are built on first use and kept with the graph, so every later query on
@@ -149,23 +160,81 @@ def shortest_fuel(
     return dist, settled
 
 
+# The Floyd-Warshall build is taken from _FW_MIN_N vertices, where numpy's
+# fixed cost per pass is paid back, and when at least one arc in
+# _FW_CELLS_PER_ARC of the n * n possible ones exists.  Fitted on random
+# directed graphs with fuels 1..10 and tanks of 8, 16 and 32 (CHANGES.md);
+# sparse graphs, road grids and graphs of a few vertices keep Dijkstra.  The
+# floor on arcs also bounds the n x n matrix and its one temporary by
+# 16 * _FW_CELLS_PER_ARC = 256 bytes per arc, about what the graph holds.
+_FW_MIN_N = 64
+_FW_CELLS_PER_ARC = 16
+
+
+def _use_floyd_warshall(graph: FuelGraph) -> bool:
+    """True when the Floyd-Warshall build is the faster one and exact.
+
+    Exact: every fuel is an integer and 2 * n * max fuel < 2**53, so every
+    sum it forms (two paths of at most n - 1 arcs) is an exact float.
+    """
+    n, m = graph.n, len(graph.edges)
+    if n < _FW_MIN_N or n * n > _FW_CELLS_PER_ARC * m:
+        return False
+    fuels = [d for _, _, d in graph.edges]
+    return all(map(float.is_integer, fuels)) and 2 * n * max(fuels) < 2**53
+
+
+def _build_by_floyd_warshall(graph: FuelGraph, q_max: float) -> ReachGraph:
+    """All-pairs least fuel by Floyd-Warshall over an n x n matrix, cut at
+    q_max.  Equal to _build_by_dijkstra when _use_floyd_warshall holds."""
+    n = graph.n
+    fuel = np.full((n, n), math.inf)
+    if graph.edges:
+        tails, heads, fuels = zip(*graph.edges)
+        fuel[tails, heads] = fuels
+    np.fill_diagonal(fuel, 0.0)
+    for k in range(n):
+        np.minimum(fuel, fuel[:, k, None] + fuel[k], out=fuel)
+    np.fill_diagonal(fuel, math.inf)  # no self arcs
+    rows = []
+    for row in fuel:
+        heads = np.flatnonzero(row <= q_max)
+        rows.append(tuple(zip(heads.tolist(), row[heads].tolist())))
+    return ReachGraph(graph, float(q_max), tuple(rows))
+
+
+def _build_by_dijkstra(graph: FuelGraph, q_max: float) -> ReachGraph:
+    """Row u holds every vertex other than u that a Dijkstra from u
+    truncated at q_max settles, with its fuel distance."""
+    rows = []
+    dist = [math.inf] * graph.n
+    for u in range(graph.n):
+        dist[u] = 0.0
+        found = dijkstra(graph.succ, [(0.0, u)], dist, q_max)
+        next(found)  # u itself, settled first at fuel 0
+        row = tuple(sorted(found))  # by head; heads are distinct
+        rows.append(row)
+        # Every vertex pushed is within q_max and so is settled: u and the
+        # row are the only entries this run set, and resetting them leaves
+        # dist all +inf for the next source.
+        dist[u] = math.inf
+        for v, _ in row:
+            dist[v] = math.inf
+    return ReachGraph(graph, float(q_max), tuple(rows))
+
+
 def compute_reachable_sets(graph: FuelGraph, q_max: float) -> ReachGraph:
     """Build the refuel graph for a tank capacity.
 
-    Row u holds every vertex other than u that a Dijkstra from u truncated
-    at q_max settles, with its fuel distance.  Empty reach sets are valid
+    Row u holds every vertex v != u whose least fuel from u is at most
+    q_max, with that fuel, sorted by v.  Empty reach sets are valid
     (capacity below the smallest edge fuel yields an edgeless refuel graph).
     """
     if not (0 < q_max < math.inf):
         raise ValueError("q_max must be finite and positive")
-    rows = []
-    for u in range(graph.n):
-        dist = [math.inf] * graph.n
-        dist[u] = 0.0
-        found = dijkstra(graph.succ, [(0.0, u)], dist, q_max)
-        next(found)  # u itself, settled first at fuel 0
-        rows.append(tuple(sorted(found)))  # by head; heads are distinct
-    return ReachGraph(graph, float(q_max), tuple(rows))
+    if _use_floyd_warshall(graph):
+        return _build_by_floyd_warshall(graph, q_max)
+    return _build_by_dijkstra(graph, q_max)
 
 
 def reach_for(inst: Instance, reach: ReachGraph | None = None) -> ReachGraph:

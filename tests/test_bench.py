@@ -12,7 +12,7 @@ from conftest import worked_example_graph
 GOLDEN_HEADER = (
     "instance_id,solver,status,cost,stops,"
     "labels_generated,labels_expanded,labels_pruned,dp_states,"
-    "heuristic_build_ms,search_ms,total_ms"
+    "reach_ms,heuristic_build_ms,search_ms,total_ms"
 )
 
 
@@ -40,6 +40,8 @@ def test_all_solvers_agree_on_the_worked_example():
     assert all(r["status"] == "solved" for r in rows)
     assert {r["cost"] for r in rows} == {"15"}
     assert {r["stops"] for r in rows} == {"2"}
+    assert len({r["reach_ms"] for r in rows}) == 1  # the one build, on every row
+    assert float(rows[0]["reach_ms"]) > 0
 
 
 def test_infeasible_status():

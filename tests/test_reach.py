@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gsp import reach as reach_module
 from gsp import (
     FuelGraph,
     Infeasible,
@@ -137,6 +140,68 @@ def test_built_arrays_leave_equality_and_repr_alone(tmp_path):
     save_reach_cache(reach, graph, path)
     loaded = load_reach_cache(graph, 6.0, path)
     assert loaded == reach and reach == loaded
+
+
+@st.composite
+def _integral_graphs(draw, dense: bool):
+    """Directed graphs with integer fuels, on one side of the build rule.
+
+    Arcs are drawn independently per ordered pair, so some vertices reach
+    no one or are reached by no one.
+    """
+    if dense:
+        n = draw(st.integers(64, 72))
+        p = draw(st.sampled_from([0.1, 0.3, 0.9]))
+    else:
+        n = draw(st.integers(1, 72))
+        p = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.9] if n < 64 else [0.0, 0.02]))
+    max_fuel = draw(st.sampled_from([1, 10, 1000]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arcs = [(u, v, rng.randint(1, max_fuel))
+            for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    return FuelGraph.build([1.0] * n, arcs)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_floyd_warshall_build_equals_dijkstra_build(dense, data):
+    graph = data.draw(_integral_graphs(dense))
+    assert reach_module._use_floyd_warshall(graph) == dense
+    q_max = data.draw(st.sampled_from([0.5, 1.0, 3.0, 16.0, 250.0, 1e6]))  # 0.5: below every fuel
+    by_dijkstra = reach_module._build_by_dijkstra(graph, q_max)
+    assert reach_module._build_by_floyd_warshall(graph, q_max) == by_dijkstra
+    assert compute_reachable_sets(graph, q_max) == by_dijkstra
+
+
+@pytest.mark.parametrize("fuel, takes_floyd_warshall", [
+    pytest.param(lambda u, v: 1 + (u * v) % 10, True, id="integral"),
+    pytest.param(lambda u, v: 0.5 + (u * v) % 10, False, id="decimal"),
+    pytest.param(lambda u, v: 1.0 if u * v else 1.5, False, id="one-decimal"),
+    pytest.param(lambda u, v: 2**46 - 1 if u + v == 1 else 1, True, id="sums-below-2**53"),
+    pytest.param(lambda u, v: 2**46 if u + v == 1 else 1, False, id="sums-reach-2**53"),
+])
+def test_only_exact_integral_dense_graphs_take_floyd_warshall(monkeypatch, fuel,
+                                                              takes_floyd_warshall):
+    graph = FuelGraph.build([1.0] * 64, [(u, v, fuel(u, v))
+                                         for u in range(64) for v in range(64) if u != v])
+    assert reach_module._use_floyd_warshall(graph) == takes_floyd_warshall
+    taken = []
+    build = reach_module._build_by_floyd_warshall
+    monkeypatch.setattr(reach_module, "_build_by_floyd_warshall",
+                        lambda *args: taken.append(args) or build(*args))
+    reach = compute_reachable_sets(graph, 12.0)
+    assert bool(taken) == takes_floyd_warshall
+    assert reach == reach_module._build_by_dijkstra(graph, 12.0)
+
+
+def test_floyd_warshall_build_round_trips_through_the_reach_cache(tmp_path):
+    graph = gen_binomial(64, 0.3, seed=3)
+    assert reach_module._use_floyd_warshall(graph)
+    reach = compute_reachable_sets(graph, 16.0)
+    path = tmp_path / "reach.json"
+    save_reach_cache(reach, graph, path)
+    assert load_reach_cache(graph, 16.0, path) == reach
 
 
 _TAKES_REACH = {
