@@ -8,8 +8,11 @@ of the solver that produced them.
 
 All fuel and money quantities are 64-bit floats and comparisons are exact,
 with no epsilon.  Run-time values are sums and products of input values, so
-exactness holds whenever the inputs are integers or short decimals; integral
-inputs are the recommended usage.
+exactness holds whenever the inputs are integers, the recommended usage.
+Short decimals are not exact: with decimal fuels and initial fuel a
+schedule can come out one ulp short of a hop and fail validate_solution
+(FuelNegative), and decimal prices can make two solvers' costs differ in
+the last bit.  ROADMAP item 4 plans exact arithmetic for them.
 """
 
 from __future__ import annotations
@@ -17,8 +20,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .reach import ReachGraph
 
 NON_REFUELLABLE = math.inf
 """Price sentinel for vertices where no fuel can be bought."""
@@ -127,7 +135,7 @@ class FuelGraph:
             edges=sorted_arcs,
             names=tuple(names),
             succ=tuple(tuple(a) for a in out),
-            pred=tuple(tuple(sorted(a)) for a in rev),
+            pred=tuple(tuple(a) for a in rev),
         )
 
     def content_hash(self) -> str:
@@ -213,6 +221,22 @@ class Solution:
     route: tuple[tuple[int, float], ...]
     total_cost: float
     arrival_fuel: tuple[float, ...]
+
+    @classmethod
+    def build(cls, reach: ReachGraph, vertices: Sequence[int], bought: Sequence[float],
+              arrival: Sequence[float], cost: float) -> Solution:
+        """The schedule visiting vertices in order, buying bought[i] at vertices[i].
+
+        arrival[i] is the tank on arrival at vertices[i], before any purchase
+        there; bought may stop short of the last vertices, which then buy
+        nothing.  Every hop carries the reach graph's distance, and every
+        positive purchase becomes a stop.
+        """
+        route = [(vertices[0], 0.0)]
+        for u, v in zip(vertices, vertices[1:]):
+            route.append((v, reach.distance(u, v)))
+        stops = tuple((v, a) for v, a in zip(vertices, bought) if a > 0.0)
+        return cls(stops, tuple(route), cost, tuple(arrival))
 
 
 @dataclass

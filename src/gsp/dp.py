@@ -16,6 +16,10 @@ one add and one unbuffered scatter-minimum (``np.minimum.at``) into the
 destination states.  The naive method determines every cell of every
 layer, which is what the state counter reports; ``gas_values`` is the
 per-vertex reference for the level sets.
+
+The schedule is read back from the layers, goal first, as the states it
+passes and the amount bought at each, and written through
+``Solution.build``, which prices every hop with the reach graph's distance.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ class _Table:
     States are (vertex, admissible fuel level) pairs numbered in (v, q)
     order: state_v and state_q hold each state's vertex and level, and the
     states of v are offset[v]:offset[v + 1].  Transition i leaves state
-    src[i], buys amount[i] for cost[i], burns hop[i] and lands in dst[i];
-    transitions are ordered by src.  initial holds the states that cost
-    nothing: the start, then the free-coast arrivals.
+    src[i], buys amount[i] for cost[i] and lands in dst[i]; transitions
+    are ordered by src.  initial holds the states that cost nothing: the
+    start, then the free-coast arrivals.
     """
 
     def __init__(self, inst: Instance, reach: ReachGraph):
@@ -119,7 +123,6 @@ class _Table:
         self.dst = landing[arc]
         self.amount = np.where(is_fill, q_max - q, d - q)
         self.cost = self.amount * tail_price[arc]
-        self.hop = d
 
     def state(self, v: int, q: float) -> int:
         lo, hi = int(self.offset[v]), int(self.offset[v + 1])
@@ -127,12 +130,6 @@ class _Table:
         if i == hi or self.state_q[i] != q:
             raise KeyError((v, q))
         return i
-
-    def vertex_of(self, state: int) -> int:
-        return int(self.state_v[state])
-
-    def fuel_of(self, state: int) -> float:
-        return float(self.state_q[state])
 
 
 def build_layers(
@@ -159,61 +156,28 @@ def build_layers(
     return table, layers
 
 
-def _trivial_solution(inst: Instance) -> Solution:
-    return Solution(
-        stops=(),
-        route=((inst.start, 0.0),),
-        total_cost=0.0,
-        arrival_fuel=(inst.q0,),
-    )
-
-
-def _coast_solution(inst: Instance, d: float) -> Solution:
-    return Solution(
-        stops=(),
-        route=((inst.start, 0.0), (inst.goal, d)),
-        total_cost=0.0,
-        arrival_fuel=(inst.q0, inst.q0 - d),
-    )
-
-
-def _reconstruct(inst: Instance, table: _Table, layers: list[np.ndarray], k_star: int) -> Solution:
-    goal_state = table.state(inst.goal, 0.0)
-    steps: list[tuple[int, float, float]] = []  # (source state, amount, hop fuel)
-    state = goal_state
-    k = k_star
-    while k > 0:
+def _reconstruct(inst: Instance, reach: ReachGraph, table: _Table, layers: list[np.ndarray],
+                 k_star: int) -> Solution:
+    # The schedule is collected goal first; nothing is bought at the goal.
+    state = table.state(inst.goal, 0.0)
+    cost = float(layers[k_star][state])
+    vertices, bought, arrival = [inst.goal], [0.0], [0.0]
+    for k in range(k_star, 0, -1):
         # Moves are ordered by source, so this takes the optimal move into
         # state with the lowest source state.
         into = (table.dst == state).nonzero()[0]
         cands = layers[k - 1][table.src[into]] + table.cost[into]
-        idx = int(into[(cands == layers[k][state]).argmax()])
-        steps.append((int(table.src[idx]), float(table.amount[idx]), float(table.hop[idx])))
-        state = int(table.src[idx])
-        k -= 1
-    steps.reverse()
-
-    route: list[tuple[int, float]] = [(inst.start, 0.0)]
-    arrival: list[float] = [inst.q0]
-    stops: list[tuple[int, float]] = []
+        idx = into[(cands == layers[k][state]).argmax()]
+        state = table.src.item(idx)
+        vertices.append(table.state_v.item(state))
+        bought.append(table.amount.item(idx))
+        arrival.append(table.state_q.item(state))
     if state != table.initial[0]:
         # The chain begins at a free-coast state reached on the initial fuel.
-        v = table.vertex_of(state)
-        q = table.fuel_of(state)
-        route.append((v, inst.q0 - q))
-        arrival.append(q)
-    for i, (src_state, amount, d) in enumerate(steps):
-        if amount > 0.0:
-            stops.append((table.vertex_of(src_state), amount))
-        nxt_state = steps[i + 1][0] if i + 1 < len(steps) else goal_state
-        route.append((table.vertex_of(nxt_state), d))
-        arrival.append(table.fuel_of(nxt_state))
-    return Solution(
-        stops=tuple(stops),
-        route=tuple(route),
-        total_cost=float(layers[k_star][goal_state]),
-        arrival_fuel=tuple(arrival),
-    )
+        vertices.append(inst.start)
+        bought.append(0.0)
+        arrival.append(inst.q0)
+    return Solution.build(reach, vertices[::-1], bought[::-1], arrival[::-1], cost)
 
 
 def dp_solve(
@@ -234,11 +198,12 @@ def dp_solve(
     try:
         reach = reach_for(inst, reach)
         if inst.start == inst.goal:
-            return _trivial_solution(inst), stats
+            return Solution.build(reach, [inst.start], [], [inst.q0], 0.0), stats
         if inst.q0 > 0.0:
             d_direct = reach.distance(inst.start, inst.goal)
             if d_direct is not None and d_direct <= inst.q0:
-                return _coast_solution(inst, d_direct), stats
+                return Solution.build(reach, [inst.start, inst.goal], [],
+                                      [inst.q0, inst.q0 - d_direct], 0.0), stats
 
         table, layers = build_layers(inst, reach, deadline=deadline)
         stats.dp_states_computed = inst.k_max * table.size
@@ -251,7 +216,7 @@ def dp_solve(
                 best_k = k
         if not math.isfinite(best):
             return Infeasible(), stats
-        return _reconstruct(inst, table, layers, best_k), stats
+        return _reconstruct(inst, reach, table, layers, best_k), stats
     except SolveTimeout as t:
         stats = t.stats  # carries the states of the layers built in time
         raise

@@ -181,8 +181,7 @@ def brute_force_solve(
     _check_integral(inst)
     reach = reach_for(inst, reach)
     if inst.start == inst.goal:
-        return Solution(stops=(), route=((inst.start, 0.0),), total_cost=0.0,
-                        arrival_fuel=(inst.q0,))
+        return Solution.build(reach, [inst.start], [], [inst.q0], 0.0)
 
     stats = SearchStats()
     t0 = perf_counter()
@@ -224,18 +223,13 @@ def brute_force_solve(
     if priced is not route:  # the first hop was a free coast
         amounts = [0.0] + amounts
         arrivals = [float(f0)] + arrivals
-    stops = tuple(
-        (route.vertices[i], amounts[i]) for i in range(len(amounts)) if amounts[i] > 0.0
-    )
-    hops = ((route.vertices[0], 0.0),) + tuple(
-        (route.vertices[i + 1], route.hop_fuels[i]) for i in range(len(route.hop_fuels))
-    )
     # The schedule's own cost, summed stop by stop as validate_solution and
     # the label search do; the DP's value can differ from it in the last bit.
     cost = 0.0
-    for v, amount in stops:
-        cost += amount * inst.graph.price[v]
-    return Solution(stops=stops, route=hops, total_cost=cost, arrival_fuel=tuple(arrivals))
+    for v, amount in zip(route.vertices, amounts):
+        if amount > 0.0:
+            cost += amount * inst.graph.price[v]
+    return Solution.build(reach, route.vertices, amounts, arrivals, cost)
 
 
 def completion_costs(inst: Instance) -> dict[tuple[int, int, int], float]:

@@ -161,25 +161,18 @@ def _coast_children(root: Label, reach: ReachGraph, inst: Instance,
 
 
 def _reconstruct(goal_label: Label, reach: ReachGraph) -> Solution:
-    chain: list[Label] = []
+    vertices: list[int] = []
+    bought: list[float] = []
+    arrival: list[float] = []
     l: Label | None = goal_label
     while l is not None:
-        chain.append(l)
+        vertices.append(l.v)
+        bought.append(l.refuel_at_parent)
+        arrival.append(l.q)
         l = l.parent
-    chain.reverse()
-    route: list[tuple[int, float]] = [(chain[0].v, 0.0)]
-    stops: list[tuple[int, float]] = []
-    for lab in chain[1:]:
-        d = reach.distance(lab.parent.v, lab.v)
-        route.append((lab.v, d))
-        if lab.refuel_at_parent > 0.0:
-            stops.append((lab.parent.v, lab.refuel_at_parent))
-    return Solution(
-        stops=tuple(stops),
-        route=tuple(route),
-        total_cost=goal_label.g,
-        arrival_fuel=tuple(lab.q for lab in chain),
-    )
+    # A label's refuel_at_parent was bought at the vertex before it; the
+    # start's is always 0 and drops off.
+    return Solution.build(reach, vertices[::-1], bought[-2::-1], arrival[::-1], goal_label.g)
 
 
 def rfastar_solve(

@@ -28,6 +28,12 @@ class TestFuelGraph:
     def test_undirected_expands_to_two_arcs(self):
         g = FuelGraph.build([1.0, 1.0], [(0, 1, 2.0)], undirected=True)
         assert g.edges == ((0, 1, 2.0), (1, 0, 2.0))
+        # Each pred row holds exactly the arcs into its vertex, in tail
+        # order, whatever order the edges come in.
+        edges = [(3, 0, 2.0), (1, 0, 5.0), (2, 3, 1.0), (0, 2, 4.0), (2, 0, 3.0), (1, 3, 6.0)]
+        g = FuelGraph.build([1.0] * 4, edges, undirected=True)
+        for v in range(g.n):
+            assert list(g.pred[v]) == sorted((u, d) for u, w, d in g.edges if w == v)
 
     def test_zero_fuel_rejected(self):
         with pytest.raises(InvalidInstance):

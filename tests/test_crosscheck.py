@@ -23,6 +23,7 @@ from gsp import (
     rfastar_solve,
     validate_solution,
 )
+from gsp.core import FuelNegative
 from gsp.search import SearchOptions
 
 from conftest import unpruned_solve
@@ -76,3 +77,47 @@ def test_all_solvers_agree_on_corner_distributions(trial):
         assert validate_solution(inst, dp, reach) == dp.total_cost
         comp = completion_costs(inst)
         assert comp.get((inst.start, int(inst.q0), inst.k_max), math.inf) == _cost(plain)
+
+
+_PATH = FuelGraph.build([2.0, 1.0], [(0, 1, 3.0)])
+
+
+@pytest.mark.parametrize("inst, with_oracle", [
+    # Decimal fuels: the coast 0 -> 1 on initial fuel must carry the reach
+    # distance 0.3, not 1.3 - (1.3 - 0.3).
+    (Instance(FuelGraph.build([math.inf, 1.0, 1.0], [(0, 1, 0.3), (1, 2, 3.0)]),
+              0, 2, 5.0, 1, 1.3), False),
+    (Instance(_PATH, 0, 0, 5.0, 1, 2.0), True),  # start == goal with initial fuel
+    (Instance(_PATH, 0, 1, 5.0, 1, 4.0), True),  # a direct coast to the goal
+], ids=["decimal-coast", "start-is-goal", "direct-coast"])
+def test_every_solver_returns_the_same_solution(inst, with_oracle):
+    reach = compute_reachable_sets(inst.graph, inst.q_max)
+    results = [
+        dp_solve(inst, reach=reach)[0],
+        rfastar_solve(inst, reach=reach)[0],
+        rfastar_solve(inst, SearchOptions(unbounded_stops=True), reach=reach)[0],
+    ]
+    if with_oracle:
+        results.append(brute_force_solve(inst, reach=reach))
+    assert all(r == results[0] for r in results), results
+    assert validate_solution(inst, results[0], reach) == results[0].total_cost
+
+
+# Pinned defects of decimal inputs (ROADMAP item 4); exact arithmetic fixes both.
+
+@pytest.mark.xfail(raises=FuelNegative, strict=True,
+                   reason="decimal fuels with initial fuel buy one ulp too little")
+def test_decimal_fuels_with_initial_fuel_validate():
+    inst = Instance(FuelGraph.build([1, 1], [(0, 1, 3.4)]), 0, 1, 5.4, 1, 1.3)
+    for solve in (dp_solve, rfastar_solve):
+        sol, _ = solve(inst)
+        validate_solution(inst, sol)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the oracle sums decimal prices to 7.7, the others to 7.700000000000001")
+def test_decimal_prices_cost_the_same_in_every_solver():
+    graph = FuelGraph.build([1.1, 0.1, 1.1], [(0, 1, 6), (1, 0, 8), (1, 2, 2), (2, 0, 1)])
+    inst = Instance(graph, 2, 1, 8.0, 2)
+    oracle = brute_force_solve(inst)
+    assert _cost(dp_solve(inst)[0]) == _cost(rfastar_solve(inst)[0]) == _cost(oracle)

@@ -141,7 +141,7 @@ def _reference_moves(inst, reach, table):
     g, q_max = inst.graph, inst.q_max
     moves = set()
     for s in range(table.size):
-        u, q = table.vertex_of(s), table.fuel_of(s)
+        u, q = int(table.state_v[s]), float(table.state_q[s])
         cu = g.price[u]
         if u == inst.goal or not math.isfinite(cu):
             continue
@@ -153,7 +153,7 @@ def _reference_moves(inst, reach, table):
             else:
                 a, arrive, ok = d - q, 0.0, d > q
             if ok:
-                moves.add((s, table.state(v, arrive), a * cu, a, d))
+                moves.add((s, table.state(v, arrive), a * cu, a))
     return moves
 
 
@@ -184,7 +184,7 @@ class TestArrayTable:
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         table = _Table(inst, reach)
         moves = list(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
-                         table.amount.tolist(), table.hop.tolist()))
+                         table.amount.tolist()))
         assert len(moves) == len(set(moves))
         assert set(moves) == _reference_moves(inst, reach, table)
         assert table.src.tolist() == sorted(table.src.tolist())
