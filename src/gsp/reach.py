@@ -17,14 +17,17 @@ exact integers below 2^53, so its rows equal the Dijkstra rows bit for bit;
 decimal fuels would round differently in the two orders of addition and
 always take Dijkstra.
 
-``ReachGraph.succ`` is the only stored copy of the arcs.  Two views of it
-are built on first use and kept with the graph, so every later query on
-the same reach graph gets them for free: the DP reads the CSR arrays
-``ReachGraph.arrays``, and the heuristic reads the goal's column of
-``ReachGraph.into``, the arcs into each vertex.  ``distance`` is a binary
-search in the sorted arc list of the tail.  Every solver and checker gets
-its reach graph from ``reach_for``, which builds one for the instance or
-rejects one built for another graph or tank.
+``ReachGraph.succ`` is the only stored copy of the arcs.  Three views are
+built on first use and kept with the graph, so every later query on the
+same reach graph gets them for free: the DP reads the CSR arrays
+``ReachGraph.arrays``; the heuristic reads the goal's column of
+``ReachGraph.into``, the arcs into each vertex, and on dense integral
+graphs the goal's row of ``ReachGraph.relaxed_cost``, the least cost to
+the goal with no tank or stop limit, which reruns the Floyd-Warshall
+closure rather than keep its matrix.  ``distance`` is a binary search in
+the sorted arc list of the tail.  Every solver and checker gets its reach
+graph from ``reach_for``, which builds one for the instance or rejects one
+built for another graph or tank.
 """
 
 from __future__ import annotations
@@ -110,6 +113,49 @@ class ReachGraph:
             cols[v] = tuple(col)  # frees each list as soon as it is copied
         return tuple(cols)
 
+    @cached_property
+    def relaxed_cost(self) -> np.ndarray | None:
+        """Least cost to every goal with no tank and no stop limit, built on
+        first use; None where that bound is not taken.
+
+        relaxed_cost[t, v] is H[v][t], the cost of driving from v to t on an
+        empty tank when the tank holds any amount and any number of stops
+        may be made.  Buying every unit at the cheapest station seen so far
+        is then optimal (Lin, Gertsch and Russell 2007; Khuller, Malekian and
+        Mestre 2011), so taking the selling vertices by increasing price,
+        H[v] = min(p_v D[v], min over strictly cheaper x of p_v D[v, x] + H[x]),
+        where D is the all-pairs fuel before the cut at the tank.  D is
+        recomputed here rather than kept, so succ stays the only stored arc
+        list.  Row t is the goal t's column of H, so a query reads one row;
+        the entries of vertices that sell nothing are 0 and mean nothing.
+
+        Taken only where every sum is an exact integer: the graph takes the
+        Floyd-Warshall build, every finite price and the tank are integers,
+        and 2 * n * max fuel and the tank, times the largest price, are
+        below 2**53.  Not a field, like arrays.
+        """
+        graph = self.graph
+        if not (self.q_max.is_integer() and _use_floyd_warshall(graph)):
+            return None
+        price = graph.price
+        order = sorted((v for v, p in enumerate(price) if p < math.inf), key=price.__getitem__)
+        sold = [price[v] for v in order]  # ascending
+        fuel_max = max(d for _, _, d in graph.edges)
+        if not (sold and all(map(float.is_integer, sold))
+                and max(2 * graph.n * fuel_max, self.q_max) * sold[-1] < 2**53):
+            return None
+        fuel = _all_pairs_fuel(graph)
+        cost = np.full((len(order), graph.n), math.inf)  # cost[i] is H[order[i]]
+        for i, (v, p) in enumerate(zip(order, sold)):
+            np.multiply(fuel[v], p, out=cost[i], where=fuel[v] < math.inf)  # no 0 * inf = nan
+            cheaper = bisect_left(sold, p)  # the stations priced below p come first
+            if cheaper:
+                via = p * fuel[v, order[:cheaper], None] + cost[:cheaper]
+                np.minimum(cost[i], via.min(axis=0), out=cost[i])
+        relaxed = np.zeros((graph.n, graph.n))
+        relaxed[:, order] = cost.T
+        return relaxed
+
     def distance(self, u: int, v: int) -> float | None:
         """Minimum fuel from u to v, or None when it exceeds the tank."""
         row = self.succ[u]
@@ -184,9 +230,12 @@ def _use_floyd_warshall(graph: FuelGraph) -> bool:
     return all(map(float.is_integer, fuels)) and 2 * n * max(fuels) < 2**53
 
 
-def _build_by_floyd_warshall(graph: FuelGraph, q_max: float) -> ReachGraph:
-    """All-pairs least fuel by Floyd-Warshall over an n x n matrix, cut at
-    q_max.  Equal to _build_by_dijkstra when _use_floyd_warshall holds."""
+def _all_pairs_fuel(graph: FuelGraph) -> np.ndarray:
+    """The n x n matrix of least fuel from u to v, by Floyd-Warshall.
+
+    Not cut at any tank; the diagonal is 0 and unreachable pairs are +inf.
+    Exact when _use_floyd_warshall holds.
+    """
     n = graph.n
     fuel = np.full((n, n), math.inf)
     if graph.edges:
@@ -195,6 +244,13 @@ def _build_by_floyd_warshall(graph: FuelGraph, q_max: float) -> ReachGraph:
     np.fill_diagonal(fuel, 0.0)
     for k in range(n):
         np.minimum(fuel, fuel[:, k, None] + fuel[k], out=fuel)
+    return fuel
+
+
+def _build_by_floyd_warshall(graph: FuelGraph, q_max: float) -> ReachGraph:
+    """All-pairs least fuel by Floyd-Warshall, cut at q_max.  Equal to
+    _build_by_dijkstra when _use_floyd_warshall holds."""
+    fuel = _all_pairs_fuel(graph)
     np.fill_diagonal(fuel, math.inf)  # no self arcs
     rows = []
     for row in fuel:

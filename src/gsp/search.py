@@ -196,7 +196,7 @@ def rfastar_solve(
     ctx: HeuristicContext | None = None
     if opts.use_heuristic:
         t0 = perf_counter()
-        ctx = build_heuristic(reach, inst.goal)
+        ctx = build_heuristic(reach, inst.goal, inst.q0)
         stats.heuristic_build_time = perf_counter() - t0
 
     t_search = perf_counter()

@@ -5,7 +5,8 @@ wraps them by name) and drops a metric whose span or function is absent,
 so a renamed, inlined or deleted public function passes the run with a
 metric missing.  This runs the traced measurement on a small tiny-batch
 set and on a few dense-desk pairs, whose reach graphs take the
-Floyd-Warshall build, and checks its metric names against BENCHMARK.json.
+Floyd-Warshall build and whose queries take the price-aware heuristic
+term, and checks its metric names against BENCHMARK.json.
 """
 
 import dataclasses
@@ -48,3 +49,6 @@ def test_traced_dense_run_reports_every_declared_layer_metric(tmp_path, monkeypa
     session = _traced_run(tmp_path, monkeypatch, "dense-desk",
                           trace_pairs=12, trace_dp=2, ref_pairs=12)
     assert all(map(session.reach._use_floyd_warshall, session.graphs.values()))
+    # ... and every query takes the price-aware heuristic term.
+    assert all(reach.relaxed_cost is not None for reach in session.reaches.values())
+    assert all(float(inst.q0).is_integer() for inst, _ in session.instances)

@@ -2,8 +2,12 @@ import gc
 import math
 import random
 import weakref
+from heapq import heappop, heappush
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsp import (
     FuelGraph,
@@ -12,11 +16,16 @@ from gsp import (
     brute_force_solve,
     build_heuristic,
     compute_reachable_sets,
+    dp_solve,
     gen_binomial,
     rfastar_solve,
+    validate_solution,
 )
+from gsp import reach as reach_module
+from gsp.graphio import load_reach_cache, save_reach_cache
 from gsp.heuristic import h_for
 from gsp.reach import reach_for, shortest_fuel
+from gsp.search import SearchOptions
 
 from conftest import A, B, O, T, decimal_price_graph, random_instance, worked_example
 
@@ -230,3 +239,186 @@ class TestDecimalInputs:
         for v, q, cost in self._optima(goal):
             h = h_for(ctx, v, q / 10)
             assert h <= cost / 10 or h == pytest.approx(cost / 10, rel=1e-15, abs=0.0)
+
+
+# The price-aware term.  It is taken only on graphs that take the
+# Floyd-Warshall reach build, so every graph below has at least 64 vertices.
+
+
+def _paper_h(ctx, v, q):
+    """The paper's estimate alone, as h_for computes it without the price term."""
+    d = ctx.d_to_goal[v]
+    return math.inf if math.isinf(d) else max((d - q) * ctx.c_min, 0.0)
+
+
+def _relaxed_reference(graph: FuelGraph, source: int) -> list[float]:
+    """Least cost from source to every vertex on an empty tank, with no tank
+    and no stop limit: a Dijkstra over (vertex, cheapest price so far)
+    states on the graph's own edges, each unit bought at that price."""
+    price = graph.price
+    best = {(source, price[source]): 0.0}
+    heap = [(0.0, source, price[source])]
+    cost = [math.inf] * graph.n
+    while heap:
+        c, v, p = heappop(heap)
+        if c > best[v, p]:
+            continue
+        cost[v] = min(cost[v], c)
+        for w, d in graph.succ[v]:
+            state = (w, min(p, price[w]))
+            if c + p * d < best.get(state, math.inf):
+                best[state] = c + p * d
+                heappush(heap, (c + p * d, *state))
+    return cost
+
+
+@st.composite
+def _priced_dense_graphs(draw):
+    """Directed dense graphs of 64-80 vertices with fuels 1..10, prices
+    0..10 and a share of stations that sell nothing."""
+    n = draw(st.integers(64, 80))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    dry = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arcs = [(u, v, rng.randint(1, 10)) for u in range(n) for v in range(n)
+            if u != v and rng.random() < p]
+    prices = [math.inf if rng.random() < dry else float(rng.randint(0, 10)) for _ in range(n)]
+    prices[0] = float(rng.randint(0, 10))  # at least one vertex sells
+    return FuelGraph.build(prices, arcs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=_priced_dense_graphs(), tank=st.sampled_from([5.0, 16.0, 40.0]),
+       seed=st.integers(0, 2**16))
+def test_relaxed_cost_equals_the_price_level_dijkstra(graph, tank, seed):
+    reach = compute_reachable_sets(graph, tank)
+    relaxed = reach.relaxed_cost
+    assert relaxed is not None and relaxed.shape == (graph.n, graph.n)
+    selling = [v for v in range(graph.n) if math.isfinite(graph.price[v])]
+    for source in random.Random(seed).sample(selling, min(3, len(selling))):
+        assert relaxed[:, source].tolist() == _relaxed_reference(graph, source)
+
+
+def _desk_graph(seed: int, n: int = 64, dry: int = 0) -> FuelGraph:
+    """A connected G(n, 0.3) with prices 1..10, the first dry vertices
+    selling nothing."""
+    graph = gen_binomial(n, 0.3, seed=seed)
+    prices = [math.inf if v < dry else p for v, p in enumerate(graph.price)]
+    return FuelGraph.build(prices, list(graph.edges))
+
+
+def _queries(graph: FuelGraph, tank: float, count: int, seed: int):
+    """count instances on graph, half of them starting with fuel."""
+    rng = random.Random(seed)
+    for i in range(count):
+        start, goal = rng.sample(range(graph.n), 2)
+        q0 = float(rng.randint(1, int(tank))) if i % 2 else 0.0
+        yield Instance(graph, start, goal, tank, rng.randint(1, 4), q0)
+
+
+@pytest.mark.parametrize("seed, dry", [(1, 0), (2, 6), (3, 16)])
+def test_start_estimate_never_exceeds_the_dp_optimum(seed, dry):
+    graph = _desk_graph(seed, n=64 + seed, dry=dry)
+    tank = 12.0
+    reach = compute_reachable_sets(graph, tank)
+    assert reach.relaxed_cost is not None
+    tighter = 0
+    for inst in _queries(graph, tank, 40, seed):
+        ctx = build_heuristic(reach, inst.goal, inst.q0)
+        assert ctx.relaxed is not None
+        h = h_for(ctx, inst.start, inst.q0)
+        sol, _ = dp_solve(inst, reach=reach)
+        if not isinstance(sol, Infeasible):
+            assert h <= sol.total_cost
+        tighter += h > _paper_h(ctx, inst.start, inst.q0)
+    assert tighter  # the price-aware term decided some of these
+
+
+@pytest.mark.parametrize("seed, dry", [(4, 0), (5, 8)])
+def test_search_and_dp_agree_where_the_bound_is_taken(seed, dry):
+    graph = _desk_graph(seed, n=70, dry=dry)
+    tank = 10.0
+    reach = compute_reachable_sets(graph, tank)
+    assert reach.relaxed_cost is not None
+    for inst in _queries(graph, tank, 24, seed):
+        bounded, _ = rfastar_solve(inst, reach=reach)
+        dp, _ = dp_solve(inst, reach=reach)
+        blind, _ = rfastar_solve(inst, SearchOptions(use_heuristic=False), reach=reach)
+        assert isinstance(bounded, Infeasible) == isinstance(dp, Infeasible)
+        if isinstance(dp, Infeasible):
+            continue
+        assert bounded.total_cost == dp.total_cost == blind.total_cost
+        assert validate_solution(inst, bounded, reach) == bounded.total_cost
+        unbounded, _ = rfastar_solve(inst, SearchOptions(unbounded_stops=True), reach=reach)
+        unbounded_blind, _ = rfastar_solve(
+            inst, SearchOptions(use_heuristic=False, unbounded_stops=True), reach=reach)
+        assert unbounded.total_cost == unbounded_blind.total_cost <= bounded.total_cost
+
+
+def _first_priced(graph: FuelGraph, price: float) -> FuelGraph:
+    """graph with vertex 0 priced price."""
+    return FuelGraph.build([price, *graph.price[1:]], list(graph.edges))
+
+
+_GATE_GRAPH = _desk_graph(7)
+
+
+class TestPriceBoundGate:
+    """Where any quantity may not be an exact integer, the price-aware term
+    is not taken and h is the paper's estimate bit for bit."""
+
+    TANK = 12.0
+
+    @staticmethod
+    def _check_paper_h(reach, goal, q0=0.0):
+        ctx = build_heuristic(reach, goal, q0)
+        assert ctx.relaxed is None
+        for v in range(reach.n):
+            for q in (0.0, q0, 3.0, 7.5):
+                assert h_for(ctx, v, q) == _paper_h(ctx, v, q)
+
+    def test_integral_dense_graph_takes_it(self):
+        reach = compute_reachable_sets(_GATE_GRAPH, self.TANK)
+        assert reach.relaxed_cost is not None
+        ctx = build_heuristic(reach, 0)
+        assert ctx.relaxed == reach.relaxed_cost[0].tolist()
+        assert any(h_for(ctx, v, 0.0) > _paper_h(ctx, v, 0.0) for v in range(reach.n))
+
+    @pytest.mark.parametrize("graph, tank", [
+        pytest.param(_first_priced(_GATE_GRAPH, 2.5), TANK, id="decimal-price"),
+        pytest.param(_GATE_GRAPH, TANK + 0.5, id="decimal-tank"),
+        pytest.param(_desk_graph(7, n=63), TANK, id="63-vertices"),
+        pytest.param(_first_priced(_GATE_GRAPH, 2.0**46), TANK, id="sums-reach-2**53"),
+    ])
+    def test_graph_outside_the_gate(self, graph, tank):
+        reach = compute_reachable_sets(graph, tank)
+        assert reach.relaxed_cost is None
+        self._check_paper_h(reach, 0)
+
+    def test_decimal_initial_fuel(self):
+        reach = compute_reachable_sets(_GATE_GRAPH, self.TANK)
+        self._check_paper_h(reach, 0, q0=0.5)
+        inst = Instance(reach.graph, 5, 0, self.TANK, 3, 0.5)
+        assert rfastar_solve(inst, reach=reach)[0] == dp_solve(inst, reach=reach)[0]
+
+    def test_second_solve_reuses_the_first_solves_bound(self, monkeypatch):
+        built = []
+        all_pairs = reach_module._all_pairs_fuel
+        monkeypatch.setattr(reach_module, "_all_pairs_fuel",
+                            lambda graph: built.append(graph) or all_pairs(graph))
+        reach = compute_reachable_sets(_GATE_GRAPH, self.TANK)
+        assert len(built) == 1  # the reach build's own
+        rfastar_solve(Instance(reach.graph, 1, 2, self.TANK, 3), reach=reach)
+        relaxed = reach.relaxed_cost
+        rfastar_solve(Instance(reach.graph, 3, 4, self.TANK, 3), reach=reach)
+        assert reach.relaxed_cost is relaxed
+        assert len(built) == 2
+
+    def test_reach_cache_gets_an_equal_bound(self, tmp_path):
+        graph = _GATE_GRAPH
+        reach = compute_reachable_sets(graph, self.TANK)
+        path = tmp_path / "reach.json"
+        save_reach_cache(reach, graph, path)
+        loaded = load_reach_cache(graph, self.TANK, path)
+        assert loaded.relaxed_cost is not None
+        assert np.array_equal(loaded.relaxed_cost, reach.relaxed_cost)
