@@ -30,6 +30,11 @@ class SchemaError(ValueError):
     """The JSON is well-formed but violates the graph schema."""
 
 
+def _is_number(x) -> bool:
+    """True for a JSON number: an int or float, not a bool, not a string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_graph(text: str) -> FuelGraph:
     try:
         doc = json.loads(text)
@@ -59,7 +64,7 @@ def parse_graph(text: str) -> FuelGraph:
         price = entry.get("price")
         if price is None:
             p = NON_REFUELLABLE
-        elif isinstance(price, (int, float)) and not isinstance(price, bool) and price >= 0:
+        elif _is_number(price) and price >= 0:
             p = float(price)
         else:
             raise SchemaError(f"vertices[{i}].price must be >= 0 or null")
@@ -78,7 +83,7 @@ def parse_graph(text: str) -> FuelGraph:
             if str(entry[key]) not in index:
                 raise SchemaError(f"edges[{i}].{key} references unknown vertex {entry[key]!r}")
         fuel = entry["fuel"]
-        if not isinstance(fuel, (int, float)) or isinstance(fuel, bool) or not fuel > 0:
+        if not (_is_number(fuel) and fuel > 0):
             raise SchemaError(f"edges[{i}].fuel must be > 0")
         u, v = index[str(entry["from"])], index[str(entry["to"])]
         if u == v:
@@ -124,17 +129,24 @@ def solution_from_json(graph: FuelGraph, text: str) -> tuple[Solution, float]:
     """Rebuild a Solution from its JSON form; returns (solution, stated cost).
 
     Hop distances are not stored in the file; validation replays hops with
-    refuel-graph distances, so zeros are used as placeholders.
+    refuel-graph distances, so zeros are used as placeholders.  The cost and
+    every amount must be JSON numbers, not strings or booleans (SchemaError).
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     index = graph.name_index()
+
+    def number(x) -> float:
+        if not _is_number(x):
+            raise TypeError(f"{x!r} is not a number")
+        return float(x)
+
     try:
-        stops = tuple((index[s["vertex"]], float(s["amount"])) for s in doc["stops"])
+        stops = tuple((index[s["vertex"]], number(s["amount"])) for s in doc["stops"])
         route = tuple((index[v], 0.0) for v in doc["route"])
-        cost = float(doc["cost"])
+        cost = number(doc["cost"])
     except (KeyError, TypeError) as e:
         raise SchemaError(f"solution document is malformed: {e}") from None
     sol = Solution(stops=stops, route=route, total_cost=cost, arrival_fuel=())

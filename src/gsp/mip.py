@@ -44,7 +44,6 @@ class MipModel:
     rows: tuple[MipRow, ...]
     objective: tuple[tuple[float, str], ...]
     big_m: float
-    smart_refuel: bool
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,6 @@ def build_mip(inst: Instance, include_smart_refuel: bool = True,
         rows=tuple(rows),
         objective=objective,
         big_m=big_m,
-        smart_refuel=include_smart_refuel,
     )
 
 

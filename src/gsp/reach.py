@@ -189,23 +189,6 @@ def dijkstra(adj: tuple[tuple[tuple[int, float], ...], ...], heap: list[tuple[fl
                 heappush(heap, (nd, v))
 
 
-def shortest_fuel(
-    adj: tuple[tuple[tuple[int, float], ...], ...],
-    source: int,
-    limit: float = math.inf,
-) -> tuple[list[float], list[int]]:
-    """Dijkstra over fuel from source, run to completion.
-
-    Returns (dist, settled): dist[v] is the least fuel from source to v, or
-    +inf when that exceeds limit or v cannot be reached; settled lists the
-    vertices within limit in the order they were settled, source first.
-    """
-    dist = [math.inf] * len(adj)
-    dist[source] = 0.0
-    settled = [v for v, _ in dijkstra(adj, [(0.0, source)], dist, limit)]
-    return dist, settled
-
-
 # The Floyd-Warshall build is taken from _FW_MIN_N vertices, where numpy's
 # fixed cost per pass is paid back, and when at least one arc in
 # _FW_CELLS_PER_ARC of the n * n possible ones exists.  Fitted on random

@@ -9,13 +9,15 @@ empty at the goal.
 Successors are generated lazily (partial-expansion A*).  Expanding a label
 computes its children as plain tuples in one per-parent heap, and the open
 list holds a single cursor entry for that heap, keyed on its cheapest
-child.  Every label enters the open list this way: the start is the one
-child of a cursor with no parent, and its free coasts on initial fuel are
-one more cursor, pushed when the start is popped.  A child becomes a Label
-only when its cursor reaches the top of the open list; it is then checked
-against the per-vertex frontier sets, which prune dominated labels once,
-when they are materialised and popped.  labels_generated counts exactly
-the labels taken off the open list.
+child.  Every label enters the open list this way, so the loop treats
+every popped label alike.  The start is the one child of a cursor with no
+parent; its free coasts on initial fuel are one more cursor, pushed with
+it before the loop, whose parent is a root label at the start that is
+never popped.  A child becomes a Label only when its cursor reaches the
+top of the open list; it is then checked against the per-vertex frontier
+sets, which prune dominated labels once, when they are materialised and
+popped.  labels_generated counts exactly the labels taken off the open
+list.
 
 Two variants share the loop: the bounded mode enforces the stop limit and
 uses three-way dominance; the unbounded mode drops the limit and prunes
@@ -75,13 +77,12 @@ class Frontier:
         self._price = graph_prices
         self.unbounded = unbounded
 
-    def _beats(self, stored: Label, l: Label) -> bool:
-        if self.unbounded and math.isfinite(self._price[l.v]):
-            return scalarized_dominates(l, stored, self._price[l.v])
-        return dominates(stored, l)
-
     def dominated(self, l: Label) -> bool:
-        return any(self._beats(stored, l) for stored in self._labels.get(l.v, ()))
+        stored = self._labels.get(l.v, ())
+        c_v = self._price[l.v]
+        if self.unbounded and math.isfinite(c_v):
+            return any(scalarized_dominates(l, s, c_v) for s in stored)
+        return any(dominates(s, l) for s in stored)
 
     def insert(self, l: Label):
         self._labels.setdefault(l.v, []).append(l)
@@ -219,7 +220,8 @@ def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
     frontier = Frontier(price, unbounded=opts.unbounded_stops)
     # Entries are (f, -q, k, seq, parent, children): a cursor over a heap of
     # ChildEntry tuples, keyed on its top child; seq is unique, so payloads
-    # never compare.  The start is the one child of a cursor with no parent.
+    # never compare.  The start is the one child of a cursor with no parent;
+    # its coasts are children of a root label that is never popped.
     heap: list[tuple] = []
     seq = count()
 
@@ -231,6 +233,11 @@ def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
     if h0 == math.inf:
         return None
     push(None, 0, [(h0, -inst.q0, inst.start, 0.0, 0.0)])
+    if inst.q0 > 0.0 and inst.start != inst.goal:
+        root = Label(inst.start, 0.0, inst.q0, 0)
+        coasts = _coast_children(root, reach, inst, ctx)
+        if coasts:
+            push(root, 0, coasts)
 
     while heap:
         if deadline is not None and perf_counter() > deadline:
@@ -247,10 +254,6 @@ def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
         frontier.insert(lbl)
         if lbl.v == inst.goal:
             return lbl
-        if parent is None and inst.q0 > 0.0:
-            coasts = _coast_children(lbl, reach, inst, ctx)
-            if coasts:
-                push(lbl, k, coasts)
         if not opts.unbounded_stops and lbl.k >= inst.k_max:
             continue
         if math.isinf(price[lbl.v]):

@@ -3,9 +3,10 @@ import io
 
 import pytest
 
-from gsp import gen_binomial
+from gsp import FuelGraph, gen_binomial
 from gsp.bench import BenchSpec, bench_run, load_bench_spec
 from gsp.graphio import write_graph
+from gsp.oracle import MAX_VERTICES
 
 from conftest import worked_example_graph
 
@@ -64,6 +65,20 @@ def test_timeout_rows_carry_partial_stats():
     rows = _rows(bench_run(spec))
     assert all(r["status"] == "timeout" for r in rows)
     assert all(r["total_ms"] != "" for r in rows)
+
+
+def test_oracle_over_its_size_guard_writes_an_error_row():
+    graph = FuelGraph.build([1.0] * (MAX_VERTICES + 1),
+                            [(i, i + 1, 1.0) for i in range(MAX_VERTICES)])
+    spec = BenchSpec(
+        graph=graph, q_max=2.0, k_max=MAX_VERTICES,
+        instances=((0, MAX_VERTICES),), solvers=("rfastar", "oracle"),
+    )
+    search, oracle = _rows(bench_run(spec))
+    assert search["status"] == "solved"
+    assert oracle["status"] == "error"
+    assert oracle["cost"] == oracle["labels_generated"] == oracle["search_ms"] == ""
+    assert oracle["total_ms"] != ""
 
 
 def test_row_order_is_instance_major():

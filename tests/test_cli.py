@@ -152,6 +152,24 @@ def test_validate_rejects_broken_schedule(graph_file, tmp_path, capsys):
     ]) == 3
 
 
+@pytest.mark.parametrize("cost, amount", [
+    ("1", "1"), (True, 1.0), (1.0, True),
+], ids=["strings", "bool-cost", "bool-amount"])
+def test_validate_rejects_numbers_that_are_not_json_numbers(tmp_path, cost, amount):
+    # Buying 1 at s for the one hop to t costs 1: read as floats, "1" and
+    # true would pass as that valid schedule.
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(write_graph(FuelGraph.build([1.0, 1.0], [(0, 1, 1.0)], names=["s", "t"])))
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({
+        "cost": cost, "stops": [{"vertex": "s", "amount": amount}], "route": ["s", "t"],
+    }))
+    assert main([
+        "validate", "--graph", str(graph_path), "--start", "s", "--goal", "t",
+        "--qmax", "1", "--kmax", "1", "--solution", str(sol_path),
+    ]) == 3
+
+
 def test_reach_cache_flag_creates_and_reuses(graph_file, tmp_path, capsys):
     cache = tmp_path / "reach.json"
     assert main(_solve_args(graph_file, "--reach-cache", str(cache))) == 0

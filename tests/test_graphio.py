@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -103,6 +104,19 @@ def test_solution_json_round_trip():
     parsed, stated = solution_from_json(inst.graph, text)
     assert stated == result.total_cost
     assert validate_solution(inst, parsed) == result.total_cost
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cost", "15"), ("cost", True), ("amount", "5"), ("amount", True),
+], ids=["cost-string", "cost-bool", "amount-string", "amount-bool"])
+def test_solution_numbers_must_be_json_numbers(key, value):
+    doc = {"cost": 15.0, "stops": [{"vertex": "o", "amount": 5.0}], "route": ["o", "b", "t"]}
+    if key == "cost":
+        doc["cost"] = value
+    else:
+        doc["stops"][0]["amount"] = value
+    with pytest.raises(SchemaError, match="is not a number"):
+        solution_from_json(worked_example_graph(), json.dumps(doc))
 
 
 def test_reach_cache_round_trip(tmp_path):

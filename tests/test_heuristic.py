@@ -24,7 +24,7 @@ from gsp import (
 from gsp import reach as reach_module
 from gsp.graphio import load_reach_cache, save_reach_cache
 from gsp.heuristic import h_for
-from gsp.reach import reach_for, shortest_fuel
+from gsp.reach import dijkstra, reach_for
 from gsp.search import SearchOptions
 
 from conftest import A, B, O, T, decimal_price_graph, random_instance, worked_example
@@ -145,7 +145,9 @@ class TestExactness:
 
     @staticmethod
     def _check(reach, goal):
-        full = shortest_fuel(reach.graph.pred, goal)[0]
+        full = [math.inf] * reach.n
+        full[goal] = 0.0
+        list(dijkstra(reach.graph.pred, [(0.0, goal)], full))  # fills full
         assert build_heuristic(reach, goal).d_to_goal == tuple(full)
 
     @pytest.mark.parametrize("seeds", [range(0, 250), range(250, 500)], ids=["0-249", "250-499"])

@@ -111,6 +111,19 @@ class TestCheckAssignment:
         report = check_assignment(wx_model, assignment)
         assert any(name == "tank_o" for name, _ in report.violations)
 
+    def test_binary_and_bound_violations_are_reported(self, wx, wx_reach):
+        # The start fuel is pinned at q0 = 1, y is binary and a is at least 0.
+        model = build_mip(Instance(wx.graph, O, T, wx.q_max, wx.k_max, 1.0), reach=wx_reach)
+
+        def domain(assignment):
+            return {(name, x) for name, x in check_assignment(model, assignment).violations
+                    if name.startswith(("binary_", "bound_"))}
+
+        assert domain({"q_o": 1.0, "y_a": 1.0}) == set()
+        assert domain({"y_a": -1.0, "a_a": -1.0, "q_o": 3.0}) == {
+            ("binary_y_a", -1.0), ("bound_a_a", -1.0), ("bound_q_o", 2.0)}
+        assert domain({"y_a": 0.5, "q_o": 0.25}) == {("binary_y_a", 0.5), ("bound_q_o", -0.75)}
+
     @pytest.mark.parametrize("seed", range(15))
     def test_search_optimum_satisfies_model(self, seed):
         inst = random_instance(seed)

@@ -1,4 +1,5 @@
 import math
+from time import perf_counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from gsp import (
     Infeasible,
     Instance,
     Route,
+    SolveTimeout,
     brute_force_solve,
     completion_costs,
     compute_reachable_sets,
@@ -57,6 +59,16 @@ class TestGuards:
 
 
 class TestBruteForce:
+    def test_past_deadline_times_out_in_the_route_loop(self):
+        # K6 with unit fuels has 521 walks of five hops from 0 to 5 alone,
+        # so the check after the 256th route fires.
+        g = FuelGraph.build([1.0] * 6, [(u, v, 1.0) for u in range(6) for v in range(6) if u != v])
+        inst = Instance(g, 0, 5, 5.0, 5)
+        assert sum(1 for _ in enumerate_goal_routes(inst, compute_reachable_sets(g, 5.0))) >= 256
+        with pytest.raises(SolveTimeout) as info:
+            brute_force_solve(inst, deadline=perf_counter() - 1.0)
+        assert info.value.stats.search_time > 0.0
+
     def test_worked_example(self, wx):
         result = brute_force_solve(wx)
         assert result.total_cost == 15.0

@@ -12,6 +12,7 @@ from gsp import (
     Instance,
     Label,
     SolveTimeout,
+    brute_force_solve,
     build_heuristic,
     compute_reachable_sets,
     dp_solve,
@@ -21,7 +22,7 @@ from gsp import (
     validate_solution,
 )
 from gsp.heuristic import h_for
-from gsp.search import SearchOptions, refuel_amount, refuel_schedule_for_route
+from gsp.search import SearchOptions, _coast_children, refuel_amount, refuel_schedule_for_route
 
 from conftest import A, B, O, T, child_labels, label_key, random_instance, unpruned_solve, worked_example
 
@@ -292,6 +293,21 @@ class TestInitialFuel:
         result, stats = rfastar_solve(Instance(g, 0, 1, 5.0, 1, q0=3.0))
         assert result.total_cost == 0.0
         assert stats.labels_generated == 2
+
+    def test_heuristic_drops_a_coast_to_a_dead_end(self):
+        # Vertex 1 sells fuel but has no arc on to the goal 2.
+        g = FuelGraph.build([1.0, 1.0, 3.0], [(0, 1, 1.0), (0, 2, 3.0)])
+        inst = Instance(g, 0, 2, 5.0, 2, q0=2.0)
+        reach = compute_reachable_sets(g, 5.0)
+        ctx = build_heuristic(reach, inst.goal)
+        root = Label(0, 0.0, 2.0, 0)
+        assert math.isinf(h_for(ctx, 1, 1.0))
+        assert _coast_children(root, reach, inst, ctx) == []
+        assert _coast_children(root, reach, inst, None) == [(0.0, -1.0, 1, 0.0, 0.0)]
+        for opts in (SearchOptions(), SearchOptions(use_heuristic=False)):
+            assert rfastar_solve(inst, opts, reach=reach)[0].total_cost == 1.0
+        assert dp_solve(inst, reach=reach)[0].total_cost == 1.0
+        assert brute_force_solve(inst, reach=reach).total_cost == 1.0
 
     def test_label_invariants_hold_for_every_generated_label(self, generated_labels):
         for seed in range(8):
