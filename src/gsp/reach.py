@@ -17,17 +17,19 @@ exact integers below 2^53, so its rows equal the Dijkstra rows bit for bit;
 decimal fuels would round differently in the two orders of addition and
 always take Dijkstra.
 
-``ReachGraph.succ`` is the only stored copy of the arcs.  Three views are
+``ReachGraph.succ`` is the only stored copy of the arcs.  Four views are
 built on first use and kept with the graph, so every later query on the
 same reach graph gets them for free: the DP reads the CSR arrays
-``ReachGraph.arrays``; the heuristic reads the goal's column of
-``ReachGraph.into``, the arcs into each vertex, and on dense integral
-graphs the goal's row of ``ReachGraph.relaxed_cost``, the least cost to
-the goal with no tank or stop limit, which reruns the Floyd-Warshall
-closure rather than keep its matrix.  ``distance`` is a binary search in
-the sorted arc list of the tail.  Every solver and checker gets its reach
-graph from ``reach_for``, which builds one for the instance or rejects one
-built for another graph or tank.
+``ReachGraph.arrays`` and, on the same arcs, ``ReachGraph.purchase``, the
+prices and the arcs on which the purchase rule fills the tank; the
+heuristic reads the goal's column of ``ReachGraph.into``, the arcs into
+each vertex, and on dense integral graphs the goal's row of
+``ReachGraph.relaxed_cost``, the least cost to the goal with no tank or
+stop limit, which reruns the Floyd-Warshall closure rather than keep its
+matrix.  ``distance`` is a binary search in the sorted arc list of the
+tail.  Every solver and checker gets its reach graph from ``reach_for``,
+which builds one for the instance or rejects one built for another graph
+or tank.
 """
 
 from __future__ import annotations
@@ -46,6 +48,23 @@ import numpy as np
 from .core import FuelGraph, Instance
 
 _HEAD = itemgetter(0)  # the arc head of a (v, d) entry in succ
+
+
+class PurchaseArrays(NamedTuple):
+    """What the purchase rule reads off the prices, on the arcs of ReachArrays.
+
+    price holds each vertex's price and sells marks the finite ones;
+    tail_price holds the price of each arc's tail, and cheaper marks the
+    arcs whose tail is strictly cheaper than their head, on which a stop
+    fills the tank unless the head is the goal.  vertex is arange(n + 1),
+    the vertex ids and n.
+    """
+
+    price: np.ndarray
+    sells: np.ndarray
+    tail_price: np.ndarray
+    cheaper: np.ndarray
+    vertex: np.ndarray
 
 
 class ReachArrays(NamedTuple):
@@ -95,6 +114,19 @@ class ReachGraph:
                            dtype=np.float64, count=m)
         src = np.repeat(np.arange(self.n, dtype=np.int64), counts)
         return ReachArrays(indptr, nbr, dist, src)
+
+    @cached_property
+    def purchase(self) -> PurchaseArrays:
+        """The purchase rule's price arrays, built on first use.
+
+        Prices belong to the graph, not to a query, so a query is left to
+        tell apart only the arcs into its goal.  Not a field, like arrays.
+        """
+        price = np.asarray(self.graph.price, dtype=np.float64)
+        _, nbr, _, src = self.arrays
+        tail_price = price[src]
+        return PurchaseArrays(price, np.isfinite(price), tail_price, tail_price < price[nbr],
+                              np.arange(self.n + 1))
 
     @cached_property
     def into(self) -> tuple[tuple[int | float, ...], ...]:

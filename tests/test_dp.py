@@ -18,7 +18,7 @@ from gsp import (
 )
 from gsp.dp import _Table, build_layers
 
-from conftest import A, B, O, T, random_instance, worked_example
+from conftest import A, B, O, T, decimal_price_graph, random_instance, worked_example
 
 
 class TestGasValues:
@@ -119,6 +119,49 @@ class TestDpSolve:
             bests.append(best)
         assert bests == sorted(bests, reverse=True)
 
+    @pytest.mark.parametrize("u, w, stops", [
+        (1, 2, ((0, 2.0), (1, 4.0), (3, 3.0))),  # the fill-up leaves the lower state
+        (2, 1, ((0, 4.0), (1, 1.0), (3, 3.0))),  # the deficit row does
+    ])
+    def test_tie_goes_to_the_lowest_source_state(self, u, w, stops):
+        """v = 3 is reached at level 0 in two stops for 6 both ways: filling
+        up at u (price 1) on the tankful hop u -> v, and buying the deficit
+        at w (price 2, as dear as v) on the hop w -> v, after filling up at
+        the start.  The optimal move from the lower state is taken."""
+        price = [1.0, 1.0, 2.0, 2.0, 1.0] if u == 1 else [1.0, 2.0, 1.0, 2.0, 1.0]
+        graph = FuelGraph.build(price, [(0, u, 2.0), (0, w, 2.0), (u, 3, 4.0), (w, 3, 3.0),
+                                        (3, 4, 3.0)])
+        inst = Instance(graph, 0, 4, 4.0, 3)
+        reach = compute_reachable_sets(graph, 4.0)
+        table, layers = build_layers(inst, reach)
+        fill_src, deficit_src = table.state(u, 0.0), table.state(w, 2.0)
+        assert layers[1][fill_src] + table.fill_cost[fill_src] == 6.0
+        assert layers[1][deficit_src] + 2.0 * (3.0 - 2.0) == 6.0
+        assert layers[2][table.state(3, 0.0)] == 6.0
+        result, _ = dp_solve(inst, reach=reach)
+        assert result.stops == stops
+        assert table.state(result.route[1][0], result.arrival_fuel[1]) == min(fill_src, deficit_src)
+        assert result.total_cost == 12.0
+
+    def test_fill_up_leaves_the_lowest_level_of_its_tail(self):
+        """From a dry start with 3 units, u = 3 is reached in one stop empty
+        for 2 (the deficit at x = 2) or with 1 unit for 4 (a fill-up at s =
+        1), and filling up there costs 10 from either level.  The schedule
+        leaves u's lower level."""
+        graph = FuelGraph.build([math.inf, 1.0, 2.0, 2.0, 3.0, 5.0],
+                                [(0, 1, 3.0), (0, 2, 3.0), (1, 3, 3.0), (2, 3, 1.0), (3, 4, 2.0),
+                                 (4, 5, 4.0)])
+        inst = Instance(graph, 0, 5, 4.0, 3, 3.0)
+        reach = compute_reachable_sets(graph, 4.0)
+        table, layers = build_layers(inst, reach)
+        low, high = table.state(3, 0.0), table.state(3, 1.0)
+        assert (layers[1][low] + table.fill_cost[low] == layers[1][high] + table.fill_cost[high]
+                == 10.0)
+        result, _ = dp_solve(inst, reach=reach)
+        assert result.stops == ((2, 1.0), (3, 4.0), (4, 2.0))
+        assert result.arrival_fuel == (3.0, 0.0, 0.0, 2.0, 0.0)
+        assert result.total_cost == 16.0
+
     def test_initial_fuel_matches_oracle(self):
         for seed in range(6):
             inst = random_instance(seed, with_q0=True)
@@ -128,6 +171,13 @@ class TestDpSolve:
                 assert isinstance(oracle_result, Infeasible)
             else:
                 assert dp_result.total_cost == oracle_result.total_cost
+
+
+def _decimal(inst):
+    """inst with fuels, tank and initial fuel times 0.1 and prices times 1.1."""
+    g = inst.graph
+    graph = FuelGraph.build([p * 1.1 for p in g.price], [(u, v, d * 0.1) for u, v, d in g.edges])
+    return Instance(graph, inst.start, inst.goal, inst.q_max * 0.1, inst.k_max, inst.q0 * 0.1)
 
 
 def _coasts(inst, reach):
@@ -185,9 +235,47 @@ class TestArrayTable:
         table = _Table(inst, reach)
         moves = list(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
                          table.amount.tolist()))
+        assert table.src.tolist() == sorted(table.src.tolist())
+        # Each fill-up arc stands for one move from every level of its tail
+        # with room in the tank, priced by the tail's fill_cost.
+        for u, dst in zip(table.fill_tail.tolist(), table.fill_dst.tolist()):
+            for s in range(table.offset[u], table.offset[u + 1]):
+                if table.fill_cost[s] < math.inf:
+                    moves.append((s, dst, float(table.fill_cost[s]),
+                                  inst.q_max - float(table.state_q[s])))
         assert len(moves) == len(set(moves))
         assert set(moves) == _reference_moves(inst, reach, table)
-        assert table.src.tolist() == sorted(table.src.tolist())
+
+    @pytest.mark.parametrize("inst", [
+        *(random_instance(seed, with_q0=q0) for seed in range(25) for q0 in (False, True)),
+        *(_decimal(random_instance(seed, with_q0=seed % 2 == 1)) for seed in range(25)),
+        *(Instance(decimal_price_graph(), s, t, 10.0, 3, q0)
+          for s in range(3) for t in range(3) if s != t for q0 in (0.0, 4.0, 9.0, 10.0)),
+    ])
+    def test_layers_match_a_python_relaxation(self, inst):
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        table, layers = build_layers(inst, reach)
+        moves = _reference_moves(inst, reach, table)
+        prev = [math.inf] * table.size
+        for s in table.initial.tolist():
+            prev[s] = 0.0
+        price = inst.graph.price
+        assert len(layers) == inst.k_max + 1
+        for k, row in enumerate(layers):
+            assert row[:table.size].tolist() == prev
+            # The hubs: the cheapest fill-up at each vertex after A_k.
+            for u in range(inst.graph.n):
+                hub = math.inf
+                if k < inst.k_max and u != inst.goal:
+                    for s in range(table.offset[u], table.offset[u + 1]):
+                        q = float(table.state_q[s])
+                        if q < inst.q_max:
+                            hub = min(hub, prev[s] + (inst.q_max - q) * price[u])
+                assert row[table.size + u] == hub
+            nxt = [math.inf] * table.size
+            for src, dst, cost, _ in moves:
+                nxt[dst] = min(nxt[dst], prev[src] + cost)
+            prev = nxt
 
     def test_unknown_state_raises(self, wx, wx_reach):
         table = _Table(wx, wx_reach)
