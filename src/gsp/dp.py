@@ -7,15 +7,20 @@ either tops the tank (arrival q_max - d) or covers the hop exactly
 (arrival 0), so each level set is bounded by the refuel-graph in-degree
 plus one.  The answer is the minimum over k of A(goal, k, 0).
 
-The state table is built with numpy array operations over the reach
-graph's CSR arrays (``ReachGraph.arrays``) and its price arrays
-(``ReachGraph.purchase``), not Python lists: the level sets are one
-lexsort-and-deduplicate over candidate (v, q) pairs.  A fill-up at u from
-level q costs (q_max - q) * c(u) whatever the next stop, so, as in Khuller,
-Malekian and Mestre (2011), the minimum over the arrival levels at u is
-taken once per vertex: each layer takes one segment minimum per vertex
-(``np.minimum.reduceat``), the hub, over the previous layer plus each
-state's fill-up cost.  Every fill-up arc then reads its tail's hub, and
+The state table is numpy arrays, not Python lists, and most of it is the
+same for every query on a reach graph: the level sets, fill-up costs,
+fill-up arcs and deficit arcs as if there were no goal and no initial fuel
+are ``ReachGraph.table``, built on the first DP query by one
+lexsort-and-deduplicate over candidate (v, q) pairs.  A query's table
+(``_Table``) trims the goal to its level 0, merges in the start's
+initial-fuel levels, and writes each state's deficit rows from its count
+of deficit arcs, plus the rows of the arcs into the goal.
+
+A fill-up at u from level q costs (q_max - q) * c(u) whatever the next
+stop, so, as in Khuller, Malekian and Mestre (2011), the minimum over the
+arrival levels at u is taken once per vertex: each layer takes one segment
+minimum per vertex (``np.minimum.reduceat``), the hub, over the previous
+layer plus each state's fill-up cost.  Every fill-up arc then reads its tail's hub, and
 every deficit move (an arc into the goal or to a vertex no dearer) its
 source state, in one gather, one add and one unbuffered scatter-minimum
 (``np.minimum.at``) into the destination states.  Every candidate is the
@@ -37,10 +42,7 @@ from time import perf_counter
 import numpy as np
 
 from .core import FuelGraph, Infeasible, Instance, SearchStats, Solution, SolveTimeout
-from .reach import ReachGraph, reach_for
-
-
-_NO_ARCS = np.empty(0, dtype=np.int64)
+from .reach import ReachGraph, distinct_levels, reach_for
 
 
 def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = None) -> list[float]:
@@ -49,7 +51,7 @@ def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = N
     {0} plus q_max - d for every reach predecessor u with a strictly
     cheaper price (the fill-up arrivals).  The goal only ever sees empty
     arrivals.  A pure-Python reference for the level sets that _Table
-    builds from ``ReachGraph.arrays``: it finds the arcs into v by looking
+    derives from ``ReachGraph.table``: it finds the arcs into v by looking
     up every tail with ``reach.distance``, so it shares no code with _Table.
     """
     if v == goal:
@@ -85,80 +87,100 @@ class _Table:
     size + u holding the cheapest fill-up at u; it adds add[i] and lands in
     to[i].  The deficit rows come first, so src, dst and cost are views of
     from_, to and add, and fill_dst is the rest of to.
+
+    Only the goal, the start and the initial fuel belong to the query; the
+    rest is read from ``ReachGraph.table`` (TableArrays), never written.
+    The goal keeps its level 0 alone and loses the fill-up arcs into it;
+    the start level and the coast arrivals are merged into the levels;
+    every arc into the goal buys from the levels of its tail that it
+    reaches, and each state's deficit rows are the last of its vertex's
+    deficit arcs, as many as its count, then its row into the goal.
     """
 
     def __init__(self, inst: Instance, reach: ReachGraph):
         n, start, goal, q_max, q0 = inst.graph.n, inst.start, inst.goal, inst.q_max, inst.q0
-        indptr, nbr, dist, tail = reach.arrays
-        price, sells, tail_price, cheaper, vertex = reach.purchase
+        base = reach.table
+        price = base.price
+        g_lo, f_lo, _, c_lo = base.ptr[:, goal].tolist()
+        g_hi, f_hi, _, c_hi = base.ptr[:, goal + 1].tolist()
 
-        # Fill-up arcs: the next stop is pricier, so the tank is topped and
-        # the arrival level is q_max - d.  The goal only sees empty arrivals.
-        into_goal = nbr == goal
-        fill = cheaper & ~into_goal
-        fill_arcs = fill.nonzero()[0]
-        # Initial fuel adds states the purchase rule alone cannot reach: the
-        # start level itself and every free-coast arrival.  Every arc takes
-        # fuel, so an empty tank coasts nowhere.
-        coasts = _NO_ARCS
+        # The goal only sees empty arrivals: it keeps its level 0, and the
+        # fill-up arcs into it, which land in its other levels, go.  State i
+        # of the table is state pick[i] of the base.
+        drop = g_hi - g_lo - 1
+        pick = np.arange(base.states.shape[1] - drop)
+        pick[g_lo + 1:] += drop
+        self.fill_tail, fill_dst = np.concatenate((base.fills[:, :f_lo], base.fills[:, f_hi:]),
+                                                  axis=1)
+        fill_dst[f_lo:] -= drop
+        states, levels = base.states, base.levels
+
         if q0 > 0.0:
-            lo, hi = indptr[start], indptr[start + 1]
-            coasts = lo + ((dist[lo:hi] <= q0) & ~into_goal[lo:hi]).nonzero()[0]
-
-        # Candidate levels, deduplicated in (v, q) order with exact float
-        # equality: {0} everywhere, the fill-up arrivals (gas_values), the
-        # start level and the coasts.
-        cand_v = np.concatenate((vertex[:n], nbr[fill_arcs], [start], nbr[coasts]))
-        cand_q = np.concatenate((np.zeros(n), q_max - dist[fill_arcs], [q0], q0 - dist[coasts]))
-        order = np.lexsort((cand_q, cand_v))
-        sorted_v, sorted_q = cand_v[order], cand_q[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = (sorted_v[1:] != sorted_v[:-1]) | (sorted_q[1:] != sorted_q[:-1])
-        cand_state = np.empty(len(order), dtype=np.int64)
-        cand_state[order] = first.cumsum() - 1
-        self.state_v = state_v = sorted_v[first]
-        self.state_q = state_q = sorted_q[first]
+            # Initial fuel adds states the purchase rule alone cannot reach:
+            # the start level itself and every free-coast arrival, each at its
+            # own vertex.  Every arc takes fuel, so an empty tank coasts
+            # nowhere.  A candidate (v, x) moves by the deficit arcs of v that
+            # take more fuel than x, if v sells, and fills up for
+            # (q_max - x) * price[v].
+            ints, floats = [], []
+            for v, x in [(start, q0)] + [(v, q0 - d) for v, d in reach.succ[start]
+                                         if d <= q0 and v != goal]:
+                lo, hi = base.ptr.item(2, v), base.ptr.item(2, v + 1)
+                p = price.item(v)
+                above = hi - lo - int(base.deficit_dist[lo:hi].searchsorted(x, "right"))
+                above *= p < math.inf
+                ints.append((v, above, hi - above))
+                floats.append((x, (q_max - x) * p))
+            ints, floats = np.array(ints).T, np.array(floats).T
+            # They join the levels as the base merged its own.  Where pick[i]
+            # is past the base's states, state i is candidate pick[i] minus
+            # their count.
+            rep, state = distinct_levels(np.concatenate((states[0].take(pick), ints[0])),
+                                         np.concatenate((levels[0].take(pick), floats[0])))
+            self.initial = state[len(pick):]
+            fill_dst = state[fill_dst]
+            pick = np.concatenate((pick, states.shape[1] + np.arange(ints.shape[1])))[rep]
+            states = np.concatenate((states, ints), axis=1)
+            levels = np.concatenate((levels, floats), axis=1)
+        state_v, deficits, first = states.take(pick, axis=1)
+        state_q, fill_cost = levels.take(pick, axis=1)
+        self.state_v, self.state_q, self.fill_cost = state_v, state_q, fill_cost
         self.size = size = len(state_v)
-        self.offset = state_v.searchsorted(vertex)
-        self.goal = int(self.offset[goal])
-        self.initial = cand_state[n + len(fill_arcs):]
-
+        self.offset = offset = state_v.searchsorted(np.arange(n + 1))
+        self.goal = int(offset[goal])
+        if q0 == 0.0:
+            self.initial = offset[start:start + 1].copy()
         # Nothing is bought at the goal, nor filled at a full start (q0 =
-        # q_max), the only level not below q_max.  Their gaps are nan first,
-        # so that no inf * 0 is formed, and their costs +inf.  An infinite
-        # price makes the product +inf by itself.
-        no_fill = [self.goal, self.initial.item(0)] if q0 == q_max else self.goal
-        gap = q_max - state_q
-        gap[no_fill] = math.nan
-        self.fill_cost = gap * price[state_v]
-        self.fill_cost[no_fill] = math.inf
-        self.fill_tail = tail[fill_arcs]
+        # q_max), the only level not below q_max.  An infinite price makes a
+        # fill-up cost +inf by itself.
+        self.fill_cost[[self.goal, self.initial.item(0)] if q0 == q_max else self.goal] = math.inf
+        deficits[self.goal] = 0
 
-        # Expand every state that buys by its vertex's other arcs, the
-        # deficit arcs, and keep the moves the purchase rule allows: into
-        # the goal with d >= q, otherwise d > q; both buy d - q and arrive
-        # empty.
-        deficit = (~fill).nonzero()[0]
-        first_deficit = deficit.searchsorted(indptr)  # per vertex, into deficit
-        buys = sells[state_v]
-        buys[self.goal] = False
-        movers = buys.nonzero()[0]
-        u = state_v[movers]
-        degree = (first_deficit[1:] - first_deficit[:-1])[u]
-        src = movers.repeat(degree)
-        # Each state's run of arcs starts at its vertex's first deficit arc.
-        run_start = first_deficit[u] - (degree.cumsum() - degree)
-        arc = deficit[np.arange(len(src)) + run_start.repeat(degree)]
-        short = dist[arc] - state_q[src]  # d - q, whose sign is that of d against q
-        keep = np.where(into_goal[arc], short >= 0.0, short > 0.0).nonzero()[0]
-        src, arc, self.amount = src[keep], arc[keep], short[keep]
-        rows = len(src)
-        self.from_ = np.concatenate((src, size + self.fill_tail))
-        self.to = np.concatenate((self.offset[nbr[arc]], cand_state[n:n + len(fill_arcs)]))
-        self.add = np.concatenate((self.amount * tail_price[arc], np.zeros(len(fill_arcs))))
+        # The goal's column: an arc u -> goal of fuel d buys d - q from the
+        # levels q of u in [low, d] (TableArrays).
+        bounds = np.full((2, n), -math.inf)
+        bounds[:, base.column_tail[c_lo:c_hi]] = base.column[:, c_lo:c_hi]
+        low, d = bounds.take(state_v, axis=1)
+        into_goal = (low <= state_q) & (state_q <= d)
+
+        # The deficit rows of a state: its run of deficit arcs, then its
+        # goal row if it has one, which first reads the entry past the run.
+        per = deficits + into_goal
+        row_end = per.cumsum()
+        rows = int(row_end[-1])
+        arc = np.arange(rows) + (first + per - row_end).repeat(per)
+        goal_rows = row_end[into_goal] - 1
+        dst = offset[base.deficit_head[arc]]
+        dst[goal_rows] = self.goal
+        self.amount = base.deficit_dist[arc]
+        self.amount[goal_rows] = d[into_goal]
+        self.amount -= state_q.repeat(per)
+        self.from_ = np.concatenate((np.arange(size).repeat(per), size + self.fill_tail))
+        self.to = np.concatenate((dst, fill_dst))
+        self.add = np.zeros(rows + len(fill_dst))
         self.src, self.dst, self.cost = self.from_[:rows], self.to[:rows], self.add[:rows]
         self.fill_dst = self.to[rows:]
+        np.multiply(self.amount, price[state_v].repeat(per), out=self.cost)
 
     def state(self, v: int, q: float) -> int:
         lo, hi = int(self.offset[v]), int(self.offset[v + 1])

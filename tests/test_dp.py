@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 from time import perf_counter
 
@@ -281,3 +283,98 @@ class TestArrayTable:
         table = _Table(wx, wx_reach)
         with pytest.raises(KeyError):
             table.state(B, 4.0)
+
+
+def _overlay_graph():
+    """Prices 1, 3, 2, 5 and tank 10, shaped so that each query overlay case
+    occurs: vertex 0 is cheaper than goal 1, so its fill-up arc 0 -> 1 turns
+    into deficit rows; vertex 3, dearer than goal 2, has level 7 (from 1 -> 3
+    of fuel 3) and the arc 3 -> 2 of fuel 7, so a row into the goal buys 0."""
+    return FuelGraph.build([1.0, 3.0, 2.0, 5.0], [
+        (0, 1, 4.0), (1, 3, 3.0), (3, 2, 7.0), (0, 2, 4.0), (2, 0, 5.0), (2, 3, 6.0)])
+
+
+def _solve_key(inst, reach):
+    result, stats = dp_solve(inst, reach=reach)
+    return repr(result), stats.dp_states_computed
+
+
+def _table_key(table):
+    rows = sorted(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
+                      table.amount.tolist()))
+    fills = sorted(zip(table.fill_tail.tolist(), table.fill_dst.tolist()))
+    return (table.state_v.tolist(), table.state_q.tolist(), table.fill_cost.tolist(),
+            table.initial.tolist(), table.goal, rows, fills)
+
+
+class TestTableBase:
+    """The goal-independent part of the table, ReachGraph.table, is built on
+    the first DP query, shared by every later query on the same reach graph,
+    and never written by one."""
+
+    @pytest.mark.parametrize("graph, q_max", [
+        (_overlay_graph(), 10.0),
+        *((random_instance(seed).graph, random_instance(seed).q_max) for seed in range(4)),
+    ])
+    def test_queries_leave_nothing_behind(self, graph, q_max):
+        queries = [Instance(graph, s, t, q_max, 3, q0)
+                   for s in range(graph.n) for t in range(graph.n) if s != t
+                   for q0 in (0.0, q_max // 2, q_max)]
+        fresh = {}
+        for inst in queries:
+            reach = compute_reachable_sets(graph, q_max)
+            fresh[inst] = (_table_key(_Table(inst, reach)), _solve_key(inst, reach))
+        for order in (queries, queries[::-1]):
+            shared = compute_reachable_sets(graph, q_max)
+            for inst in order:
+                key = (_table_key(_Table(inst, shared)), _solve_key(inst, shared))
+                assert key == fresh[inst]
+
+    def test_overlay_graph_covers_each_case(self):
+        graph = _overlay_graph()
+        reach = compute_reachable_sets(graph, 10.0)
+
+        def rows_into_goal(table):
+            return [(table.state_v[s], table.state_q[s], a) for s, t, a in
+                    zip(table.src.tolist(), table.dst.tolist(), table.amount.tolist())
+                    if t == table.goal]
+
+        # Goal 1: the tail 0 is cheaper, so its fill-up arc of fuel 4 buys
+        # 4 - q from each of its levels up to 4, here 0.
+        assert (0, 0.0, 4.0) in rows_into_goal(_Table(Instance(graph, 0, 1, 10.0, 3), reach))
+        # Goal 2: the dearer tail 3 reaches it from level 7 with d = 7.
+        table = _Table(Instance(graph, 0, 2, 10.0, 3), reach)
+        assert (3, 7.0, 0.0) in rows_into_goal(table)
+        # A full start fills nothing.
+        table = _Table(Instance(graph, 0, 2, 10.0, 3, 10.0), reach)
+        assert table.state_q[table.initial[0]] == 10.0
+        assert table.fill_cost[table.initial[0]] == math.inf
+
+    def test_built_once_on_the_first_dp_query(self):
+        inst = random_instance(7, with_q0=True)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        assert "table" not in vars(reach)  # not part of the reach build
+        dp_solve(inst, reach=reach)
+        base = reach.table
+        dp_solve(Instance(inst.graph, inst.goal, inst.start, inst.q_max, inst.k_max), reach=reach)
+        assert reach.table is base
+
+    def test_arrays_are_read_only(self):
+        inst = random_instance(7, with_q0=True)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        dp_solve(inst, reach=reach)
+        assert not any(a.flags.writeable for a in reach.table)
+        with pytest.raises(ValueError, match="read-only"):
+            reach.table.levels[1, 0] = 0.0
+
+    def test_freed_with_the_reach_graph(self):
+        inst = random_instance(7, with_q0=True)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        dp_solve(inst, reach=reach)
+        ref = weakref.ref(reach.table.states)
+        gc.disable()
+        try:
+            del reach
+            assert ref() is None
+        finally:
+            gc.enable()
