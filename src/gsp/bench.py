@@ -63,13 +63,22 @@ def _spec_number(doc: dict, key: str, default: float | None = None) -> float:
     return x
 
 
+def _spec_int(doc: dict, key: str, default: int | None = None, minimum: int | None = None) -> int:
+    """A whole number, at least minimum: 2.0 reads as 2, and 1.9 is rejected, not cut."""
+    x = _spec_number(doc, key, default)
+    if x != int(x) or (minimum is not None and x < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"bench spec: {key} must be an integer{at_least}")
+    return int(x)
+
+
 def _spec_pairs(doc: dict, graph: FuelGraph) -> list[tuple[int, int]]:
     """Instances as (start, goal) vertex ids: sampled from {"count", "seed"},
     or named by a list of {"start", "goal"} objects."""
     spec_instances = doc.get("instances")
     if isinstance(spec_instances, dict):
-        rng = random.Random(int(_spec_number(spec_instances, "seed", 0)))
-        count = int(_spec_number(spec_instances, "count"))
+        rng = random.Random(_spec_int(spec_instances, "seed", 0))
+        count = _spec_int(spec_instances, "count", minimum=0)
         return [tuple(rng.sample(range(graph.n), 2)) for _ in range(count)]
     if not isinstance(spec_instances, list):
         raise SchemaError("bench spec: instances must be an object or a list")
@@ -103,7 +112,7 @@ def load_bench_spec(path: str | Path) -> BenchSpec:
     return BenchSpec(
         graph=graph,
         q_max=float(_spec_number(doc, "q_max")),
-        k_max=int(_spec_number(doc, "k_max")),
+        k_max=_spec_int(doc, "k_max", minimum=1),
         q0=float(_spec_number(doc, "q0", 0.0)),
         instances=tuple(_spec_pairs(doc, graph)),
         solvers=tuple(solvers),

@@ -115,8 +115,8 @@ class FuelGraph:
                 raise InvalidInstance(f"edge ({u}, {v}) references an unknown vertex")
             if u == v:
                 raise InvalidInstance(f"self-loop at vertex {u}")
-            if not (fuel > 0.0):
-                raise InvalidInstance(f"edge ({u}, {v}) fuel must be > 0")
+            if not (0.0 < fuel < math.inf):
+                raise InvalidInstance(f"edge ({u}, {v}) fuel must be > 0 and finite")
             pairs = [(u, v), (v, u)] if undirected else [(u, v)]
             for key in pairs:
                 old = arcs.get(key)

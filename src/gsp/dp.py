@@ -1,33 +1,40 @@
 """Dynamic-programming baseline.
 
 Forward table A(v, k, q): minimal cost to travel from the start to v,
-arriving with fuel level q after exactly k refuelling stops.  The fuel
-levels a vertex can be reached with are finite because every purchase
-either tops the tank (arrival q_max - d) or covers the hop exactly
-(arrival 0), so each level set is bounded by the refuel-graph in-degree
-plus one.  The answer is the minimum over k of A(goal, k, 0).
+arriving with fuel level q after exactly k refuelling stops.  The answer is
+the minimum over k of A(goal, k, 0).
 
-The state table is numpy arrays, not Python lists, and most of it is the
-same for every query on a reach graph: the level sets, fill-up costs,
-fill-up arcs and deficit arcs as if there were no goal and no initial fuel
-are ``ReachGraph.table``, built on the first DP query by one
-lexsort-and-deduplicate over candidate (v, q) pairs.  A query's table
-(``_Table``) trims the goal to its level 0, merges in the start's
-initial-fuel levels, and writes each state's deficit rows from its count
-of deficit arcs, plus the rows of the arcs into the goal.
+The states are (vertex, level) pairs, numbered in (v, q) order, so that the
+states of v are one run.  Every purchase either fills the tank or covers
+the hop exactly, so the levels of v are few: 0, and q_max - d for every arc
+u -> v of fuel d whose tail is strictly cheaper, on which a stop at u fills
+up (``gas_values`` is the per-vertex reference).  The goal keeps level 0
+alone.  Initial fuel q0 adds the start's level q0 and the level q0 - d of
+every vertex the start reaches on it, each cost-free.  A fill-up in state
+(u, q) buys q_max - q at u's price and leaves by an arc to a dearer vertex,
+landing at level q_max - d.  Every other move is a deficit row: from (u, q)
+along an arc of fuel d > q to a vertex no dearer than u, or along an arc
+into the goal, it buys d - q and lands at level 0.  A vertex that sells
+nothing (infinite price) buys nothing.
 
-A fill-up at u from level q costs (q_max - q) * c(u) whatever the next
-stop, so, as in Khuller, Malekian and Mestre (2011), the minimum over the
-arrival levels at u is taken once per vertex: each layer takes one segment
-minimum per vertex (``np.minimum.reduceat``), the hub, over the previous
-layer plus each state's fill-up cost.  Every fill-up arc then reads its tail's hub, and
-every deficit move (an arc into the goal or to a vertex no dearer) its
-source state, in one gather, one add and one unbuffered scatter-minimum
-(``np.minimum.at``) into the destination states.  Every candidate is the
-sum the per-(level, arc) relaxation forms, so the layers are the same to
-the bit.  The naive method determines every cell of every layer, which is
-what the state counter reports; ``gas_values`` is the per-vertex reference
-for the level sets.
+Most of the table is the same for every query on a reach graph.
+``base_table`` builds it as if there were no goal and no initial fuel
+(``TableArrays``), on the first DP query, and ``ReachGraph.table`` keeps
+it, read-only.  A query's table (``_Table``) trims the goal to its level 0,
+merges in the start's initial-fuel levels, and writes each state's deficit
+rows from its count of deficit arcs, plus the rows of the arcs into the
+goal.
+
+A fill-up's cost does not depend on the arc it leaves by, so, as in
+Khuller, Malekian and Mestre (2011), the minimum over the arrival levels
+at u is taken once per vertex: each layer takes one segment minimum per
+vertex (``np.minimum.reduceat``), the hub, over the previous layer plus
+each state's fill-up cost.  Every fill-up arc then reads its tail's hub,
+and every deficit row its source state, in one gather, one add and one
+unbuffered scatter-minimum (``np.minimum.at``) into the destination
+states.  Every candidate is the sum the per-(level, arc) relaxation forms,
+so the layers are the same to the bit.  The naive method determines every
+cell of every layer, which is what the state counter reports.
 
 The schedule is read back from the layers, goal first, as the states it
 passes and the amount bought at each, and written through
@@ -38,11 +45,12 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import FuelGraph, Infeasible, Instance, SearchStats, Solution, SolveTimeout
-from .reach import ReachGraph, distinct_levels, reach_for
+from .reach import ReachGraph, reach_for
 
 
 def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = None) -> list[float]:
@@ -51,8 +59,8 @@ def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = N
     {0} plus q_max - d for every reach predecessor u with a strictly
     cheaper price (the fill-up arrivals).  The goal only ever sees empty
     arrivals.  A pure-Python reference for the level sets that _Table
-    derives from ``ReachGraph.table``: it finds the arcs into v by looking
-    up every tail with ``reach.distance``, so it shares no code with _Table.
+    derives from ``base_table``: it finds the arcs into v by looking up
+    every tail with ``reach.distance``, so it shares no code with them.
     """
     if v == goal:
         return [0.0]
@@ -65,22 +73,138 @@ def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = N
     return sorted(vals)
 
 
+class TableArrays(NamedTuple):
+    """The part of the state table that no query decides.
+
+    Arrays of one length and type are stacked, so that a reach graph keeps
+    few array objects and a query gathers each stack at once.  price holds
+    each vertex's price.
+
+    Per state s: states[0] is the vertex v and levels[0] the level q;
+    levels[1] is the fill-up cost.  The deficit rows of s are the states[1]
+    deficit arcs of v with d > q, from entry states[2] on (none where v
+    sells nothing).
+
+    Per vertex v, each a range in the array it names: ptr[0] the states of
+    v, ptr[1] the fill-up arcs into v, ptr[2] the deficit arcs of v and
+    ptr[3] the column arcs into v; v's range is ptr[k][v]:ptr[k][v + 1].
+    Fill-up arc i leaves vertex fills[0][i] and lands in state fills[1][i];
+    the arcs are ordered by landing state.  The deficit arcs of each tail
+    are sorted by fuel, with heads deficit_head and fuels deficit_dist; both
+    end with one spare entry, so that the entry just past any run can be
+    read.
+
+    The column arcs are the arcs whose tail sells, by head, with tails
+    column_tail.  Were the head the goal, such an arc u -> v of fuel d
+    would buy d - q from every level q of u in [column[0], column[1]],
+    where column[1] is d: all levels up to d where u is cheaper than v
+    (column[0] is -inf), else only a level equal to d, since the deficit
+    run of u covers the levels below d.
+    """
+
+    price: np.ndarray
+    ptr: np.ndarray
+    states: np.ndarray
+    levels: np.ndarray
+    fills: np.ndarray
+    deficit_head: np.ndarray
+    deficit_dist: np.ndarray
+    column_tail: np.ndarray
+    column: np.ndarray
+
+
+def base_table(reach: ReachGraph) -> TableArrays:
+    """The table as if there were no goal and no initial fuel, read-only;
+    ``ReachGraph.table`` builds it once per reach graph."""
+    n, q_max, succ = reach.n, reach.q_max, reach.succ
+    # Every arc's tail, head and fuel, in the order of succ.
+    src = np.arange(n).repeat([len(row) for row in succ])
+    nbr = np.fromiter((v for row in succ for v, _ in row), dtype=np.int64, count=len(src))
+    dist = np.fromiter((d for row in succ for _, d in row), dtype=np.float64, count=len(src))
+    vertex = np.arange(n + 1)
+    price = np.asarray(reach.graph.price, dtype=np.float64)
+    sells = price < math.inf
+    # The purchase rule fills the tank on an arc to a dearer vertex, unless
+    # it is the goal.
+    cheaper = price[src] < price[nbr]
+
+    # Levels: {0} everywhere and the fill-up arrivals.
+    fill = cheaper.nonzero()[0]
+    cand_v = np.concatenate((vertex[:n], nbr[fill]))
+    cand_q = np.concatenate((np.zeros(n), q_max - dist[fill]))
+    rep, cand_state = distinct_levels(cand_v, cand_q)
+    state_v, state_q = cand_v[rep], cand_q[rep]
+    offset = state_v.searchsorted(vertex)
+    fill_dst = cand_state[n:]
+    by_dst = fill_dst.argsort(kind="stable")
+    fill_dst = fill_dst[by_dst]
+
+    deficit = (~cheaper).nonzero()[0]
+    deficit = deficit[np.lexsort((dist[deficit], src[deficit]))]
+    deficit_ptr = src[deficit].searchsorted(vertex)
+    run_end = deficit_ptr[state_v + 1]
+    deficits = (run_end - deficit_ptr[state_v]
+                - _at_most(dist[deficit], deficit_ptr, state_v, state_q)) * sells[state_v]
+    column = sells[src].nonzero()[0]
+    column = column[nbr[column].argsort(kind="stable")]
+    return TableArrays(*map(_read_only, (
+        price,
+        np.array([offset, fill_dst.searchsorted(offset), deficit_ptr,
+                  nbr[column].searchsorted(vertex)]),
+        np.array([state_v, deficits, run_end - deficits]),
+        np.array([state_q, (q_max - state_q) * price[state_v]]),
+        np.array([src[fill][by_dst], fill_dst]),
+        np.append(nbr[deficit], 0), np.append(dist[deficit], 0.0),
+        src[column], np.array([np.where(cheaper[column], -math.inf, dist[column]),
+                               dist[column]]))))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def distinct_levels(cand_v: np.ndarray, cand_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (vertex, level) candidates, in (v, q) order with exact
+    float equality.
+
+    Returns (rep, state): state i is candidate rep[i], the first of its
+    equals, and candidate j is state state[j].
+    """
+    order = np.lexsort((cand_q, cand_v))  # stable, so the first of equals leads
+    sorted_v, sorted_q = cand_v[order], cand_q[order]
+    first = np.empty(len(order), dtype=bool)
+    first[0] = True
+    first[1:] = (sorted_v[1:] != sorted_v[:-1]) | (sorted_q[1:] != sorted_q[:-1])
+    state = np.empty(len(order), dtype=np.int64)
+    state[order] = first.cumsum() - 1
+    return order[first], state
+
+
+def _at_most(values: np.ndarray, ptr: np.ndarray, run: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For every i, how many entries of the sorted run values[ptr[r]:ptr[r + 1]],
+    r = run[i], are at most x[i].
+
+    The values and the queries are ranked together, so that (run, rank) is
+    one exact integer key, sorted over the values; one search then counts.
+    """
+    _, rank = np.unique(np.concatenate((values, x)), return_inverse=True)
+    span = len(rank)  # above every rank
+    keys = np.arange(len(ptr) - 1).repeat(np.diff(ptr)) * span + rank[:len(values)]
+    return keys.searchsorted(run * span + rank[len(values):], "right") - ptr[run]
+
+
 class _Table:
     """Flattened state space and moves for one instance.
 
-    States are (vertex, admissible fuel level) pairs numbered in (v, q)
-    order: state_v and state_q hold each state's vertex and level, and the
-    states of v are offset[v]:offset[v + 1].  goal is the goal's one state,
-    its level 0.  initial holds the states that cost nothing: the start,
-    then the free-coast arrivals.
-
-    A fill-up buys q_max - q at its vertex's price whatever arc it leaves
-    by, so it is priced once per state: fill_cost[s] is (q_max - q) *
-    price[v], or +inf where q >= q_max or v does not buy (the goal, or an
-    infinite price).  Fill-up arc i leaves vertex fill_tail[i] and lands in
-    state fill_dst[i].  Every other move is a deficit row: row i leaves
-    state src[i], buys amount[i] for cost[i] and lands in dst[i]; rows are
-    ordered by src.
+    state_v and state_q hold each state's vertex and level, and the states
+    of v are offset[v]:offset[v + 1].  goal is the goal's one state.
+    initial holds the states that cost nothing: the start, then the
+    free-coast arrivals.  fill_cost[s] is the fill-up cost of s, or +inf
+    where s does not buy (the goal, a full start, or an infinite price).
+    Fill-up arc i leaves vertex fill_tail[i] and lands in state
+    fill_dst[i].  Deficit row i leaves state src[i], buys amount[i] for
+    cost[i] and lands in dst[i]; rows are ordered by src.
 
     A layer is relaxed with one gather over both kinds.  Move i reads entry
     from_[i] of the previous layer extended by one hub per vertex, entry
@@ -89,12 +213,7 @@ class _Table:
     from_, to and add, and fill_dst is the rest of to.
 
     Only the goal, the start and the initial fuel belong to the query; the
-    rest is read from ``ReachGraph.table`` (TableArrays), never written.
-    The goal keeps its level 0 alone and loses the fill-up arcs into it;
-    the start level and the coast arrivals are merged into the levels;
-    every arc into the goal buys from the levels of its tail that it
-    reaches, and each state's deficit rows are the last of its vertex's
-    deficit arcs, as many as its count, then its row into the goal.
+    rest is read from ``ReachGraph.table``, never written.
     """
 
     def __init__(self, inst: Instance, reach: ReachGraph):
@@ -116,11 +235,9 @@ class _Table:
         states, levels = base.states, base.levels
 
         if q0 > 0.0:
-            # Initial fuel adds states the purchase rule alone cannot reach:
-            # the start level itself and every free-coast arrival, each at its
-            # own vertex.  Every arc takes fuel, so an empty tank coasts
-            # nowhere.  A candidate (v, x) moves by the deficit arcs of v that
-            # take more fuel than x, if v sells, and fills up for
+            # The start level and the coast arrivals (an empty tank coasts
+            # nowhere).  A candidate (v, x) moves by the deficit arcs of v
+            # that take more fuel than x, if v sells, and fills up for
             # (q_max - x) * price[v].
             ints, floats = [], []
             for v, x in [(start, q0)] + [(v, q0 - d) for v, d in reach.succ[start]

@@ -83,8 +83,8 @@ def parse_graph(text: str) -> FuelGraph:
             if str(entry[key]) not in index:
                 raise SchemaError(f"edges[{i}].{key} references unknown vertex {entry[key]!r}")
         fuel = entry["fuel"]
-        if not (_is_number(fuel) and fuel > 0):
-            raise SchemaError(f"edges[{i}].fuel must be > 0")
+        if not (_is_number(fuel) and 0 < fuel < math.inf):
+            raise SchemaError(f"edges[{i}].fuel must be > 0 and finite")
         u, v = index[str(entry["from"])], index[str(entry["to"])]
         if u == v:
             raise SchemaError(f"edges[{i}] is a self-loop at {entry['from']!r}")

@@ -17,17 +17,15 @@ exact integers below 2^53, so its rows equal the Dijkstra rows bit for bit;
 decimal fuels would round differently in the two orders of addition and
 always take Dijkstra.
 
-``ReachGraph.succ`` is the only stored copy of the arcs.  Three views are
-built on first use and kept with the graph, so every later query on the
-same reach graph gets them for free: the DP reads ``ReachGraph.table``,
-the part of its state table that no query decides (the levels, fill-up
-costs, fill-up arcs and deficit arcs as if there were no goal), built from
-the CSR arrays ``ReachGraph.arrays``, which are not kept; the heuristic
-reads the goal's column of ``ReachGraph.into``, the arcs into each vertex,
-and on dense integral graphs the goal's row of ``ReachGraph.relaxed_cost``,
-the least cost to the goal with no tank or stop limit, which reruns the
-Floyd-Warshall closure rather than keep its matrix.  ``distance`` is a
-binary search in the sorted arc list of the tail.  Every solver and
+``ReachGraph.succ`` is the only stored copy of the arcs.  Views that a
+query reads are built on first use and kept with the graph, so every later
+query on the same reach graph gets them for free: the heuristic reads the
+goal's column of ``ReachGraph.into``, the arcs into each vertex, and on
+dense integral graphs the goal's row of ``ReachGraph.relaxed_cost``, the
+least cost to the goal with no tank or stop limit, which reruns the
+Floyd-Warshall closure rather than keep its matrix; ``ReachGraph.table``
+keeps the DP's goal-independent table, which ``dp`` builds.  ``distance``
+is a binary search in the sorted arc list of the tail.  Every solver and
 checker gets its reach graph from ``reach_for``, which builds one for the
 instance or rejects one built for another graph or tank.
 """
@@ -41,71 +39,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import FuelGraph, Instance
 
+if TYPE_CHECKING:
+    from .dp import TableArrays
+
 _HEAD = itemgetter(0)  # the arc head of a (v, d) entry in succ
-
-
-class TableArrays(NamedTuple):
-    """The part of the DP's state table that no query decides.
-
-    The levels, fill-ups and deficit arcs as if there were no goal and no
-    initial fuel; ``dp._Table`` derives a query's table from them.  Arrays
-    of one length and type are stacked, so that a reach graph keeps few
-    array objects and a query gathers each stack at once.
-
-    States are (vertex, level) pairs numbered in (v, q) order.  The levels
-    of v are 0 and q_max - d for every arc u -> v of fuel d whose tail is
-    strictly cheaper, on which a stop fills the tank.  Per state s:
-    states[0] is the vertex v and levels[0] the level q; levels[1] is
-    (q_max - q) * price[v], the cost of filling up in s.  The moves out of s
-    that buy d - q are the states[1] deficit arcs of v with d > q, from
-    entry states[2] on (below).  There are none where v sells nothing.
-
-    Per vertex v, each a range in the array it names: ptr[0] the states of
-    v (offset), ptr[1] the fill-up arcs into v, ptr[2] the deficit arcs of
-    v and ptr[3] the column arcs into v; v's range is ptr[k][v]:ptr[k][v +
-    1].  Fill-up arc i leaves vertex fills[0][i] and lands in state
-    fills[1][i]; the arcs are ordered by landing state.
-
-    Every other arc is a deficit arc.  Those of u are sorted by fuel, with
-    heads deficit_head and fuels deficit_dist; both end with one spare
-    entry, so that the entry just past any run can be read.
-
-    The column arcs are the arcs whose tail sells, by head, with tails
-    column_tail.  Were the head the goal, such an arc u -> v of fuel d
-    would buy d - q from every level q of u in [column[0], column[1]],
-    where column[1] is d: all levels up to d where u is cheaper than v
-    (column[0] is -inf), else only a level equal to d, since the deficit
-    run of u covers the levels below d.  price holds each vertex's price.
-    """
-
-    price: np.ndarray
-    ptr: np.ndarray
-    states: np.ndarray
-    levels: np.ndarray
-    fills: np.ndarray
-    deficit_head: np.ndarray
-    deficit_dist: np.ndarray
-    column_tail: np.ndarray
-    column: np.ndarray
-
-
-class ReachArrays(NamedTuple):
-    """CSR form of ReachGraph.succ: the arcs of u are indptr[u]:indptr[u + 1].
-
-    nbr and dist hold each arc's head and fuel, src its tail; all are
-    ordered as succ is.
-    """
-
-    indptr: np.ndarray
-    nbr: np.ndarray
-    dist: np.ndarray
-    src: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,8 +57,9 @@ class ReachGraph:
 
     d is the unconstrained shortest fuel distance from u to v.  succ[u]
     holds the arcs out of u as (v, d) pairs sorted by v; it is the only
-    stored arc list, and ``arrays``, ``into`` and ``distance`` all read it.
-    graph is the graph the arcs were built from.
+    stored arc list, and every view and ``distance`` read it.  graph is the
+    graph the arcs were built from.  The views are cached properties, not
+    fields, so equality and repr still compare and show succ only.
     """
 
     graph: FuelGraph = field(repr=False)
@@ -126,70 +70,12 @@ class ReachGraph:
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def arrays(self) -> ReachArrays:
-        """The arcs as flat numpy arrays, built anew on each use.
-
-        Only the DP table's base reads them, once per reach graph, so they
-        are not kept.  Not a field, so equality and repr still compare and
-        show succ only.
-        """
-        counts = np.fromiter(map(len, self.succ), dtype=np.int64, count=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        m = int(indptr[-1])
-        nbr = np.fromiter((v for entries in self.succ for v, _ in entries),
-                          dtype=np.int64, count=m)
-        dist = np.fromiter((d for entries in self.succ for _, d in entries),
-                           dtype=np.float64, count=m)
-        src = np.repeat(np.arange(self.n, dtype=np.int64), counts)
-        return ReachArrays(indptr, nbr, dist, src)
-
     @cached_property
     def table(self) -> TableArrays:
-        """The DP table's goal-independent part, built on the first DP query.
-
-        Every query on the same reach graph reads it and none may write to
-        it, so its arrays are read-only.  Not a field, like arrays.
-        """
-        n, q_max = self.n, self.q_max
-        _, nbr, dist, src = self.arrays
-        vertex = np.arange(n + 1)
-        price = np.asarray(self.graph.price, dtype=np.float64)
-        sells = price < math.inf
-        # The purchase rule fills the tank on an arc to a dearer vertex,
-        # unless it is the goal.
-        cheaper = price[src] < price[nbr]
-
-        # Levels: {0} everywhere and the fill-up arrivals (dp.gas_values).
-        fill = cheaper.nonzero()[0]
-        cand_v = np.concatenate((vertex[:n], nbr[fill]))
-        cand_q = np.concatenate((np.zeros(n), q_max - dist[fill]))
-        rep, cand_state = distinct_levels(cand_v, cand_q)
-        state_v, state_q = cand_v[rep], cand_q[rep]
-        offset = state_v.searchsorted(vertex)
-        fill_dst = cand_state[n:]
-        by_dst = fill_dst.argsort(kind="stable")
-        fill_dst = fill_dst[by_dst]
-
-        deficit = (~cheaper).nonzero()[0]
-        deficit = deficit[np.lexsort((dist[deficit], src[deficit]))]
-        deficit_ptr = src[deficit].searchsorted(vertex)
-        run_end = deficit_ptr[state_v + 1]
-        deficits = (run_end - deficit_ptr[state_v]
-                    - _at_most(dist[deficit], deficit_ptr, state_v, state_q)) * sells[state_v]
-        column = sells[src].nonzero()[0]
-        column = column[nbr[column].argsort(kind="stable")]
-        return TableArrays(*map(_read_only, (
-            price,
-            np.array([offset, fill_dst.searchsorted(offset), deficit_ptr,
-                      nbr[column].searchsorted(vertex)]),
-            np.array([state_v, deficits, run_end - deficits]),
-            np.array([state_q, (q_max - state_q) * price[state_v]]),
-            np.array([src[fill][by_dst], fill_dst]),
-            np.append(nbr[deficit], 0), np.append(dist[deficit], 0.0),
-            src[column], np.array([np.where(cheaper[column], -math.inf, dist[column]),
-                                   dist[column]]))))
+        """The DP's goal-independent table (``dp.base_table``), built on the
+        first DP query and kept, read-only, with the graph."""
+        from .dp import base_table
+        return base_table(self)
 
     @cached_property
     def into(self) -> tuple[tuple[int | float, ...], ...]:
@@ -197,8 +83,7 @@ class ReachGraph:
 
         into[v] is one flat tuple (u0, d0, u1, d1, ...) of the tails u and
         fuels d of the arcs u -> v, tails in increasing order.  The d are
-        the float objects of succ, so nothing is copied.  Not a field, like
-        arrays.
+        the float objects of succ, so nothing is copied.
         """
         cols: list = [[] for _ in range(self.n)]
         for u, row in enumerate(self.succ):
@@ -227,7 +112,7 @@ class ReachGraph:
         Taken only where every sum is an exact integer: the graph takes the
         Floyd-Warshall build, every finite price and the tank are integers,
         and 2 * n * max fuel and the tank, times the largest price, are
-        below 2**53.  Not a field, like arrays.
+        below 2**53.
         """
         graph = self.graph
         if not (self.q_max.is_integer() and _use_floyd_warshall(graph)):
@@ -261,41 +146,6 @@ class ReachGraph:
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.succ)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def distinct_levels(cand_v: np.ndarray, cand_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (vertex, level) candidates, in (v, q) order with exact
-    float equality.
-
-    Returns (rep, state): state i is candidate rep[i], the first of its
-    equals, and candidate j is state state[j].
-    """
-    order = np.lexsort((cand_q, cand_v))  # stable, so the first of equals leads
-    sorted_v, sorted_q = cand_v[order], cand_q[order]
-    first = np.empty(len(order), dtype=bool)
-    first[0] = True
-    first[1:] = (sorted_v[1:] != sorted_v[:-1]) | (sorted_q[1:] != sorted_q[:-1])
-    state = np.empty(len(order), dtype=np.int64)
-    state[order] = first.cumsum() - 1
-    return order[first], state
-
-
-def _at_most(values: np.ndarray, ptr: np.ndarray, run: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """For every i, how many entries of the sorted run values[ptr[r]:ptr[r + 1]],
-    r = run[i], are at most x[i].
-
-    The values and the queries are ranked together, so that (run, rank) is
-    one exact integer key, sorted over the values; one search then counts.
-    """
-    _, rank = np.unique(np.concatenate((values, x)), return_inverse=True)
-    span = len(rank)  # above every rank
-    keys = np.arange(len(ptr) - 1).repeat(np.diff(ptr)) * span + rank[:len(values)]
-    return keys.searchsorted(run * span + rank[len(values):], "right") - ptr[run]
 
 
 def dijkstra(adj: tuple[tuple[tuple[int, float], ...], ...], heap: list[tuple[float, int]],

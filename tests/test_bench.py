@@ -1,11 +1,12 @@
 import csv
 import io
+import json
 
 import pytest
 
 from gsp import FuelGraph, gen_binomial
 from gsp.bench import BenchSpec, bench_run, load_bench_spec
-from gsp.graphio import write_graph
+from gsp.graphio import SchemaError, write_graph
 from gsp.oracle import MAX_VERTICES
 
 from conftest import worked_example_graph
@@ -126,3 +127,29 @@ def test_load_spec_with_sampled_instances(tmp_path):
     assert len(spec.instances) == 4
     assert all(s != g for s, g in spec.instances)
     assert spec.instances == load_bench_spec(tmp_path / "spec.json").instances
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"k_max": 1.9}, "k_max must be an integer >= 1", id="k_max-fractional"),
+    pytest.param({"k_max": 0}, "k_max must be an integer >= 1", id="k_max-zero"),
+    pytest.param({"instances": {"count": 2.7}}, "count must be an integer >= 0",
+                 id="count-fractional"),
+    pytest.param({"instances": {"count": -1}}, "count must be an integer >= 0",
+                 id="count-negative"),
+    pytest.param({"instances": {"count": 2, "seed": 0.5}}, "seed must be an integer",
+                 id="seed-fractional"),
+])
+def test_load_spec_rejects_what_an_integer_field_would_truncate(tmp_path, change, message):
+    (tmp_path / "g.json").write_text(write_graph(worked_example_graph()))
+    doc = {"graph": "g.json", "q_max": 6, "k_max": 2, "instances": {"count": 4, "seed": 7}}
+    (tmp_path / "spec.json").write_text(json.dumps({**doc, **change}))
+    with pytest.raises(SchemaError, match=message):
+        load_bench_spec(tmp_path / "spec.json")
+
+
+def test_load_spec_takes_integral_floats(tmp_path):
+    (tmp_path / "g.json").write_text(write_graph(worked_example_graph()))
+    (tmp_path / "spec.json").write_text(
+        '{"graph": "g.json", "q_max": 6, "k_max": 2.0, "instances": {"count": 3.0, "seed": -7}}')
+    spec = load_bench_spec(tmp_path / "spec.json")
+    assert spec.k_max == 2 and isinstance(spec.k_max, int) and len(spec.instances) == 3

@@ -84,6 +84,15 @@ def test_invalid_inputs_exit_3(graph_file, tmp_path, capsys):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize("fuel", ["Infinity", "1e400"])
+def test_non_finite_edge_fuel_exits_3(tmp_path, capsys, fuel):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [{"id": "o", "price": 1}, {"id": "t", "price": 1}],'
+                    f' "edges": [{{"from": "o", "to": "t", "fuel": {fuel}}}]}}')
+    assert main(_solve_args(path)) == 3
+    assert "fuel must be > 0 and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--qmax", "inf"),
     ("--time-limit", "0"),
@@ -245,6 +254,9 @@ def test_bench_command(graph_file, tmp_path):
     pytest.param({"solvers": None}, id="solvers-null"),
     pytest.param({"graph": 3}, id="graph-a-number"),
     pytest.param({"k_max": float("inf")}, id="k_max-infinite"),
+    pytest.param({"k_max": 1.9}, id="k_max-fractional"),
+    pytest.param({"instances": {"count": 2.7}}, id="count-fractional"),
+    pytest.param({"instances": {"count": 2, "seed": 0.5}}, id="seed-fractional"),
 ])
 def test_malformed_bench_spec_exits_3(graph_file, tmp_path, capsys, change):
     doc = change

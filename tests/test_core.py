@@ -39,6 +39,10 @@ class TestFuelGraph:
         with pytest.raises(InvalidInstance):
             FuelGraph.build([1.0, 1.0], [(0, 1, 0.0)])
 
+    def test_infinite_fuel_rejected(self):
+        with pytest.raises(InvalidInstance, match="finite"):
+            FuelGraph.build([1.0, 1.0], [(0, 1, math.inf)])
+
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidInstance):
             FuelGraph.build([1.0, 1.0], [(0, 0, 1.0)])

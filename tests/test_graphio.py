@@ -67,6 +67,16 @@ def test_zero_fuel_edge_names_the_entry():
         parse_graph(doc)
 
 
+@pytest.mark.parametrize("fuel", ["Infinity", "1e400"])
+def test_infinite_fuel_edge_rejected(fuel):
+    # Python's json reads both as inf, which would make the edge unusable
+    # and the written graph not JSON.
+    doc = WX_JSON.replace('{"from": "b", "to": "t", "fuel": 5}',
+                          f'{{"from": "b", "to": "t", "fuel": {fuel}}}')
+    with pytest.raises(SchemaError, match=r"edges\[3\].fuel must be > 0 and finite"):
+        parse_graph(doc)
+
+
 def test_duplicate_vertex_id_rejected():
     doc = WX_JSON.replace('{"id": "a", "price": 3}', '{"id": "o", "price": 3}')
     with pytest.raises(SchemaError, match="duplicates"):

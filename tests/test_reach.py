@@ -106,39 +106,31 @@ def test_invalid_capacity():
             compute_reachable_sets(worked_example_graph(), q_max)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_arrays_reproduce_succ(seed):
-    rng = random.Random(seed)
-    graph = gen_binomial(rng.randint(2, 24), 0.3, seed=seed * 31 + 7)
-    reach = compute_reachable_sets(graph, float(rng.randint(1, 20)))
-    indptr, nbr, dist, src = reach.arrays
-    assert indptr[0] == 0 and len(indptr) == reach.n + 1
-    assert nbr.dtype == src.dtype == indptr.dtype == "int64" and dist.dtype == "float64"
-    for u in range(reach.n):
-        lo, hi = indptr[u], indptr[u + 1]
-        assert list(zip(nbr[lo:hi].tolist(), dist[lo:hi].tolist())) == list(reach.succ[u])
-        assert (src[lo:hi] == u).all()
-    assert len(nbr) == len(dist) == len(src) == reach.edge_count()
-
-
 @pytest.mark.parametrize("q0", [0.0, 1.0])
 def test_edgeless_reach_graph_makes_dp_infeasible(q0):
     reach = compute_reachable_sets(worked_example_graph(), 1.0)
-    assert len(reach.arrays.nbr) == 0
+    assert reach.edge_count() == 0
     result, stats = dp_solve(Instance(worked_example_graph(), O, T, 1.0, 2, q0), reach=reach)
     assert isinstance(result, Infeasible)
     assert stats.dp_states_computed == 2 * (reach.n + (q0 > 0))  # level 0, and q0 at the start
 
 
 def test_built_arrays_leave_equality_and_repr_alone(tmp_path):
-    graph = worked_example_graph()
-    reach = compute_reachable_sets(graph, 6.0)
-    text = repr(reach)
-    reach.arrays
-    assert repr(reach) == text
+    # Every view kept with a reach graph or a graph, on a graph that takes
+    # the Floyd-Warshall build, so that relaxed_cost is an array.
+    graph = gen_binomial(64, 0.3, seed=3)
+    reach = compute_reachable_sets(graph, 16.0)
+    fresh = compute_reachable_sets(gen_binomial(64, 0.3, seed=3), 16.0)
+    texts = repr(reach), repr(graph)
+    reach.into, reach.table, graph.cheapest
+    assert reach.relaxed_cost is not None
+    assert {"into", "table", "relaxed_cost"} <= vars(reach).keys() and "cheapest" in vars(graph)
+    assert (repr(reach), repr(graph)) == texts
+    assert reach == fresh and fresh == reach
+    assert graph == fresh.graph and fresh.graph == graph
     path = tmp_path / "reach.json"
     save_reach_cache(reach, graph, path)
-    loaded = load_reach_cache(graph, 6.0, path)
+    loaded = load_reach_cache(graph, 16.0, path)
     assert loaded == reach and reach == loaded
 
 
