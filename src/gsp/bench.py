@@ -121,10 +121,9 @@ def load_bench_spec(path: str | Path) -> BenchSpec:
     )
 
 
-def _fmt_cell(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+def format_number(x: float) -> str:
+    """x exactly: an integral value as an int, any other with repr."""
+    return str(int(x)) if float(x).is_integer() else repr(x)
 
 
 def run_solver(name: str, inst: Instance, reach, deadline: float | None,
@@ -177,7 +176,7 @@ def bench_run(spec: BenchSpec) -> str:
                     row["status"] = "infeasible"
                 else:
                     row["status"] = "solved"
-                    row["cost"] = _fmt_cell(result.total_cost)
+                    row["cost"] = format_number(result.total_cost)
                     row["stops"] = str(len(result.stops))
             except SolveTimeout as t:
                 row["status"] = "timeout"

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: gen, solve, bench, export-mip, validate.  Exit codes:
-0 solved or valid, 2 infeasible, 3 invalid input, 4 timeout.
+0 solved or valid, 2 infeasible, 3 invalid input (a usage error too),
+4 timeout.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .bench import SOLVER_NAMES, bench_run, load_bench_spec, run_solver
+from .bench import SOLVER_NAMES, bench_run, format_number, load_bench_spec, run_solver
 from .core import Infeasible, SolveTimeout, validate_solution
 from .generate import GenerationFailed, gen_binomial
 from .graphio import (
@@ -37,6 +38,14 @@ EXIT_TIMEOUT = 4
 _INPUT_ERRORS = (ValueError, KeyError, OSError, GenerationFailed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_INVALID, as 2 means infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--start", required=True, help="start vertex id")
@@ -60,7 +69,7 @@ def _load_reach(args, graph, q_max):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gsp", description=__doc__)
+    parser = _Parser(prog="gsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a connected random graph")
@@ -122,9 +131,10 @@ def _cmd_solve(args) -> int:
     elif isinstance(result, Infeasible):
         print("infeasible")
     else:
-        stops = " ".join(f"{graph.names[v]}+{a:g}" for v, a in result.stops) or "(none)"
+        stops = " ".join(f"{graph.names[v]}+{format_number(a)}"
+                         for v, a in result.stops) or "(none)"
         route = "->".join(graph.names[v] for v, _ in result.route)
-        print(f"cost {result.total_cost:g}")
+        print(f"cost {format_number(result.total_cost)}")
         print(f"route {route}")
         print(f"stops {stops}")
         print(f"labels generated {stats.labels_generated} expanded {stats.labels_expanded} "
@@ -156,9 +166,10 @@ def _cmd_validate(args) -> int:
     sol, stated = solution_from_json(graph, Path(args.solution).read_text())
     cost = validate_solution(inst, sol)
     if cost != stated:
-        print(f"stated cost {stated:g} but replay gives {cost:g}", file=sys.stderr)
+        print(f"stated cost {format_number(stated)} but replay gives {format_number(cost)}",
+              file=sys.stderr)
         return EXIT_INVALID
-    print(f"valid, cost {cost:g}")
+    print(f"valid, cost {format_number(cost)}")
     return EXIT_OK
 
 

@@ -6,9 +6,11 @@ Graphs are JSON documents:
      "vertices": [{"id": "o", "price": 2}, {"id": "t", "price": null}],
      "edges": [{"from": "o", "to": "a", "fuel": 2}]}
 
-A null price marks a vertex where refuelling is impossible.  Undirected
-files are expanded to two arcs on ingestion and always written back in
-directed form, so parse(write(g)) reproduces g exactly.
+A null price marks a vertex where refuelling is impossible, and nothing
+else does: every price and fuel must be a finite number, so 1e400 and
+Infinity (which Python's json reads as inf) are rejected.  Undirected files
+are expanded to two arcs on ingestion and always written back in directed
+form, so parse(write(g)) reproduces g exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 from .core import NON_REFUELLABLE, FuelGraph, Infeasible, Instance, SearchStats, Solution
@@ -33,6 +36,10 @@ class SchemaError(ValueError):
 def _is_number(x) -> bool:
     """True for a JSON number: an int or float, not a bool, not a string."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# The largest finite float; a JSON int above it would overflow float().
+_FLOAT_MAX = sys.float_info.max
 
 
 def parse_graph(text: str) -> FuelGraph:
@@ -64,10 +71,10 @@ def parse_graph(text: str) -> FuelGraph:
         price = entry.get("price")
         if price is None:
             p = NON_REFUELLABLE
-        elif _is_number(price) and price >= 0:
+        elif _is_number(price) and 0 <= price <= _FLOAT_MAX:
             p = float(price)
         else:
-            raise SchemaError(f"vertices[{i}].price must be >= 0 or null")
+            raise SchemaError(f"vertices[{i}].price must be >= 0 and finite, or null")
         index[vid] = i
         names.append(vid)
         prices.append(p)
@@ -83,7 +90,7 @@ def parse_graph(text: str) -> FuelGraph:
             if str(entry[key]) not in index:
                 raise SchemaError(f"edges[{i}].{key} references unknown vertex {entry[key]!r}")
         fuel = entry["fuel"]
-        if not (_is_number(fuel) and 0 < fuel < math.inf):
+        if not (_is_number(fuel) and 0 < fuel <= _FLOAT_MAX):
             raise SchemaError(f"edges[{i}].fuel must be > 0 and finite")
         u, v = index[str(entry["from"])], index[str(entry["to"])]
         if u == v:

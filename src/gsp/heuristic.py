@@ -16,23 +16,35 @@ for is settled (Resumable A*; Silver, "Cooperative Pathfinding", 2005).
 
 On dense integral graphs a second, price-aware term is taken as well:
 h = max((d(v) - q) * c_min, H(v) - q * price(v), 0), where H(v) is the
-least cost from v to the goal on an empty tank with no tank and no stop
-limit (``ReachGraph.relaxed_cost``; the greedy rule of Lin, Gertsch and
-Russell, 2007, and of Khuller, Malekian and Mestre, "To fill or not to
-fill", 2011).  It is admissible because the q units already held replace
-units that would cost at most price(v) each.  A vertex that sells nothing
-keeps the first term alone.  The term is taken only where every quantity
-is an exact integer: the reach graph's gate (Floyd-Warshall build,
-integral prices and tank, sums below 2**53) and an integral initial fuel
-for the query.  Elsewhere h is the first term, bit for bit.
+least cost from v to the goal on an empty tank with no tank or stop limit.
+It is admissible because the q units held replace units that would cost at
+most price(v) each; a vertex that sells nothing keeps the first term.
+With no tank, buying every unit at the cheapest station seen so far is
+optimal (Lin, Gertsch and Russell, 2007; Khuller, Malekian and Mestre, "To
+fill or not to fill", 2011), so, taking the selling vertices by increasing
+price, H(v) = min(price(v) D(v, goal), min over strictly cheaper x of
+price(v) D(v, x) + H(x)), D the all-pairs fuel before the cut at the tank.
+``relaxed_costs`` builds H for every goal once per reach graph, which keeps
+it as ``ReachGraph.relaxed_cost``.
+
+The term is taken only where every quantity is an exact integer: the graph
+takes the reach build's Floyd-Warshall (its fuels are integers), the tank
+and every finite price are integers, 2 * n * max fuel and the tank, times
+the largest price, are below 2**53 (checked once per reach graph by
+``relaxed_costs``), and the query's initial fuel is an integer (checked by
+``build_heuristic``).  Elsewhere h is the first term, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from heapq import heapify
 
+import numpy as np
+
+from . import reach as reach_module
 from .reach import ReachGraph, dijkstra
 
 
@@ -101,17 +113,42 @@ class HeuristicContext:
         return tuple(self.dist)
 
 
+def relaxed_costs(reach: ReachGraph) -> np.ndarray | None:
+    """H for every goal, read-only: relaxed[t, v] is H(v) for goal t (0, and
+    meaningless, where v sells nothing).  None where the graph fails the
+    gate.  D is recomputed rather than kept, so succ stays the only arc list."""
+    graph = reach.graph
+    if not (reach.q_max.is_integer() and reach_module._use_floyd_warshall(graph)):
+        return None
+    price = graph.price
+    order = sorted((v for v, p in enumerate(price) if p < math.inf), key=price.__getitem__)
+    sold = [price[v] for v in order]  # ascending
+    fuel_max = max(d for _, _, d in graph.edges)
+    if not (sold and all(map(float.is_integer, sold))
+            and max(2 * graph.n * fuel_max, reach.q_max) * sold[-1] < 2**53):
+        return None
+    fuel = reach_module._all_pairs_fuel(graph)
+    cost = np.full((len(order), graph.n), math.inf)  # cost[i] is H[order[i]]
+    for i, (v, p) in enumerate(zip(order, sold)):
+        np.multiply(fuel[v], p, out=cost[i], where=fuel[v] < math.inf)  # no 0 * inf = nan
+        cheaper = bisect_left(sold, p)  # the stations priced below p come first
+        if cheaper:
+            via = p * fuel[v, order[:cheaper], None] + cost[:cheaper]
+            np.minimum(cost[i], via.min(axis=0), out=cost[i])
+    relaxed = np.zeros((graph.n, graph.n))
+    relaxed[:, order] = cost.T
+    relaxed.setflags(write=False)
+    return relaxed
+
+
 def build_heuristic(reach: ReachGraph, goal: int, q0: float = 0.0) -> HeuristicContext:
     """Context for one query, seeded with the goal's reach column.
 
     c_min is the least finite price of a non-goal vertex, read off
-    ``FuelGraph.cheapest`` (a price is non-negative or +inf, so it is the
-    least non-goal price when that is finite).  When every non-goal vertex
-    is non-refuellable it degenerates to 0, so the estimate becomes the
-    trivial (still admissible) zero heuristic.  q0 is the fuel the query
-    starts with: the price-aware term is taken only when it is an integer,
-    and then ``ReachGraph.relaxed_cost`` is built on the reach graph's
-    first such query.
+    ``FuelGraph.cheapest`` (prices are non-negative or +inf), or 0 when every
+    non-goal vertex is non-refuellable, which makes the estimate the trivial
+    (still admissible) zero heuristic.  The price-aware term needs an
+    integral q0, the fuel the query starts with.
     """
     c_min = next((p for p, v in reach.graph.cheapest if v != goal), math.inf)
     if math.isinf(c_min):

@@ -20,14 +20,13 @@ always take Dijkstra.
 ``ReachGraph.succ`` is the only stored copy of the arcs.  Views that a
 query reads are built on first use and kept with the graph, so every later
 query on the same reach graph gets them for free: the heuristic reads the
-goal's column of ``ReachGraph.into``, the arcs into each vertex, and on
-dense integral graphs the goal's row of ``ReachGraph.relaxed_cost``, the
-least cost to the goal with no tank or stop limit, which reruns the
-Floyd-Warshall closure rather than keep its matrix; ``ReachGraph.table``
-keeps the DP's goal-independent table, which ``dp`` builds.  ``distance``
-is a binary search in the sorted arc list of the tail.  Every solver and
-checker gets its reach graph from ``reach_for``, which builds one for the
-instance or rejects one built for another graph or tank.
+goal's column of ``ReachGraph.into``, the arcs into each vertex, and the
+goal's row of ``ReachGraph.relaxed_cost``, which ``heuristic`` builds;
+``ReachGraph.table`` keeps the DP's goal-independent table, which ``dp``
+builds.  ``distance`` is a binary search in the sorted arc list of the
+tail.  Every solver and checker gets its reach graph from ``reach_for``,
+which builds one for the instance or rejects one built for another graph
+or tank.
 """
 
 from __future__ import annotations
@@ -95,46 +94,10 @@ class ReachGraph:
 
     @cached_property
     def relaxed_cost(self) -> np.ndarray | None:
-        """Least cost to every goal with no tank and no stop limit, built on
-        first use; None where that bound is not taken.
-
-        relaxed_cost[t, v] is H[v][t], the cost of driving from v to t on an
-        empty tank when the tank holds any amount and any number of stops
-        may be made.  Buying every unit at the cheapest station seen so far
-        is then optimal (Lin, Gertsch and Russell 2007; Khuller, Malekian and
-        Mestre 2011), so taking the selling vertices by increasing price,
-        H[v] = min(p_v D[v], min over strictly cheaper x of p_v D[v, x] + H[x]),
-        where D is the all-pairs fuel before the cut at the tank.  D is
-        recomputed here rather than kept, so succ stays the only stored arc
-        list.  Row t is the goal t's column of H, so a query reads one row;
-        the entries of vertices that sell nothing are 0 and mean nothing.
-
-        Taken only where every sum is an exact integer: the graph takes the
-        Floyd-Warshall build, every finite price and the tank are integers,
-        and 2 * n * max fuel and the tank, times the largest price, are
-        below 2**53.
-        """
-        graph = self.graph
-        if not (self.q_max.is_integer() and _use_floyd_warshall(graph)):
-            return None
-        price = graph.price
-        order = sorted((v for v, p in enumerate(price) if p < math.inf), key=price.__getitem__)
-        sold = [price[v] for v in order]  # ascending
-        fuel_max = max(d for _, _, d in graph.edges)
-        if not (sold and all(map(float.is_integer, sold))
-                and max(2 * graph.n * fuel_max, self.q_max) * sold[-1] < 2**53):
-            return None
-        fuel = _all_pairs_fuel(graph)
-        cost = np.full((len(order), graph.n), math.inf)  # cost[i] is H[order[i]]
-        for i, (v, p) in enumerate(zip(order, sold)):
-            np.multiply(fuel[v], p, out=cost[i], where=fuel[v] < math.inf)  # no 0 * inf = nan
-            cheaper = bisect_left(sold, p)  # the stations priced below p come first
-            if cheaper:
-                via = p * fuel[v, order[:cheaper], None] + cost[:cheaper]
-                np.minimum(cost[i], via.min(axis=0), out=cost[i])
-        relaxed = np.zeros((graph.n, graph.n))
-        relaxed[:, order] = cost.T
-        return relaxed
+        """The heuristic's bound H (``heuristic.relaxed_costs``), built on the
+        first query that takes it and kept; None where it is not taken."""
+        from .heuristic import relaxed_costs
+        return relaxed_costs(self)
 
     def distance(self, u: int, v: int) -> float | None:
         """Minimum fuel from u to v, or None when it exceeds the tank."""

@@ -93,6 +93,56 @@ def test_non_finite_edge_fuel_exits_3(tmp_path, capsys, fuel):
     assert "fuel must be > 0 and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("price", ["Infinity", "1e400"])
+def test_non_finite_vertex_price_exits_3(tmp_path, capsys, price):
+    # json reads both as inf; only null marks a station that sells nothing.
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"vertices": [{{"id": "o", "price": {price}}}, {{"id": "t", "price": 1}}],'
+                    ' "edges": [{"from": "o", "to": "t", "fuel": 2}]}')
+    assert main(_solve_args(path)) == 3
+    assert "vertices[0].price must be >= 0 and finite, or null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    (("--kmax", "abc"), "argument --kmax: invalid int value: 'abc'"),
+    (("--qmax", "six"), "argument --qmax: invalid float value: 'six'"),
+    (("--kmax", None), "the following arguments are required: --kmax"),
+    (("--algo", "astar"), "argument --algo: invalid choice: 'astar'"),
+], ids=["bad-int", "bad-float", "missing-flag", "unknown-algo"])
+def test_usage_errors_exit_3(graph_file, capsys, change, message):
+    # argparse exits 2, which the CLI keeps for an infeasible instance.
+    flag, value = change
+    args = _solve_args(graph_file)
+    if flag in args:
+        i = args.index(flag)
+        if value is None:
+            del args[i:i + 2]
+        else:
+            args[i + 1] = value
+    else:
+        args += [flag, value]
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gsp solve") and f"gsp solve: error: {message}" in err
+
+
+def test_unknown_subcommand_exits_3(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["route"])
+    assert exit_.value.code == 3
+    assert "gsp: error: argument command: invalid choice: 'route'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gsp")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--qmax", "inf"),
     ("--time-limit", "0"),
@@ -145,6 +195,33 @@ def test_validate_rejects_wrong_cost(graph_file, tmp_path, capsys):
         "validate", "--graph", str(graph_file), "--start", "o", "--goal", "t",
         "--qmax", "6", "--kmax", "2", "--solution", str(sol_path),
     ]) == 3
+
+
+def test_solve_prints_exact_numbers(tmp_path, capsys):
+    # 1234.56 * 1000 = 1234560.0, which :g would print as 1.23456e+06.
+    path = tmp_path / "g.json"
+    path.write_text(write_graph(FuelGraph.build([1234.56, 1.0], [(0, 1, 1000.0)],
+                                                names=["o", "t"])))
+    code = main(["solve", "--graph", str(path), "--start", "o", "--goal", "t",
+                 "--qmax", "1000", "--kmax", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "cost 1234560\n" in out and "stops o+1000\n" in out
+
+
+def test_validate_reports_the_exact_mismatch(tmp_path, capsys):
+    # The replay of buying 1 at 7.7 costs 7.7; :g would print both as 7.7.
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(write_graph(FuelGraph.build([7.7, 1.0], [(0, 1, 1.0)], names=["s", "t"])))
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({
+        "cost": 7.700000000000001, "stops": [{"vertex": "s", "amount": 1.0}], "route": ["s", "t"],
+    }))
+    assert main([
+        "validate", "--graph", str(graph_path), "--start", "s", "--goal", "t",
+        "--qmax", "1", "--kmax", "1", "--solution", str(sol_path),
+    ]) == 3
+    assert "stated cost 7.700000000000001 but replay gives 7.7\n" in capsys.readouterr().err
 
 
 def test_validate_rejects_broken_schedule(graph_file, tmp_path, capsys):

@@ -67,10 +67,11 @@ def test_zero_fuel_edge_names_the_entry():
         parse_graph(doc)
 
 
-@pytest.mark.parametrize("fuel", ["Infinity", "1e400"])
+@pytest.mark.parametrize("fuel", ["Infinity", "1e400", "1" + "0" * 400],
+                         ids=["Infinity", "1e400", "int-too-large"])
 def test_infinite_fuel_edge_rejected(fuel):
-    # Python's json reads both as inf, which would make the edge unusable
-    # and the written graph not JSON.
+    # Python's json reads the first two as inf, which would make the edge
+    # unusable and the written graph not JSON; the third overflows a float.
     doc = WX_JSON.replace('{"from": "b", "to": "t", "fuel": 5}',
                           f'{{"from": "b", "to": "t", "fuel": {fuel}}}')
     with pytest.raises(SchemaError, match=r"edges\[3\].fuel must be > 0 and finite"):
@@ -93,6 +94,16 @@ def test_unknown_edge_endpoint_rejected():
 def test_negative_price_rejected():
     doc = WX_JSON.replace('{"id": "a", "price": 3}', '{"id": "a", "price": -3}')
     with pytest.raises(SchemaError, match="price"):
+        parse_graph(doc)
+
+
+@pytest.mark.parametrize("price", ["Infinity", "1e400", "1" + "0" * 400],
+                         ids=["Infinity", "1e400", "int-too-large"])
+def test_non_finite_price_rejected(price):
+    # json reads the first two as inf, which would silently mean what null
+    # means; the third is an int too large for a float.
+    doc = WX_JSON.replace('{"id": "a", "price": 3}', f'{{"id": "a", "price": {price}}}')
+    with pytest.raises(SchemaError, match=r"vertices\[1\].price must be >= 0 and finite, or null"):
         parse_graph(doc)
 
 
