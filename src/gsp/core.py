@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .reach import ReachGraph
 
@@ -154,6 +156,17 @@ class FuelGraph:
         Not a field, so equality, repr and content_hash ignore it.
         """
         return tuple(heapq.nsmallest(2, zip(self.price, range(self.n))))
+
+    @cached_property
+    def price_array(self) -> np.ndarray:
+        """price as a read-only float64 array, built on first use.
+
+        The label search's vector pass gathers a row's head prices from it.
+        Not a field, so equality, repr and content_hash ignore it.
+        """
+        prices = np.array(self.price)
+        prices.setflags(write=False)
+        return prices
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,8 @@ def solution_from_json(graph: FuelGraph, text: str) -> tuple[Solution, float]:
 
     Hop distances are not stored in the file; validation replays hops with
     refuel-graph distances, so zeros are used as placeholders.  The cost and
-    every amount must be JSON numbers, not strings or booleans (SchemaError).
+    every amount must be finite JSON numbers, not strings or booleans, and
+    no int too large for a float (SchemaError).
     """
     try:
         doc = json.loads(text)
@@ -148,6 +149,8 @@ def solution_from_json(graph: FuelGraph, text: str) -> tuple[Solution, float]:
     def number(x) -> float:
         if not _is_number(x):
             raise TypeError(f"{x!r} is not a number")
+        if not -_FLOAT_MAX <= x <= _FLOAT_MAX:  # before float(), which overflows on a huge int
+            raise TypeError(f"{x!r} is not a finite float")
         return float(x)
 
     try:
@@ -210,13 +213,15 @@ def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachG
             if not (isinstance(entry, list) and len(entry) == 2
                     and type(entry[0]) is int and type(entry[1]) in (int, float)):
                 raise SchemaError(f"reach cache: succ[{u}][{i}] must be a [vertex, fuel] pair")
-            v, d = entry[0], float(entry[1])
+            v, d = entry
             if not (last < v < graph.n) or v == u:
                 raise SchemaError(f"reach cache: succ[{u}][{i}] vertex {v} is out of range, "
                                   "out of order or the source itself")
-            if not (math.isfinite(d) and 0.0 < d <= q_max):
-                raise SchemaError(f"reach cache: succ[{u}][{i}] fuel {d!r} is outside (0, {q_max:g}]")
-            entries.append((v, d))
+            # Compared before float(), which overflows on an int beyond any float.
+            if not (0 < d <= q_max):
+                raise SchemaError(f"reach cache: succ[{u}][{i}] fuel {d!r} "
+                                  f"is outside (0, {q_max:g}]")
+            entries.append((v, float(d)))
             last = v
         succ.append(tuple(entries))
     if doc.get("succ_sha256") != _succ_digest(rows):

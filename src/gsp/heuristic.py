@@ -13,6 +13,9 @@ Dijkstra from the goal would settle first.  The rest are settled by the
 reach build's generator ``reach.dijkstra`` over the reversed edges, seeded
 with the goal and its column and resumed on each ask until the vertex asked
 for is settled (Resumable A*; Silver, "Cooperative Pathfinding", 2005).
+h_for prices one state; h_row prices a whole reach row for the search's
+vector pass with the same operations, and so the same bits, reading d from
+a float64 copy of dist that it fills as it asks.
 
 On dense integral graphs a second, price-aware term is taken as well:
 h = max((d(v) - q) * c_min, H(v) - q * price(v), 0), where H(v) is the
@@ -40,6 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
+from functools import cached_property
 from heapq import heapify
 
 import numpy as np
@@ -70,16 +74,18 @@ class HeuristicContext:
     the graph's reversed edges.  dist[v] is d(v) once known (+inf when the
     goal is unreachable from v) and None before; the column is known from
     the start.  settled counts the vertices settle() settled beyond it.
-    relaxed is the goal's row of ``ReachGraph.relaxed_cost`` as a list, or
-    None when the price-aware term is not taken; price is the graph's.
+    relaxed_row is the goal's row of ``ReachGraph.relaxed_cost``, read by
+    h_row, and relaxed the same row as a list, read by h_for; both are None
+    when the price-aware term is not taken.  price is the graph's.
     """
 
     def __init__(self, goal: int, c_min: float, column: tuple[int | float, ...],
                  pred: tuple[tuple[tuple[int, float], ...], ...],
-                 relaxed: list[float] | None, price: tuple[float, ...]):
+                 relaxed_row: np.ndarray | None, price: tuple[float, ...]):
         self.goal = goal
         self.c_min = c_min
-        self.relaxed = relaxed
+        self.relaxed_row = relaxed_row
+        self.relaxed = None if relaxed_row is None else relaxed_row.tolist()
         self.price = price
         dist: list[float | None] = [None] * len(pred)
         dist[goal] = 0.0
@@ -103,6 +109,12 @@ class HeuristicContext:
                     return d
         dist[v] = math.inf
         return math.inf
+
+    @cached_property
+    def dist_array(self) -> np.ndarray:
+        """dist as a float64 array for ``h_row``, NaN until h_row copies an
+        entry from dist; allocated by the query's first vector pass."""
+        return np.full(len(self.dist), math.nan)
 
     @property
     def d_to_goal(self) -> tuple[float, ...]:
@@ -155,8 +167,7 @@ def build_heuristic(reach: ReachGraph, goal: int, q0: float = 0.0) -> HeuristicC
         c_min = 0.0
     relaxed = reach.relaxed_cost if float(q0).is_integer() else None
     return HeuristicContext(goal, c_min, reach.into[goal], reach.graph.pred,
-                            None if relaxed is None else relaxed[goal].tolist(),
-                            reach.graph.price)
+                            None if relaxed is None else relaxed[goal], reach.graph.price)
 
 
 def h_for(ctx: HeuristicContext, v: int, q: float) -> float:
@@ -169,3 +180,27 @@ def h_for(ctx: HeuristicContext, v: int, q: float) -> float:
     if ctx.relaxed is None or ctx.price[v] == math.inf:
         return max((d - q) * ctx.c_min, 0.0)
     return max((d - q) * ctx.c_min, ctx.relaxed[v] - q * ctx.price[v], 0.0)
+
+
+def h_row(ctx: HeuristicContext, heads: np.ndarray, q: np.ndarray,
+          price: np.ndarray) -> np.ndarray:
+    """h_for(ctx, heads[i], q[i]) for every i, bit for bit, as an array.
+
+    heads are distinct vertices and price[i] is the price of heads[i]; every
+    price must be finite, but the goal's may be any finite number, since
+    its h is 0 at every price.  Settles the heads whose d is unknown in
+    their order in heads, as the same h_for calls would.
+    """
+    known = ctx.dist_array
+    d = known[heads]
+    unknown = np.flatnonzero(np.isnan(d))
+    if unknown.size:
+        dist, settle = ctx.dist, ctx.settle
+        new = heads[unknown]
+        d[unknown] = known[new] = [settle(v) if dist[v] is None else dist[v]
+                                   for v in new.tolist()]
+    h = d - q
+    np.multiply(h, ctx.c_min, out=h, where=h < math.inf)  # +inf stays: no inf * 0 = nan
+    if ctx.relaxed_row is not None:
+        np.maximum(h, ctx.relaxed_row[heads] - q * price, out=h)
+    return np.maximum(h, 0.0, out=h)

@@ -23,10 +23,11 @@ query on the same reach graph gets them for free: the heuristic reads the
 goal's column of ``ReachGraph.into``, the arcs into each vertex, and the
 goal's row of ``ReachGraph.relaxed_cost``, which ``heuristic`` builds;
 ``ReachGraph.table`` keeps the DP's goal-independent table, which ``dp``
-builds.  ``distance`` is a binary search in the sorted arc list of the
-tail.  Every solver and checker gets its reach graph from ``reach_for``,
-which builds one for the instance or rejects one built for another graph
-or tank.
+builds; ``ReachGraph.long_rows`` keeps the label search's arrays of the
+rows it prices in one numpy pass.  ``distance`` is a binary search in the
+sorted arc list of the tail.  Every solver and checker gets its reach graph
+from ``reach_for``, which builds one for the instance or rejects one built
+for another graph or tank.
 """
 
 from __future__ import annotations
@@ -91,6 +92,28 @@ class ReachGraph:
         for v, col in enumerate(cols):
             cols[v] = tuple(col)  # frees each list as soon as it is copied
         return tuple(cols)
+
+    @cached_property
+    def long_rows(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
+        """succ as arrays, for the rows the label search prices in one
+        vector pass, built on the first expansion of such a row.
+
+        long_rows[u] is (heads int64, fuels float64), read-only and in
+        succ[u]'s order, when succ[u] holds at least ``search._ROW_MIN``
+        arcs, and None otherwise, so short rows cost nothing.
+        """
+        from .search import _ROW_MIN
+        rows: list = []
+        for row in self.succ:
+            if len(row) < _ROW_MIN:
+                rows.append(None)
+                continue
+            heads, fuels = zip(*row)
+            heads, fuels = np.array(heads, dtype=np.int64), np.array(fuels)
+            heads.setflags(write=False)
+            fuels.setflags(write=False)
+            rows.append((heads, fuels))
+        return tuple(rows)
 
     @cached_property
     def relaxed_cost(self) -> np.ndarray | None:

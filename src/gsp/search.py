@@ -19,6 +19,15 @@ sets, which prune dominated labels once, when they are materialised and
 popped.  labels_generated counts exactly the labels taken off the open
 list.
 
+Every child is still priced, in one of two ways chosen by one length test
+on the tail's reach row.  A row of at least _ROW_MIN arcs is priced in one
+numpy pass over its arrays (``ReachGraph.long_rows``): purchase, arrival
+fuel, the filters, both terms of h (``heuristic.h_row``), g and f, then one
+lexsort into pop order.  A shorter row keeps the loop over refuel_amount
+and h_for, whose fixed cost is lower.  The pass applies the loop's IEEE
+operations to the same operands in the same order, so its entries, and
+with them every answer and counter, are the loop's bit for bit.
+
 Two variants share the loop: the bounded mode enforces the stop limit and
 uses three-way dominance; the unbounded mode drops the limit and prunes
 with the scalarized rule that prices the fuel gap at the local vertex.
@@ -32,6 +41,8 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from time import perf_counter
 
+import numpy as np
+
 from .core import (
     Infeasible,
     Instance,
@@ -42,8 +53,16 @@ from .core import (
     dominates,
     scalarized_dominates,
 )
-from .heuristic import HeuristicContext, build_heuristic, h_for
+from .heuristic import HeuristicContext, build_heuristic, h_for, h_row
 from .reach import ReachGraph, reach_for
+
+# expand() prices a row of at least _ROW_MIN arcs in one numpy pass
+# (_expand_row) and a shorter one in a loop, whose fixed cost is lower.
+# Fitted on random G(256, p) and G(512, p) graphs with fuels 1..10, where
+# the pass wins from rows of about 64 arcs, and on 45x45 road grids, whose
+# rows of up to 92 arcs break even; the margin keeps grids on the loop
+# (CHANGES.md).
+_ROW_MIN = 128
 
 # One child in expand()'s heap: (f, -arrival fuel, vertex, cost, amount bought).
 ChildEntry = tuple[float, float, int, float, float]
@@ -108,7 +127,10 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
     Returns a heapified list of (f, -q, v, g, amount) tuples: the child's
     f = g + h, its arrival fuel negated, its vertex, its cost and the amount
     bought at l's vertex.  The heap order is the open list's pop order, so
-    the search can take children off it one at a time.
+    the search can take children off it one at a time.  A row of at least
+    _ROW_MIN arcs is priced by _expand_row in one numpy pass, which returns
+    the same entries sorted; a sorted list is a heap, and as heads are
+    distinct no two entries tie, so the pop order is the loop's.
 
     No child is created when the required purchase would be non-positive
     (such itineraries are subsumed by the refuel graph's transitive
@@ -116,11 +138,14 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
     not the goal, or when the heuristic proves the goal unreachable from
     the target.
     """
+    row = reach.succ[l.v]
+    if len(row) >= _ROW_MIN:
+        return _expand_row(l, reach, inst, ctx)
     price = inst.graph.price
     goal, q_max, q, g = inst.goal, inst.q_max, l.q, l.g
     c_here = price[l.v]
     children: list[ChildEntry] = []
-    for v2, d in reach.succ[l.v]:
+    for v2, d in row:
         into_goal = v2 == goal
         if not into_goal and math.isinf(price[v2]):
             continue
@@ -134,6 +159,34 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
         children.append((g2 + h, -arrive, v2, g2, a))
     heapify(children)
     return children
+
+
+def _expand_row(l: Label, reach: ReachGraph, inst: Instance,
+                ctx: HeuristicContext | None) -> list[ChildEntry]:
+    """expand() in one numpy pass over l's row (``ReachGraph.long_rows``).
+
+    Every value is the loop's IEEE operation on the same operands, so the
+    entries are the loop's bit for bit; sorted, they are a heap in the
+    loop's pop order, since heads are distinct.
+    """
+    heads, fuels = reach.long_rows[l.v]
+    c_here, q, q_max = inst.graph.price[l.v], l.q, inst.q_max
+    c_next = inst.graph.price_array[heads]
+    # The goal is priced 0: the hop into it never fills up, is never dry,
+    # and its h is 0 at any price.
+    c_next[heads == inst.goal] = 0.0
+    fill = c_here < c_next
+    a = np.where(fill, q_max - q, fuels - q)
+    arrive = np.where(fill, q_max - fuels, 0.0)
+    keep = np.flatnonzero((a > 0.0) & (c_next < math.inf))
+    heads, a, arrive, c_next = heads[keep], a[keep], arrive[keep], c_next[keep]
+    g = l.g + a * c_here
+    f = g if ctx is None else g + h_row(ctx, heads, arrive, c_next)
+    neg_q = -arrive
+    # f is +inf where the goal is unreachable; those children sort last.
+    order = np.lexsort((heads, neg_q, f))[:np.count_nonzero(f < math.inf)]
+    return list(zip(f[order].tolist(), neg_q[order].tolist(), heads[order].tolist(),
+                    g[order].tolist(), a[order].tolist()))
 
 
 def _coast_children(root: Label, reach: ReachGraph, inst: Instance,

@@ -37,6 +37,27 @@ def decimal_price_graph() -> FuelGraph:
 
 O, A, B, T = 0, 1, 2, 3
 
+LONG_ROW_TANK = 20.0
+
+
+def long_row_graph(seed: int, zero_price: bool = False) -> FuelGraph:
+    """G(150, 0.9) whose reach rows at LONG_ROW_TANK pass search._ROW_MIN.
+
+    Every row holds all 149 other vertices except the last vertex's, which
+    is a dead end with no arcs out: the goal is unreachable from it.  A
+    tenth of the other vertices are dry, and with zero_price vertex 0 sells
+    at price 0.  The graph takes the Floyd-Warshall build, so with an
+    integral initial fuel the heuristic takes its price-aware term.
+    """
+    n = 150
+    graph = gen_binomial(n, 0.9, seed=seed)
+    price = list(graph.price)
+    for v in random.Random(seed).sample(range(1, n - 1), n // 10):
+        price[v] = math.inf
+    if zero_price:
+        price[0] = 0.0
+    return FuelGraph.build(price, [(u, v, d) for u, v, d in graph.edges if u != n - 1])
+
 def label_key(l: Label) -> tuple[int, float, float, int]:
     return (l.v, l.g, l.q, l.k)
 

@@ -239,9 +239,9 @@ def test_validate_rejects_broken_schedule(graph_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cost, amount", [
-    ("1", "1"), (True, 1.0), (1.0, True),
-], ids=["strings", "bool-cost", "bool-amount"])
-def test_validate_rejects_numbers_that_are_not_json_numbers(tmp_path, cost, amount):
+    ("1", "1"), (True, 1.0), (1.0, True), (10**400, 1.0), (1.0, 10**400),
+], ids=["strings", "bool-cost", "bool-amount", "int-too-large-cost", "int-too-large-amount"])
+def test_validate_rejects_numbers_that_are_not_json_numbers(tmp_path, capsys, cost, amount):
     # Buying 1 at s for the one hop to t costs 1: read as floats, "1" and
     # true would pass as that valid schedule.
     graph_path = tmp_path / "g.json"
@@ -254,6 +254,7 @@ def test_validate_rejects_numbers_that_are_not_json_numbers(tmp_path, cost, amou
         "validate", "--graph", str(graph_path), "--start", "s", "--goal", "t",
         "--qmax", "1", "--kmax", "1", "--solution", str(sol_path),
     ]) == 3
+    assert "error: solution document is malformed" in capsys.readouterr().err
 
 
 def test_reach_cache_flag_creates_and_reuses(graph_file, tmp_path, capsys):
@@ -275,6 +276,7 @@ def test_reach_cache_flag_creates_and_reuses(graph_file, tmp_path, capsys):
     pytest.param({"succ": [[[1, 99.0]], [[0, 3.0]]]}, id="fuel-above-tank"),
     pytest.param({"succ": [[[1, 0.0]], [[0, 3.0]]]}, id="fuel-zero"),
     pytest.param({"succ": [[[1, math.nan]], [[0, 3.0]]]}, id="fuel-nan"),
+    pytest.param({"succ": [[[1, 10**400]], [[0, 3.0]]]}, id="fuel-int-too-large"),
 ])
 def test_malformed_reach_cache_exits_3(tmp_path, capsys, doc):
     graph_path = tmp_path / "pair.json"

@@ -1,11 +1,15 @@
+import gc
 import math
 import random
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsp import reach as reach_module
+from gsp import search
 from gsp import (
     FuelGraph,
     Infeasible,
@@ -20,7 +24,7 @@ from gsp import (
 )
 from gsp.graphio import load_reach_cache, save_reach_cache
 
-from conftest import A, B, O, T, worked_example, worked_example_graph
+from conftest import LONG_ROW_TANK, A, B, O, T, long_row_graph, worked_example, worked_example_graph
 
 
 def test_worked_example_reach_sets():
@@ -117,21 +121,76 @@ def test_edgeless_reach_graph_makes_dp_infeasible(q0):
 
 def test_built_arrays_leave_equality_and_repr_alone(tmp_path):
     # Every view kept with a reach graph or a graph, on a graph that takes
-    # the Floyd-Warshall build, so that relaxed_cost is an array.
-    graph = gen_binomial(64, 0.3, seed=3)
-    reach = compute_reachable_sets(graph, 16.0)
-    fresh = compute_reachable_sets(gen_binomial(64, 0.3, seed=3), 16.0)
+    # the Floyd-Warshall build, so that relaxed_cost is an array, and whose
+    # rows are long enough for the search's vector pass.
+    graph = long_row_graph(3)
+    reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+    fresh = compute_reachable_sets(long_row_graph(3), LONG_ROW_TANK)
     texts = repr(reach), repr(graph)
-    reach.into, reach.table, graph.cheapest
+    reach.into, reach.table, graph.cheapest, graph.price_array
     assert reach.relaxed_cost is not None
-    assert {"into", "table", "relaxed_cost"} <= vars(reach).keys() and "cheapest" in vars(graph)
+    assert reach.long_rows[0] is not None
+    assert {"into", "table", "relaxed_cost", "long_rows"} <= vars(reach).keys()
+    assert {"cheapest", "price_array"} <= vars(graph).keys()
     assert (repr(reach), repr(graph)) == texts
     assert reach == fresh and fresh == reach
     assert graph == fresh.graph and fresh.graph == graph
     path = tmp_path / "reach.json"
     save_reach_cache(reach, graph, path)
-    loaded = load_reach_cache(graph, 16.0, path)
+    loaded = load_reach_cache(graph, LONG_ROW_TANK, path)
     assert loaded == reach and reach == loaded
+
+
+class TestLongRows:
+    """ReachGraph.long_rows, the label search's arrays of its long rows, is
+    built on the first expansion of such a row, shared by every later query
+    on the same reach graph and never written by one."""
+
+    @staticmethod
+    def _solved(*pairs):
+        reach = compute_reachable_sets(long_row_graph(1), LONG_ROW_TANK)
+        for s, t in pairs:
+            rfastar_solve(Instance(reach.graph, s, t, LONG_ROW_TANK, 3), reach=reach)
+        return reach
+
+    def test_built_once_on_the_first_long_expansion(self):
+        reach = self._solved()
+        assert "long_rows" not in vars(reach)  # not part of the reach build
+        rfastar_solve(Instance(reach.graph, 1, 1, LONG_ROW_TANK, 3), reach=reach)
+        assert "long_rows" not in vars(reach)  # start == goal: nothing expanded
+        rfastar_solve(Instance(reach.graph, 1, 2, LONG_ROW_TANK, 3), reach=reach)
+        assert "long_rows" in vars(reach)
+        rows = reach.long_rows
+        rfastar_solve(Instance(reach.graph, 4, 3, LONG_ROW_TANK, 3), reach=reach)
+        assert reach.long_rows is rows
+
+    def test_arrays_hold_the_long_rows_only(self):
+        reach = self._solved((1, 2))
+        for row, arrays in zip(reach.succ, reach.long_rows):
+            if len(row) < search._ROW_MIN:
+                assert arrays is None
+                continue
+            heads, fuels = arrays
+            assert (heads.dtype, fuels.dtype) == (np.int64, np.float64)
+            assert list(zip(heads.tolist(), fuels.tolist())) == list(row)
+        assert reach.long_rows[-1] is None  # the dead end's empty row
+
+    def test_arrays_are_read_only(self):
+        reach = self._solved((1, 2))
+        assert not any(a.flags.writeable for row in reach.long_rows if row for a in row)
+        assert not reach.graph.price_array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            reach.long_rows[0][1][0] = 0.0
+
+    def test_freed_with_the_reach_graph(self):
+        reach = self._solved((1, 2))
+        ref = weakref.ref(reach.long_rows[0][0])
+        gc.disable()
+        try:
+            del reach
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 @st.composite

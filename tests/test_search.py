@@ -1,4 +1,5 @@
 import math
+import random
 from time import perf_counter
 
 import pytest
@@ -21,10 +22,23 @@ from gsp import (
     rfastar_solve,
     validate_solution,
 )
+from gsp import search
 from gsp.heuristic import h_for
 from gsp.search import SearchOptions, _coast_children, refuel_amount, refuel_schedule_for_route
 
-from conftest import A, B, O, T, child_labels, label_key, random_instance, unpruned_solve, worked_example
+from conftest import (
+    LONG_ROW_TANK,
+    A,
+    B,
+    O,
+    T,
+    child_labels,
+    label_key,
+    long_row_graph,
+    random_instance,
+    unpruned_solve,
+    worked_example,
+)
 
 
 class TestExpand:
@@ -76,27 +90,64 @@ class TestLazyChildren:
     """expand() returns a heap of plain tuples; the search builds a Label only
     for the children it takes off a parent's cursor."""
 
+    @staticmethod
+    def _check_entries(l: Label, reach, inst: Instance, ctx) -> list:
+        """expand()'s entries for l, checked against refuel_amount and h_for."""
+        price = inst.graph.price
+        entries = expand(l, reach, inst, ctx)
+        assert all(entries[(i - 1) // 2] <= e for i, e in enumerate(entries) if i)
+        by_vertex = {e[2]: e for e in entries}
+        assert len(by_vertex) == len(entries)
+        for v2, d in reach.succ[l.v]:
+            into_goal = v2 == inst.goal
+            a, arrive = refuel_amount(price[l.v], price[v2], l.q, d, inst.q_max, into_goal)
+            h = h_for(ctx, v2, arrive) if ctx is not None else 0.0
+            if a <= 0.0 or math.isinf(h) or (not into_goal and math.isinf(price[v2])):
+                assert v2 not in by_vertex
+                continue
+            g = l.g + a * price[l.v]
+            assert by_vertex[v2] == (g + h, -arrive, v2, g, a)
+        return entries
+
     @pytest.mark.parametrize("seed", range(6))
     def test_entries_form_a_heap_priced_by_the_shared_rules(self, seed):
         inst = random_instance(seed, with_q0=True)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         ctx = build_heuristic(reach, inst.goal)
-        price = inst.graph.price
-        parents = [Label(inst.start, 0.0, inst.q0, 0), Label(inst.start, 3.0, 0.0, 1)]
+        for l in (Label(inst.start, 0.0, inst.q0, 0), Label(inst.start, 3.0, 0.0, 1)):
+            self._check_entries(l, reach, inst, ctx)
+
+    @pytest.mark.parametrize("case", ["integral-q0", "decimal-q0", "no-heuristic",
+                                      "dry-goal", "zero-price"])
+    def test_long_rows_are_priced_by_the_shared_rules(self, monkeypatch, case):
+        """Rows that pass the gate take the vector pass; every entry is the
+        loop's, bit for bit.  Every row reaches dry stations and the dead
+        end, from which the goal is unreachable."""
+        graph = long_row_graph(3, zero_price=case == "zero-price")
+        reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+        price, dead_end = graph.price, graph.n - 1
+        dry = [v for v in range(graph.n) if math.isinf(price[v])]
+        s, t, u = [v for v in range(1, dead_end) if price[v] < math.inf][:3]
+        goal = dry[0] if case == "dry-goal" else t
+        q0 = 2.5 if case == "decimal-q0" else 4.0
+        inst = Instance(graph, s, goal, LONG_ROW_TANK, 4, q0)
+        ctx = None if case == "no-heuristic" else build_heuristic(reach, goal, q0)
+        if ctx is not None:
+            assert (ctx.relaxed is None) == (case == "decimal-q0")
+            assert h_for(ctx, dead_end, 0.0) == math.inf
+        if case == "zero-price":
+            assert ctx.c_min == 0.0
+        parents = [Label(s, 0.0, q0, 0), Label(s, 3.0, 0.0, 1), Label(0, 7.0, 11.0, 2),
+                   Label(u, 1.0, LONG_ROW_TANK, 1)]
         for l in parents:
-            entries = expand(l, reach, inst, ctx)
-            assert all(entries[(i - 1) // 2] <= e for i, e in enumerate(entries) if i)
-            by_vertex = {e[2]: e for e in entries}
-            assert len(by_vertex) == len(entries)
-            for v2, d in reach.succ[l.v]:
-                into_goal = v2 == inst.goal
-                a, arrive = refuel_amount(price[l.v], price[v2], l.q, d, inst.q_max, into_goal)
-                h = h_for(ctx, v2, arrive)
-                if a <= 0.0 or math.isinf(h) or (not into_goal and math.isinf(price[v2])):
-                    assert v2 not in by_vertex
-                    continue
-                g = l.g + a * price[l.v]
-                assert by_vertex[v2] == (g + h, -arrive, v2, g, a)
+            row = {v for v, _ in reach.succ[l.v]}
+            assert len(row) >= search._ROW_MIN and {goal, dead_end, *dry} - {l.v} <= row
+            entries = self._check_entries(l, reach, inst, ctx)
+            assert ctx is None or dead_end not in {e[2] for e in entries}
+            with monkeypatch.context() as m:
+                m.setattr(search, "_ROW_MIN", math.inf)
+                looped = expand(l, reach, inst, ctx)
+            assert repr(entries) == repr(sorted(looped))
 
     def test_dense_graph_materialises_fewer_labels_than_it_computes(self, generated_labels):
         graph = gen_binomial(40, 0.9, seed=4)
@@ -106,6 +157,31 @@ class TestLazyChildren:
         result, stats = rfastar_solve(inst, reach=reach)
         assert stats.labels_generated < len(generated_labels)
         assert result.total_cost == dp_solve(inst, reach=reach)[0].total_cost
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("q0", [0.0, 4.0, 2.5])
+def test_vector_pass_solves_like_the_loop(monkeypatch, seed, q0):
+    """Whole solves on rows that pass the gate give the loop's Solution and
+    counters in every mode."""
+    graph = long_row_graph(seed, zero_price=seed == 1)
+    reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+    rng = random.Random(seed)
+    insts = [Instance(graph, *rng.sample(range(graph.n), 2), LONG_ROW_TANK, rng.randint(2, 4), q0)
+             for _ in range(8)]
+    modes = [SearchOptions(), SearchOptions(unbounded_stops=True),
+             SearchOptions(use_heuristic=False)]
+
+    def solve_all():
+        return [(repr(result), stats.labels_generated, stats.labels_expanded,
+                 stats.labels_pruned, stats.heuristic_settled)
+                for inst in insts for opts in modes
+                for result, stats in [rfastar_solve(inst, opts, reach=reach)]]
+
+    vectored = solve_all()
+    assert any(row is not None for row in reach.long_rows)
+    monkeypatch.setattr(search, "_ROW_MIN", math.inf)
+    assert solve_all() == vectored
 
 
 class TestCheckForPrune:
