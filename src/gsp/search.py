@@ -7,9 +7,11 @@ exactly the hop's deficit otherwise, and always buy just enough to arrive
 empty at the goal.
 
 Successors are generated lazily (partial-expansion A*).  Expanding a label
-computes its children as plain tuples in one per-parent heap, and the open
-list holds a single cursor entry for that heap, keyed on its cheapest
-child.  Every label enters the open list this way, so the loop treats
+computes all its children in one per-parent cursor, and the open list holds
+a single entry for that cursor, keyed on its cheapest child.  A short row's
+cursor is a heap of plain tuples; a long row's is a _Run, whose children
+wait in sorted arrays, and a tuple is built for a child only when it is
+popped.  Every label enters the open list this way, so the loop treats
 every popped label alike.  The start is the one child of a cursor with no
 parent; its free coasts on initial fuel are one more cursor, pushed with
 it before the loop, whose parent is a root label at the start that is
@@ -23,10 +25,11 @@ Every child is still priced, in one of two ways chosen by one length test
 on the tail's reach row.  A row of at least _ROW_MIN arcs is priced in one
 numpy pass over its arrays (``ReachGraph.long_rows``): purchase, arrival
 fuel, the filters, both terms of h (``heuristic.h_row``), g and f, then one
-lexsort into pop order.  A shorter row keeps the loop over refuel_amount
-and h_for, whose fixed cost is lower.  The pass applies the loop's IEEE
-operations to the same operands in the same order, so its entries, and
-with them every answer and counter, are the loop's bit for bit.
+lexsort into pop order, kept as a _Run over the arrays.  A shorter row
+keeps the loop over refuel_amount and h_for, whose fixed cost is lower.
+The pass applies the loop's IEEE operations to the same operands in the
+same order, so its entries and their pop order, and with them every answer
+and counter, are the loop's bit for bit.
 
 Two variants share the loop: the bounded mode enforces the stop limit and
 uses three-way dominance; the unbounded mode drops the limit and prunes
@@ -36,6 +39,7 @@ with the scalarized rule that prices the fuel gap at the local vertex.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -64,8 +68,46 @@ from .reach import ReachGraph, reach_for
 # (CHANGES.md).
 _ROW_MIN = 128
 
-# One child in expand()'s heap: (f, -arrival fuel, vertex, cost, amount bought).
+# One child of expand(): (f, -arrival fuel, vertex, cost, amount bought).  A
+# short row's children are these tuples in a heap; a long row's wait in a
+# _Run's arrays, which builds the tuple of a child when it is popped.
 ChildEntry = tuple[float, float, int, float, float]
+
+
+class _Run:
+    """A long row's children in _expand_row's arrays, popped in order.
+
+    order holds the kept children's indices in pop order, and top is the
+    position of the next one.  pop() builds the one ChildEntry it takes
+    off; the other children stay array entries.  Iterating reads the
+    remaining entries in pop order and takes none off.
+    """
+
+    __slots__ = ("f", "neg_q", "v", "g", "a", "order", "top")
+
+    def __init__(self, f: np.ndarray, neg_q: np.ndarray, v: np.ndarray, g: np.ndarray,
+                 a: np.ndarray, order: np.ndarray):
+        self.f, self.neg_q, self.v, self.g, self.a = f, neg_q, v, g, a
+        self.order, self.top = order, 0
+
+    def __len__(self) -> int:
+        return len(self.order) - self.top
+
+    def key(self) -> tuple[float, float]:
+        """(f, -q) of the next child: the open-list key of this cursor."""
+        j = self.order.item(self.top)
+        return self.f.item(j), self.neg_q.item(j)
+
+    def pop(self) -> ChildEntry:
+        j = self.order.item(self.top)
+        self.top += 1
+        return self._entry(j)
+
+    def __iter__(self) -> Iterator[ChildEntry]:
+        return map(self._entry, self.order[self.top:].tolist())
+
+    def _entry(self, j: int) -> ChildEntry:
+        return self.f.item(j), self.neg_q.item(j), self.v.item(j), self.g.item(j), self.a.item(j)
 
 
 @dataclass
@@ -121,16 +163,18 @@ def refuel_amount(c_here: float, c_next: float, q: float, d: float, q_max: float
 
 
 def expand(l: Label, reach: ReachGraph, inst: Instance,
-           ctx: HeuristicContext | None = None) -> list[ChildEntry]:
+           ctx: HeuristicContext | None = None) -> list[ChildEntry] | _Run:
     """Children of l: one purchase at l's vertex, one tankful hop.
 
-    Returns a heapified list of (f, -q, v, g, amount) tuples: the child's
-    f = g + h, its arrival fuel negated, its vertex, its cost and the amount
-    bought at l's vertex.  The heap order is the open list's pop order, so
-    the search can take children off it one at a time.  A row of at least
-    _ROW_MIN arcs is priced by _expand_row in one numpy pass, which returns
-    the same entries sorted; a sorted list is a heap, and as heads are
-    distinct no two entries tie, so the pop order is the loop's.
+    Each child is an (f, -q, v, g, amount) entry: its f = g + h, its
+    arrival fuel negated, its vertex, its cost and the amount bought at l's
+    vertex.  A row shorter than _ROW_MIN arcs returns its entries as a
+    heapified list, whose heap order is the open list's pop order, so the
+    search can take children off it one at a time.  A longer row is priced
+    by _expand_row in one numpy pass and returns a _Run: the same entries
+    wait in its arrays in sorted order, and a tuple is built for each child
+    when the search pops it.  As heads are distinct no two entries tie, so
+    the pop order is the loop's.
 
     No child is created when the required purchase would be non-positive
     (such itineraries are subsumed by the refuel graph's transitive
@@ -162,12 +206,12 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
 
 
 def _expand_row(l: Label, reach: ReachGraph, inst: Instance,
-                ctx: HeuristicContext | None) -> list[ChildEntry]:
+                ctx: HeuristicContext | None) -> _Run:
     """expand() in one numpy pass over l's row (``ReachGraph.long_rows``).
 
     Every value is the loop's IEEE operation on the same operands, so the
-    entries are the loop's bit for bit; sorted, they are a heap in the
-    loop's pop order, since heads are distinct.
+    entries are the loop's bit for bit; the _Run pops them in the loop's
+    order, since heads are distinct.
     """
     heads, fuels = reach.long_rows[l.v]
     c_here, q, q_max = inst.graph.price[l.v], l.q, inst.q_max
@@ -185,8 +229,7 @@ def _expand_row(l: Label, reach: ReachGraph, inst: Instance,
     neg_q = -arrive
     # f is +inf where the goal is unreachable; those children sort last.
     order = np.lexsort((heads, neg_q, f))[:np.count_nonzero(f < math.inf)]
-    return list(zip(f[order].tolist(), neg_q[order].tolist(), heads[order].tolist(),
-                    g[order].tolist(), a[order].tolist()))
+    return _Run(f, neg_q, heads, g, a, order)
 
 
 def _coast_children(root: Label, reach: ReachGraph, inst: Instance,
@@ -271,15 +314,15 @@ def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
     """The search loop of rfastar_solve: the first goal label popped, or None."""
     price = inst.graph.price
     frontier = Frontier(price, unbounded=opts.unbounded_stops)
-    # Entries are (f, -q, k, seq, parent, children): a cursor over a heap of
-    # ChildEntry tuples, keyed on its top child; seq is unique, so payloads
-    # never compare.  The start is the one child of a cursor with no parent;
-    # its coasts are children of a root label that is never popped.
+    # Entries are (f, -q, k, seq, parent, children): a cursor, either a heap
+    # of ChildEntry tuples or a _Run, keyed on its top child; seq is unique,
+    # so payloads never compare.  The start is the one child of a cursor with
+    # no parent; its coasts are children of a root label that is never popped.
     heap: list[tuple] = []
     seq = count()
 
-    def push(parent: Label | None, k: int, children: list[ChildEntry]):
-        f, neg_q = children[0][:2]
+    def push(parent: Label | None, k: int, children: list[ChildEntry] | _Run):
+        f, neg_q = children[0][:2] if children.__class__ is list else children.key()
         heappush(heap, (f, neg_q, k, next(seq), parent, children))
 
     h0 = h_for(ctx, inst.start, inst.q0) if ctx is not None else 0.0
@@ -296,7 +339,10 @@ def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout(stats)
         _, _, k, _, parent, children = heappop(heap)
-        _, neg_q, v, g, a = heappop(children)
+        if children.__class__ is list:
+            _, neg_q, v, g, a = heappop(children)
+        else:
+            _, neg_q, v, g, a = children.pop()
         if children:
             push(parent, k, children)
         lbl = Label(v, g, -neg_q, k, parent, a)

@@ -87,7 +87,8 @@ def random_instance(seed: int, with_q0: bool = False) -> Instance:
 def child_labels(parent: Label, entries, stops: int = 1) -> list[Label]:
     """The Labels behind the search's (f, -q, v, g, amount) child entries.
 
-    Each child uses stops more stops than parent (0 for the start's coasts)
+    entries is a heap of entries or a search._Run, whose iteration reads
+    every entry it holds without taking any off.  Each child uses stops more stops than parent (0 for the start's coasts)
     and links back to it, as the search builds it when the child is taken
     off its parent's cursor.
     """
@@ -123,9 +124,9 @@ def generated_labels(monkeypatch) -> list[Label]:
     """Every child label the search computes while the test runs.
 
     Wraps gsp.search.expand and gsp.search._coast_children by module
-    attribute; rfastar_solve looks both up at call time.  Every child in
-    either function's heap is recorded, whether or not the search takes it off
-    its cursor.  The start label, which neither function returns, is not
+    attribute; rfastar_solve looks both up at call time.  Every child either
+    function returns, in a heap or in a _Run's arrays, is recorded, whether
+    or not the search takes it off its cursor.  The start label, which neither function returns, is not
     recorded.
     """
     labels: list[Label] = []

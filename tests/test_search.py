@@ -2,6 +2,7 @@ import math
 import random
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,15 +88,19 @@ class TestExpand:
 
 
 class TestLazyChildren:
-    """expand() returns a heap of plain tuples; the search builds a Label only
-    for the children it takes off a parent's cursor."""
+    """expand() returns a heap of plain tuples, or for a long row a _Run over
+    arrays; the search builds a Label only for the children it takes off a
+    parent's cursor."""
 
     @staticmethod
-    def _check_entries(l: Label, reach, inst: Instance, ctx) -> list:
-        """expand()'s entries for l, checked against refuel_amount and h_for."""
+    def _check_entries(l: Label, reach, inst: Instance, ctx):
+        """expand()'s children of l, each checked against refuel_amount and
+        h_for; a heap's entries are read in heap order, a _Run's in pop order."""
         price = inst.graph.price
-        entries = expand(l, reach, inst, ctx)
-        assert all(entries[(i - 1) // 2] <= e for i, e in enumerate(entries) if i)
+        children = expand(l, reach, inst, ctx)
+        entries = list(children)
+        if isinstance(children, list):
+            assert all(entries[(i - 1) // 2] <= e for i, e in enumerate(entries) if i)
         by_vertex = {e[2]: e for e in entries}
         assert len(by_vertex) == len(entries)
         for v2, d in reach.succ[l.v]:
@@ -107,7 +112,7 @@ class TestLazyChildren:
                 continue
             g = l.g + a * price[l.v]
             assert by_vertex[v2] == (g + h, -arrive, v2, g, a)
-        return entries
+        return children
 
     @pytest.mark.parametrize("seed", range(6))
     def test_entries_form_a_heap_priced_by_the_shared_rules(self, seed):
@@ -120,9 +125,10 @@ class TestLazyChildren:
     @pytest.mark.parametrize("case", ["integral-q0", "decimal-q0", "no-heuristic",
                                       "dry-goal", "zero-price"])
     def test_long_rows_are_priced_by_the_shared_rules(self, monkeypatch, case):
-        """Rows that pass the gate take the vector pass; every entry is the
-        loop's, bit for bit.  Every row reaches dry stations and the dead
-        end, from which the goal is unreachable."""
+        """Rows that pass the gate take the vector pass; every entry, read off
+        the _Run in pop order, is the loop's, bit for bit, and reading takes
+        none off.  Every row reaches dry stations and the dead end, from
+        which the goal is unreachable."""
         graph = long_row_graph(3, zero_price=case == "zero-price")
         reach = compute_reachable_sets(graph, LONG_ROW_TANK)
         price, dead_end = graph.price, graph.n - 1
@@ -142,12 +148,21 @@ class TestLazyChildren:
         for l in parents:
             row = {v for v, _ in reach.succ[l.v]}
             assert len(row) >= search._ROW_MIN and {goal, dead_end, *dry} - {l.v} <= row
-            entries = self._check_entries(l, reach, inst, ctx)
+            run = self._check_entries(l, reach, inst, ctx)
+            assert isinstance(run, search._Run)
+            entries = list(run)
             assert ctx is None or dead_end not in {e[2] for e in entries}
             with monkeypatch.context() as m:
                 m.setattr(search, "_ROW_MIN", math.inf)
                 looped = expand(l, reach, inst, ctx)
             assert repr(entries) == repr(sorted(looped))
+            # Both reads left every entry on the _Run, in the same order.
+            assert len(run) == len(entries)
+            popped = []
+            while run:
+                assert run.key() == entries[len(popped)][:2]
+                popped.append(run.pop())
+            assert repr(popped) == repr(entries)
 
     def test_dense_graph_materialises_fewer_labels_than_it_computes(self, generated_labels):
         graph = gen_binomial(40, 0.9, seed=4)
@@ -157,6 +172,51 @@ class TestLazyChildren:
         result, stats = rfastar_solve(inst, reach=reach)
         assert stats.labels_generated < len(generated_labels)
         assert result.total_cost == dp_solve(inst, reach=reach)[0].total_cost
+
+    def test_long_rows_materialise_fewer_labels_than_they_price(self, generated_labels):
+        """generated_labels records every child a _Run holds, popped or not."""
+        graph = long_row_graph(0)
+        reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+        inst = Instance(graph, 0, 1, LONG_ROW_TANK, 4)
+        result, stats = rfastar_solve(inst, reach=reach)
+        assert any(row is not None for row in reach.long_rows)
+        assert len(generated_labels) >= search._ROW_MIN // 2
+        assert stats.labels_generated < len(generated_labels)
+        assert result.total_cost == dp_solve(inst, reach=reach)[0].total_cost
+
+    def test_unpruned_tree_walks_every_child_of_a_run(self):
+        graph = long_row_graph(1)
+        reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+        inst = Instance(graph, 2, 3, LONG_ROW_TANK, 2)
+        root = Label(inst.start, 0.0, 0.0, 0)
+        run = expand(root, reach, inst, None)
+        assert isinstance(run, search._Run)
+        assert len(child_labels(root, run)) == len(run) >= search._ROW_MIN // 2
+        assert unpruned_solve(inst, reach).total_cost == rfastar_solve(inst, reach=reach)[0].total_cost
+
+    def test_a_run_builds_tuples_only_for_the_children_it_pops(self, monkeypatch):
+        graph = long_row_graph(2)
+        reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+        inst = Instance(graph, 0, 1, LONG_ROW_TANK, 4)
+        runs, built = [], []
+        expand_row, entry = search._expand_row, search._Run._entry
+
+        def recording_row(*args):
+            runs.append(expand_row(*args))
+            return runs[-1]
+
+        def recording_entry(run, j):
+            built.append(j)
+            return entry(run, j)
+
+        monkeypatch.setattr(search, "_expand_row", recording_row)
+        monkeypatch.setattr(search._Run, "_entry", recording_entry)
+        _, stats = rfastar_solve(inst, reach=reach)
+        assert runs and all(isinstance(getattr(run, name), np.ndarray)
+                            for run in runs for name in ("f", "neg_q", "v", "g", "a", "order"))
+        # Every label but the start comes off a _Run, and each pop builds one tuple.
+        assert len(built) == sum(run.top for run in runs) == stats.labels_generated - 1
+        assert len(built) < sum(len(run.order) for run in runs)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -182,6 +242,42 @@ def test_vector_pass_solves_like_the_loop(monkeypatch, seed, q0):
     assert any(row is not None for row in reach.long_rows)
     monkeypatch.setattr(search, "_ROW_MIN", math.inf)
     assert solve_all() == vectored
+
+
+@pytest.mark.parametrize("with_q0", [False, True])
+def test_every_row_on_the_vector_pass_solves_like_the_loop(monkeypatch, with_q0):
+    """With the gate at 1 every row with an arc takes the vector pass, so the
+    search meets _Runs of one child and _Runs that keep none."""
+    modes = [SearchOptions(), SearchOptions(unbounded_stops=True),
+             SearchOptions(use_heuristic=False)]
+    kept = set()
+    expand_row = search._expand_row
+
+    def recording_row(*args):
+        run = expand_row(*args)
+        kept.add(len(run))
+        return run
+
+    monkeypatch.setattr(search, "_expand_row", recording_row)
+
+    def solve_all(row_min: float):
+        monkeypatch.setattr(search, "_ROW_MIN", row_min)
+        rows = []
+        for seed in range(300):
+            inst = random_instance(seed, with_q0)
+            # A fresh reach graph: long_rows is built for the gate of its first use.
+            reach = compute_reachable_sets(inst.graph, inst.q_max)
+            for opts in modes:
+                result, stats = rfastar_solve(inst, opts, reach=reach)
+                rows.append((repr(result), stats.labels_generated, stats.labels_expanded,
+                             stats.labels_pruned, stats.heuristic_settled))
+        return rows
+
+    vectored = solve_all(1)
+    assert {0, 1} <= kept
+    kept.clear()
+    assert solve_all(math.inf) == vectored
+    assert not kept
 
 
 class TestCheckForPrune:
