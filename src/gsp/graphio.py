@@ -237,9 +237,15 @@ def resolve_instance(
     k_max: int,
     q0: float = 0.0,
 ) -> Instance:
+    """The query between two named vertices.  k_max must be a whole number:
+    2.0 reads as 2, and 2.7, True or "3" is rejected, not cut."""
     index = graph.name_index()
     if start not in index:
         raise SchemaError(f"unknown start vertex {start!r}")
     if goal not in index:
         raise SchemaError(f"unknown goal vertex {goal!r}")
+    whole = (isinstance(k_max, int) and not isinstance(k_max, bool)
+             or isinstance(k_max, float) and k_max.is_integer())
+    if not whole:
+        raise SchemaError(f"stop limit {k_max!r} is not a whole number")
     return Instance(graph, index[start], index[goal], float(q_max), int(k_max), float(q0))

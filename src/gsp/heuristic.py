@@ -15,7 +15,8 @@ with the goal and its column and resumed on each ask until the vertex asked
 for is settled (Resumable A*; Silver, "Cooperative Pathfinding", 2005).
 h_for prices one state; h_row prices a whole reach row for the search's
 vector pass with the same operations, and so the same bits, reading d from
-a float64 copy of dist that it fills as it asks.
+a float64 copy of dist, converted once on the first pass and then filled
+with the heads settled after it.
 
 On dense integral graphs a second, price-aware term is taken as well:
 h = max((d(v) - q) * c_min, H(v) - q * price(v), 0), where H(v) is the
@@ -74,9 +75,9 @@ class HeuristicContext:
     the graph's reversed edges.  dist[v] is d(v) once known (+inf when the
     goal is unreachable from v) and None before; the column is known from
     the start.  settled counts the vertices settle() settled beyond it.
-    relaxed_row is the goal's row of ``ReachGraph.relaxed_cost``, read by
-    h_row, and relaxed the same row as a list, read by h_for; both are None
-    when the price-aware term is not taken.  price is the graph's.
+    relaxed_row is the goal's row of ``ReachGraph.relaxed_cost``, read in
+    place by h_row and h_for, or None when the price-aware term is not
+    taken.  price is the graph's.
     """
 
     def __init__(self, goal: int, c_min: float, column: tuple[int | float, ...],
@@ -85,7 +86,6 @@ class HeuristicContext:
         self.goal = goal
         self.c_min = c_min
         self.relaxed_row = relaxed_row
-        self.relaxed = None if relaxed_row is None else relaxed_row.tolist()
         self.price = price
         dist: list[float | None] = [None] * len(pred)
         dist[goal] = 0.0
@@ -112,9 +112,10 @@ class HeuristicContext:
 
     @cached_property
     def dist_array(self) -> np.ndarray:
-        """dist as a float64 array for ``h_row``, NaN until h_row copies an
-        entry from dist; allocated by the query's first vector pass."""
-        return np.full(len(self.dist), math.nan)
+        """dist as a float64 array for ``h_row``, allocated by the query's
+        first vector pass as a copy of dist with NaN for None.  Every entry
+        is NaN or dist's; h_row copies the heads settled after that pass."""
+        return np.array(self.dist, dtype=np.float64)
 
     @property
     def d_to_goal(self) -> tuple[float, ...]:
@@ -177,9 +178,9 @@ def h_for(ctx: HeuristicContext, v: int, q: float) -> float:
         d = ctx.settle(v)
     if math.isinf(d):
         return math.inf
-    if ctx.relaxed is None or ctx.price[v] == math.inf:
+    if ctx.relaxed_row is None or ctx.price[v] == math.inf:
         return max((d - q) * ctx.c_min, 0.0)
-    return max((d - q) * ctx.c_min, ctx.relaxed[v] - q * ctx.price[v], 0.0)
+    return max((d - q) * ctx.c_min, ctx.relaxed_row.item(v) - q * ctx.price[v], 0.0)
 
 
 def h_row(ctx: HeuristicContext, heads: np.ndarray, q: np.ndarray,
@@ -193,7 +194,7 @@ def h_row(ctx: HeuristicContext, heads: np.ndarray, q: np.ndarray,
     """
     known = ctx.dist_array
     d = known[heads]
-    unknown = np.flatnonzero(np.isnan(d))
+    unknown = np.isnan(d).nonzero()[0]
     if unknown.size:
         dist, settle = ctx.dist, ctx.settle
         new = heads[unknown]

@@ -222,7 +222,7 @@ def _expand_row(l: Label, reach: ReachGraph, inst: Instance,
     fill = c_here < c_next
     a = np.where(fill, q_max - q, fuels - q)
     arrive = np.where(fill, q_max - fuels, 0.0)
-    keep = np.flatnonzero((a > 0.0) & (c_next < math.inf))
+    keep = ((a > 0.0) & (c_next < math.inf)).nonzero()[0]
     heads, a, arrive, c_next = heads[keep], a[keep], arrive[keep], c_next[keep]
     g = l.g + a * c_here
     f = g if ctx is None else g + h_row(ctx, heads, arrive, c_next)

@@ -165,3 +165,15 @@ def test_resolve_instance_checks_ids():
     g = worked_example_graph()
     with pytest.raises(SchemaError, match="unknown start"):
         resolve_instance(g, "zz", "t", 6.0, 2)
+
+
+@pytest.mark.parametrize("k_max", [2.7, True, "3", math.nan, math.inf, None])
+def test_resolve_instance_rejects_a_stop_limit_that_is_not_whole(k_max):
+    with pytest.raises(SchemaError, match="stop limit"):
+        resolve_instance(worked_example_graph(), "o", "t", 6.0, k_max)
+
+
+@pytest.mark.parametrize("k_max", [2, 2.0])
+def test_resolve_instance_takes_a_whole_stop_limit(k_max):
+    inst = resolve_instance(worked_example_graph(), "o", "t", 6.0, k_max)
+    assert inst.k_max == 2 and type(inst.k_max) is int

@@ -13,21 +13,34 @@ from gsp import (
     FuelGraph,
     Infeasible,
     Instance,
+    Label,
     brute_force_solve,
     build_heuristic,
     compute_reachable_sets,
     dp_solve,
+    expand,
     gen_binomial,
     rfastar_solve,
     validate_solution,
 )
 from gsp import reach as reach_module
+from gsp import search
 from gsp.graphio import load_reach_cache, save_reach_cache
-from gsp.heuristic import h_for
+from gsp.heuristic import HeuristicContext, h_for
 from gsp.reach import dijkstra, reach_for
 from gsp.search import SearchOptions
 
-from conftest import A, B, O, T, decimal_price_graph, random_instance, worked_example
+from conftest import (
+    LONG_ROW_TANK,
+    A,
+    B,
+    O,
+    T,
+    decimal_price_graph,
+    long_row_graph,
+    random_instance,
+    worked_example,
+)
 
 
 def test_worked_example_context():
@@ -205,6 +218,82 @@ class TestLaziness:
         assert ctx.d_to_goal == expected
 
 
+def _holds(entry: float, d: float | None) -> bool:
+    """entry is NaN where d is None and d bit for bit otherwise."""
+    return math.isnan(entry) if d is None else entry.hex() == float(d).hex()
+
+
+class TestSeededDistArray:
+    """dist_array starts as a copy of dist, and every entry stays NaN or
+    equal to dist's."""
+
+    @staticmethod
+    def _first_pass(goal: int, monkeypatch):
+        graph = long_row_graph(0)
+        reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+        s = next(v for v in range(1, graph.n - 1) if graph.price[v] < math.inf and v != goal)
+        ctx = build_heuristic(reach, goal)
+        before = list(ctx.dist)
+        # Per settle() call, a copy of dist_array if it was allocated by then.
+        calls: list[np.ndarray | None] = []
+        real = HeuristicContext.settle
+
+        def settle(ctx, v):
+            calls.append(ctx.__dict__["dist_array"].copy() if "dist_array" in ctx.__dict__ else None)
+            return real(ctx, v)
+
+        monkeypatch.setattr(HeuristicContext, "settle", settle)
+        run = expand(Label(s, 0.0, 0.0, 0), reach, Instance(graph, s, goal, LONG_ROW_TANK, 4), ctx)
+        assert isinstance(run, search._Run)
+        return ctx, before, calls, run
+
+    def test_the_first_pass_copies_dist(self, monkeypatch):
+        """The dead end is the one vertex outside the goal's column; the pass
+        settles it after allocating the array, which then still reads NaN there."""
+        dead_end = long_row_graph(0).n - 1
+        ctx, before, calls, run = self._first_pass(1, monkeypatch)
+        assert len(calls) == 1 and calls[0] is not None
+        assert [v for v, d in enumerate(before) if d is None] == [dead_end]
+        assert all(_holds(x, d) for x, d in zip(calls[0].tolist(), before))
+        after = ctx.dist_array.tolist()
+        assert all(math.isnan(x) or _holds(x, d) for x, d in zip(after, ctx.dist))
+        assert after[dead_end] == math.inf
+        assert all(_holds(after[v], ctx.dist[v]) for v in run.v.tolist())
+
+    def test_heads_in_the_goals_column_settle_nothing(self, monkeypatch):
+        """Every row reaches the dead end, so its column holds every other
+        vertex."""
+        dead_end = long_row_graph(0).n - 1
+        ctx, before, calls, run = self._first_pass(dead_end, monkeypatch)
+        assert None not in before
+        assert calls == [] and ctx.settled == 0
+        assert all(_holds(x, d) for x, d in zip(ctx.dist_array.tolist(), before))
+
+    @pytest.mark.parametrize("seed", [7, 9, 27])
+    def test_vertices_the_coasts_settled_show_in_the_array(self, monkeypatch, seed):
+        """With every row on the vector pass, the start's coasts settle
+        vertices beyond the goal's column, some of them no head of the first
+        pass, before that pass allocates the array."""
+        monkeypatch.setattr(search, "_ROW_MIN", 1)
+        inst = random_instance(seed, with_q0=True)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        column = {inst.goal, *reach.into[inst.goal][::2]}
+        real, seen = search.h_row, []
+
+        def h_row(ctx, heads, q, price):
+            if not seen:
+                known = {v: d for v, d in enumerate(ctx.dist) if d is not None}
+                seen.append(set(known) - column - set(heads.tolist()))
+                h = real(ctx, heads, q, price)
+                assert all(_holds(ctx.dist_array.item(v), d) for v, d in known.items())
+                return h
+            return real(ctx, heads, q, price)
+
+        monkeypatch.setattr(search, "h_row", h_row)
+        rfastar_solve(inst, reach=reach)
+        assert seen and seen[0]
+
+
 class TestDecimalInputs:
     """h stays below the oracle's optimum from every state on decimal data."""
 
@@ -327,7 +416,7 @@ def test_start_estimate_never_exceeds_the_dp_optimum(seed, dry):
     tighter = 0
     for inst in _queries(graph, tank, 40, seed):
         ctx = build_heuristic(reach, inst.goal, inst.q0)
-        assert ctx.relaxed is not None
+        assert ctx.relaxed_row is not None
         h = h_for(ctx, inst.start, inst.q0)
         sol, _ = dp_solve(inst, reach=reach)
         if not isinstance(sol, Infeasible):
@@ -374,7 +463,7 @@ class TestPriceBoundGate:
     @staticmethod
     def _check_paper_h(reach, goal, q0=0.0):
         ctx = build_heuristic(reach, goal, q0)
-        assert ctx.relaxed is None
+        assert ctx.relaxed_row is None
         for v in range(reach.n):
             for q in (0.0, q0, 3.0, 7.5):
                 assert h_for(ctx, v, q) == _paper_h(ctx, v, q)
@@ -383,7 +472,7 @@ class TestPriceBoundGate:
         reach = compute_reachable_sets(_GATE_GRAPH, self.TANK)
         assert reach.relaxed_cost is not None
         ctx = build_heuristic(reach, 0)
-        assert ctx.relaxed == reach.relaxed_cost[0].tolist()
+        assert ctx.relaxed_row.tolist() == reach.relaxed_cost[0].tolist()
         assert any(h_for(ctx, v, 0.0) > _paper_h(ctx, v, 0.0) for v in range(reach.n))
 
     @pytest.mark.parametrize("graph, tank", [

@@ -139,7 +139,7 @@ class TestLazyChildren:
         inst = Instance(graph, s, goal, LONG_ROW_TANK, 4, q0)
         ctx = None if case == "no-heuristic" else build_heuristic(reach, goal, q0)
         if ctx is not None:
-            assert (ctx.relaxed is None) == (case == "decimal-q0")
+            assert (ctx.relaxed_row is None) == (case == "decimal-q0")
             assert h_for(ctx, dead_end, 0.0) == math.inf
         if case == "zero-price":
             assert ctx.c_min == 0.0
