@@ -13,10 +13,12 @@ Dijkstra from the goal would settle first.  The rest are settled by the
 reach build's generator ``reach.dijkstra`` over the reversed edges, seeded
 with the goal and its column and resumed on each ask until the vertex asked
 for is settled (Resumable A*; Silver, "Cooperative Pathfinding", 2005).
-h_for prices one state; h_row prices a whole reach row for the search's
-vector pass with the same operations, and so the same bits, reading d from
-a float64 copy of dist, converted once on the first pass and then filled
-with the heads settled after it.
+h_for prices one state.  The search's loop over short reach rows applies
+h_for's operations inline, on the same operands, and h_for stays the
+reference the tests check that loop against.  h_row prices a whole reach
+row for the search's vector pass with the same operations, and so the same
+bits, reading d from a float64 copy of dist, converted once on the first
+pass and then filled with the heads settled after it.
 
 On dense integral graphs a second, price-aware term is taken as well:
 h = max((d(v) - q) * c_min, H(v) - q * price(v), 0), where H(v) is the

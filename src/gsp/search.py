@@ -25,8 +25,10 @@ Every child is still priced, in one of two ways chosen by one length test
 on the tail's reach row.  A row of at least _ROW_MIN arcs is priced in one
 numpy pass over its arrays (``ReachGraph.long_rows``): purchase, arrival
 fuel, the filters, both terms of h (``heuristic.h_row``), g and f, then one
-lexsort into pop order, kept as a _Run over the arrays.  A shorter row
-keeps the loop over refuel_amount and h_for, whose fixed cost is lower.
+lexsort into pop order, kept as a _Run over the arrays.  A shorter row is
+priced in a Python loop, whose fixed cost is lower; it applies
+refuel_amount's rule and h_for's operations inline, on the same operands,
+and both functions stay as the references the tests check it against.
 The pass applies the loop's IEEE operations to the same operands in the
 same order, so its entries and their pop order, and with them every answer
 and counter, are the loop's bit for bit.
@@ -62,10 +64,12 @@ from .reach import ReachGraph, reach_for
 
 # expand() prices a row of at least _ROW_MIN arcs in one numpy pass
 # (_expand_row) and a shorter one in a loop, whose fixed cost is lower.
-# Fitted on random G(256, p) and G(512, p) graphs with fuels 1..10, where
-# the pass wins from rows of about 64 arcs, and on 45x45 road grids, whose
-# rows of up to 92 arcs break even; the margin keeps grids on the loop
-# (CHANGES.md).
+# Measured on G(256, p) graphs with fuels 1..10 and rows of 64-255 arcs:
+# the pass prices a row faster from about 64 arcs, and whole queries gain
+# up to 3.5% from a gate of 96 on rows of 71-131 arcs and tie elsewhere.
+# On 45x45 road grids, whose rows hold up to 92 arcs, a gate of 64 is 5%
+# slower and 96 to 192 tie; the margin keeps grids on the loop (ROADMAP,
+# gate table).
 _ROW_MIN = 128
 
 # One child of expand(): (f, -arrival fuel, vertex, cost, amount bought).  A
@@ -142,8 +146,14 @@ class Frontier:
         stored = self._labels.get(l.v, ())
         c_v = self._price[l.v]
         if self.unbounded and math.isfinite(c_v):
-            return any(scalarized_dominates(l, s, c_v) for s in stored)
-        return any(dominates(s, l) for s in stored)
+            for s in stored:
+                if scalarized_dominates(l, s, c_v):
+                    return True
+            return False
+        for s in stored:
+            if dominates(s, l):
+                return True
+        return False
 
     def insert(self, l: Label):
         self._labels.setdefault(l.v, []).append(l)
@@ -155,7 +165,8 @@ def refuel_amount(c_here: float, c_next: float, q: float, d: float, q_max: float
 
     Returns (amount, arrival_fuel).  Into the goal the purchase tops the
     tank to exactly the hop distance, so the goal is reached empty even
-    when the local price beats the goal's.
+    when the local price beats the goal's.  expand()'s loop applies this
+    rule inline; this function is its reference.
     """
     if into_goal or c_here >= c_next:
         return d - q, 0.0
@@ -168,12 +179,14 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
 
     Each child is an (f, -q, v, g, amount) entry: its f = g + h, its
     arrival fuel negated, its vertex, its cost and the amount bought at l's
-    vertex.  A row shorter than _ROW_MIN arcs returns its entries as a
-    heapified list, whose heap order is the open list's pop order, so the
-    search can take children off it one at a time.  A longer row is priced
-    by _expand_row in one numpy pass and returns a _Run: the same entries
-    wait in its arrays in sorted order, and a tuple is built for each child
-    when the search pops it.  As heads are distinct no two entries tie, so
+    vertex.  A row shorter than _ROW_MIN arcs is priced in a loop that
+    applies refuel_amount's rule and h_for's operations inline, on the same
+    operands and in the same order, and returns its entries as a heapified
+    list, whose heap order is the open list's pop order, so the search can
+    take children off it one at a time.  A longer row is priced by
+    _expand_row in one numpy pass and returns a _Run: the same entries wait
+    in its arrays in sorted order, and a tuple is built for each child when
+    the search pops it.  As heads are distinct no two entries tie, so
     the pop order is the loop's.
 
     No child is created when the required purchase would be non-positive
@@ -188,19 +201,44 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
     price = inst.graph.price
     goal, q_max, q, g = inst.goal, inst.q_max, l.q, l.g
     c_here = price[l.v]
+    fill_a = q_max - q
+    fill_g = g + fill_a * c_here
+    if ctx is not None:
+        dist, settle, c_min, relaxed_row = ctx.dist, ctx.settle, ctx.c_min, ctx.relaxed_row
+    inf = math.inf
     children: list[ChildEntry] = []
+    append = children.append
     for v2, d in row:
-        into_goal = v2 == goal
-        if not into_goal and math.isinf(price[v2]):
+        c_next = price[v2]
+        if v2 == goal:
+            fill = False
+        elif c_next == inf:
             continue
-        a, arrive = refuel_amount(c_here, price[v2], q, d, q_max, into_goal)
-        if a <= 0.0:
-            continue
-        h = h_for(ctx, v2, arrive) if ctx is not None else 0.0
-        if h == math.inf:
-            continue
-        g2 = g + a * c_here
-        children.append((g2 + h, -arrive, v2, g2, a))
+        else:
+            fill = c_here < c_next
+        if fill:
+            if fill_a <= 0.0:
+                continue
+            a, arrive, g2 = fill_a, q_max - d, fill_g
+        else:
+            a = d - q
+            if a <= 0.0:
+                continue
+            arrive, g2 = 0.0, g + a * c_here
+        if ctx is None:
+            h = 0.0
+        else:
+            dv = dist[v2]
+            if dv is None:
+                dv = settle(v2)
+            if dv == inf:
+                continue
+            h = (dv - arrive) * c_min
+            if relaxed_row is not None and c_next != inf:
+                h = max(h, relaxed_row.item(v2) - arrive * c_next, 0.0)
+            elif h < 0.0:  # max(h, 0.0), which keeps -0.0
+                h = 0.0
+        append((g2 + h, -arrive, v2, g2, a))
     heapify(children)
     return children
 

@@ -1,10 +1,12 @@
 import math
 import random
+from heapq import heapify
 
 import pytest
 
 from gsp import FuelGraph, Infeasible, Instance, Label, compute_reachable_sets, gen_binomial
 from gsp import search
+from gsp.heuristic import h_for
 
 
 def worked_example_graph() -> FuelGraph:
@@ -38,6 +40,20 @@ def decimal_price_graph() -> FuelGraph:
 O, A, B, T = 0, 1, 2, 3
 
 LONG_ROW_TANK = 20.0
+SHORT_ROW_TANK = 6.0
+
+
+def _dry_station_graph(n: int, p: float, seed: int, zero_price: bool) -> FuelGraph:
+    """gen_binomial(n, p, seed) with a tenth of vertices 1..n-2 dry, the last
+    vertex a dead end with no arcs out, and with zero_price vertex 0 selling
+    at price 0."""
+    graph = gen_binomial(n, p, seed=seed)
+    price = list(graph.price)
+    for v in random.Random(seed).sample(range(1, n - 1), n // 10):
+        price[v] = math.inf
+    if zero_price:
+        price[0] = 0.0
+    return FuelGraph.build(price, [(u, v, d) for u, v, d in graph.edges if u != n - 1])
 
 
 def long_row_graph(seed: int, zero_price: bool = False) -> FuelGraph:
@@ -49,14 +65,40 @@ def long_row_graph(seed: int, zero_price: bool = False) -> FuelGraph:
     at price 0.  The graph takes the Floyd-Warshall build, so with an
     integral initial fuel the heuristic takes its price-aware term.
     """
-    n = 150
-    graph = gen_binomial(n, 0.9, seed=seed)
-    price = list(graph.price)
-    for v in random.Random(seed).sample(range(1, n - 1), n // 10):
-        price[v] = math.inf
-    if zero_price:
-        price[0] = 0.0
-    return FuelGraph.build(price, [(u, v, d) for u, v, d in graph.edges if u != n - 1])
+    return _dry_station_graph(150, 0.9, seed, zero_price)
+
+
+def short_row_graph(seed: int, zero_price: bool = False) -> FuelGraph:
+    """G(80, 0.15) whose reach rows at SHORT_ROW_TANK stay below
+    search._ROW_MIN, dry stations, dead end and zero price as in
+    long_row_graph.  It too takes the Floyd-Warshall build, so the loop
+    over short rows meets the price-aware term."""
+    return _dry_station_graph(80, 0.15, seed, zero_price)
+
+
+def reference_expand(l: Label, reach, inst: Instance, ctx=None) -> list:
+    """search.expand's short-row loop written with one refuel_amount and one
+    h_for call per arc, for every row, long or short: the reference that
+    search.expand's inlined loop is checked against."""
+    price = inst.graph.price
+    goal, q_max, q, g = inst.goal, inst.q_max, l.q, l.g
+    c_here = price[l.v]
+    children = []
+    for v2, d in reach.succ[l.v]:
+        into_goal = v2 == goal
+        if not into_goal and math.isinf(price[v2]):
+            continue
+        a, arrive = search.refuel_amount(c_here, price[v2], q, d, q_max, into_goal)
+        if a <= 0.0:
+            continue
+        h = h_for(ctx, v2, arrive) if ctx is not None else 0.0
+        if h == math.inf:
+            continue
+        g2 = g + a * c_here
+        children.append((g2 + h, -arrive, v2, g2, a))
+    heapify(children)
+    return children
+
 
 def label_key(l: Label) -> tuple[int, float, float, int]:
     return (l.v, l.g, l.q, l.k)

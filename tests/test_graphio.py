@@ -177,3 +177,23 @@ def test_resolve_instance_rejects_a_stop_limit_that_is_not_whole(k_max):
 def test_resolve_instance_takes_a_whole_stop_limit(k_max):
     inst = resolve_instance(worked_example_graph(), "o", "t", 6.0, k_max)
     assert inst.k_max == 2 and type(inst.k_max) is int
+
+
+@pytest.mark.parametrize("q_max, q0, what", [
+    ("6", 0.0, "tank capacity"),
+    (True, 0.0, "tank capacity"),
+    (None, 0.0, "tank capacity"),
+    (6.0, "1", "initial fuel"),
+    (6.0, True, "initial fuel"),
+    (6, False, "initial fuel"),
+])
+def test_resolve_instance_rejects_a_tank_or_fuel_that_is_not_a_number(q_max, q0, what):
+    with pytest.raises(SchemaError, match=what):
+        resolve_instance(worked_example_graph(), "o", "t", q_max, 2, q0)
+
+
+@pytest.mark.parametrize("q_max, q0", [(6, 1), (6.0, 1.5), (6, 0.0)])
+def test_resolve_instance_takes_int_and_float_fuel(q_max, q0):
+    inst = resolve_instance(worked_example_graph(), "o", "t", q_max, 2, q0)
+    assert (inst.q_max, inst.q0) == (float(q_max), float(q0))
+    assert type(inst.q_max) is float and type(inst.q0) is float

@@ -17,10 +17,12 @@ from gsp import (
     brute_force_solve,
     build_heuristic,
     compute_reachable_sets,
+    dominates,
     dp_solve,
     expand,
     gen_binomial,
     rfastar_solve,
+    scalarized_dominates,
     validate_solution,
 )
 from gsp import search
@@ -29,6 +31,7 @@ from gsp.search import SearchOptions, _coast_children, refuel_amount, refuel_sch
 
 from conftest import (
     LONG_ROW_TANK,
+    SHORT_ROW_TANK,
     A,
     B,
     O,
@@ -37,6 +40,8 @@ from conftest import (
     label_key,
     long_row_graph,
     random_instance,
+    reference_expand,
+    short_row_graph,
     unpruned_solve,
     worked_example,
 )
@@ -95,7 +100,8 @@ class TestLazyChildren:
     @staticmethod
     def _check_entries(l: Label, reach, inst: Instance, ctx):
         """expand()'s children of l, each checked against refuel_amount and
-        h_for; a heap's entries are read in heap order, a _Run's in pop order."""
+        h_for by repr, so that -0.0 and the last bit count; a heap's entries
+        are read in heap order, a _Run's in pop order."""
         price = inst.graph.price
         children = expand(l, reach, inst, ctx)
         entries = list(children)
@@ -111,7 +117,7 @@ class TestLazyChildren:
                 assert v2 not in by_vertex
                 continue
             g = l.g + a * price[l.v]
-            assert by_vertex[v2] == (g + h, -arrive, v2, g, a)
+            assert repr(by_vertex[v2]) == repr((g + h, -arrive, v2, g, a))
         return children
 
     @pytest.mark.parametrize("seed", range(6))
@@ -121,6 +127,46 @@ class TestLazyChildren:
         ctx = build_heuristic(reach, inst.goal)
         for l in (Label(inst.start, 0.0, inst.q0, 0), Label(inst.start, 3.0, 0.0, 1)):
             self._check_entries(l, reach, inst, ctx)
+
+    @pytest.mark.parametrize("case", ["integral-q0", "decimal-q0", "no-heuristic",
+                                      "dry-goal", "zero-price"])
+    def test_short_rows_are_priced_by_the_shared_rules(self, case):
+        """The loop over rows below the gate applies refuel_amount's rule and
+        h_for's operations inline.  Every selling vertex is a parent, with an
+        empty tank, the query's q0 and a full tank (no fill-up child); the
+        rows reach the goal, dry stations and the dead end, and with an
+        integral q0 h takes the price-aware term on some children."""
+        graph = short_row_graph(3, zero_price=case == "zero-price")
+        reach = compute_reachable_sets(graph, SHORT_ROW_TANK)
+        price, dead_end = graph.price, graph.n - 1
+        dry = [v for v in range(graph.n) if math.isinf(price[v])]
+        s, t = [v for v in range(1, dead_end) if price[v] < math.inf][:2]
+        goal = dry[0] if case == "dry-goal" else t
+        q0 = 2.5 if case == "decimal-q0" else 4.0
+        inst = Instance(graph, s, goal, SHORT_ROW_TANK, 4, q0)
+        ctx = None if case == "no-heuristic" else build_heuristic(reach, goal, q0)
+        if ctx is not None:
+            assert (ctx.relaxed_row is None) == (case == "decimal-q0")
+            assert (ctx.c_min == 0.0) == (case == "zero-price")
+        heads, price_aware = set(), 0
+        for v in range(graph.n):
+            if math.isinf(price[v]):
+                continue
+            assert len(reach.succ[v]) < search._ROW_MIN
+            heads.update(v2 for v2, _ in reach.succ[v])
+            for q in (0.0, q0, SHORT_ROW_TANK):
+                children = self._check_entries(Label(v, 3.0, q, 1), reach, inst, ctx)
+                assert isinstance(children, list)
+                if q == SHORT_ROW_TANK:
+                    assert children == []  # every purchase would be <= 0
+                if ctx is None or ctx.relaxed_row is None:
+                    continue
+                for _, neg_q, v2, _, _ in children:
+                    arrive = -neg_q
+                    price_aware += (price[v2] < math.inf and ctx.relaxed_row.item(v2)
+                                    - arrive * price[v2] > (ctx.dist[v2] - arrive) * ctx.c_min)
+        assert {goal, dead_end, *dry} <= heads
+        assert (price_aware > 0) == (case in ("integral-q0", "dry-goal", "zero-price"))
 
     @pytest.mark.parametrize("case", ["integral-q0", "decimal-q0", "no-heuristic",
                                       "dry-goal", "zero-price"])
@@ -280,8 +326,67 @@ def test_every_row_on_the_vector_pass_solves_like_the_loop(monkeypatch, with_q0)
     assert not kept
 
 
+def test_inlined_loop_solves_like_the_reference_loop(monkeypatch):
+    """Whole solves with expand's inlined loop give the Solution and the
+    counters of conftest's reference_expand, which calls refuel_amount and
+    h_for per arc, in every mode; on the short-row graphs h takes the
+    price-aware term when q0 is integral."""
+    cases = []
+    for seed in range(150):
+        for with_q0 in (False, True):
+            inst = random_instance(seed, with_q0)
+            cases.append((inst, compute_reachable_sets(inst.graph, inst.q_max)))
+    for seed in range(3):
+        graph = short_row_graph(seed, zero_price=seed == 1)
+        reach = compute_reachable_sets(graph, SHORT_ROW_TANK)
+        assert reach.relaxed_cost is not None
+        rng = random.Random(seed)
+        cases += [(Instance(graph, *rng.sample(range(graph.n), 2), SHORT_ROW_TANK,
+                            rng.randint(2, 5), q0), reach)
+                  for q0 in (0.0, 3.0, 2.5) for _ in range(6)]
+    modes = [SearchOptions(), SearchOptions(unbounded_stops=True),
+             SearchOptions(use_heuristic=False)]
+
+    def solve_all():
+        return [(repr(result), stats.labels_generated, stats.labels_expanded,
+                 stats.labels_pruned, stats.heuristic_settled)
+                for inst, reach in cases for opts in modes
+                for result, stats in [rfastar_solve(inst, opts, reach=reach)]]
+
+    inlined = solve_all()
+    calls = []
+
+    def recording(*args):
+        calls.append(args[0])
+        return reference_expand(*args)
+
+    monkeypatch.setattr(search, "expand", recording)
+    assert solve_all() == inlined
+    assert len(calls) == sum(row[2] for row in inlined)
+
+
 class TestCheckForPrune:
     """Frontier.dominated, the prune check run on every popped label."""
+
+    @given(stored=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4), st.integers(0, 3)),
+                           max_size=6),
+           label=st.tuples(st.integers(0, 6), st.integers(0, 4), st.integers(0, 3)),
+           price=st.sampled_from([0.0, 0.5, 2.0, math.inf]),
+           unbounded=st.booleans())
+    def test_dominated_is_any_over_the_stored_labels(self, stored, label, price, unbounded):
+        """Three-way dominance by some stored label, or in unbounded mode at a
+        selling vertex the scalarized rule against some stored label."""
+        frontier = Frontier((price,), unbounded=unbounded)
+        stored = [Label(0, g / 2, q / 2, k) for g, q, k in stored]
+        for s in stored:
+            frontier.insert(s)
+        g, q, k = label
+        l = Label(0, g / 2, q / 2, k)
+        if unbounded and math.isfinite(price):
+            expected = any(scalarized_dominates(l, s, price) for s in stored)
+        else:
+            expected = any(dominates(s, l) for s in stored)
+        assert frontier.dominated(l) == expected
 
     def test_empty_frontier_never_prunes(self, wx):
         frontier = Frontier(wx.graph.price)
