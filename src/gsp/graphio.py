@@ -239,7 +239,8 @@ def resolve_instance(
 ) -> Instance:
     """The query between two named vertices.  k_max must be a whole number:
     2.0 reads as 2, and 2.7, True or "3" is rejected, not cut.  q_max and
-    q0 must be numbers: an int or a float, not a bool or a string."""
+    q0 must be numbers: an int or a float, not a bool, a string or an int
+    too large for a float."""
     index = graph.name_index()
     if start not in index:
         raise SchemaError(f"unknown start vertex {start!r}")
@@ -248,6 +249,8 @@ def resolve_instance(
     for what, x in (("tank capacity", q_max), ("initial fuel", q0)):
         if not _is_number(x):
             raise SchemaError(f"{what} {x!r} is not a number")
+        if isinstance(x, int) and not -_FLOAT_MAX <= x <= _FLOAT_MAX:  # float() would overflow
+            raise SchemaError(f"{what} is an int too large for a float")
     whole = (isinstance(k_max, int) and not isinstance(k_max, bool)
              or isinstance(k_max, float) and k_max.is_integer())
     if not whole:

@@ -22,9 +22,10 @@ query reads are built on first use and kept with the graph, so every later
 query on the same reach graph gets them for free: the heuristic reads the
 goal's column of ``ReachGraph.into``, the arcs into each vertex, and the
 goal's row of ``ReachGraph.relaxed_cost``, which ``heuristic`` builds;
-``ReachGraph.table`` keeps the DP's goal-independent table, which ``dp``
-builds; ``ReachGraph.long_rows`` keeps the label search's arrays of the
-rows it prices in one numpy pass.  ``distance`` is a binary search in the
+``ReachGraph.table`` and ``ReachGraph.table_rows`` keep the DP's
+goal-independent table and rows, which ``dp`` builds;
+``ReachGraph.long_rows`` keeps the label search's arrays of the rows it
+prices in one numpy pass.  ``distance`` is a binary search in the
 sorted arc list of the tail.  Every solver and checker gets its reach graph
 from ``reach_for``, which builds one for the instance or rejects one built
 for another graph or tank.
@@ -46,7 +47,7 @@ import numpy as np
 from .core import FuelGraph, Instance
 
 if TYPE_CHECKING:
-    from .dp import TableArrays
+    from .dp import RowArrays, TableArrays
 
 _HEAD = itemgetter(0)  # the arc head of a (v, d) entry in succ
 
@@ -76,6 +77,13 @@ class ReachGraph:
         first DP query and kept, read-only, with the graph."""
         from .dp import base_table
         return base_table(self)
+
+    @cached_property
+    def table_rows(self) -> RowArrays:
+        """The DP's per-(state, arc) rows (``dp.base_rows``), built on the
+        first DP query that relaxes them and kept, read-only."""
+        from .dp import base_rows
+        return base_rows(self)
 
     @cached_property
     def into(self) -> tuple[tuple[int | float, ...], ...]:

@@ -40,6 +40,14 @@ def test_every_algorithm_solves(graph_file, capsys, algo):
     assert "cost 15" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algo", ["rfastar", "dp"])
+def test_a_huge_stop_limit_solves(graph_file, capsys, algo):
+    args = _solve_args(graph_file, "--algo", algo)
+    args[args.index("--kmax") + 1] = "1000000000000"
+    assert main(args) == 0
+    assert "cost 15" in capsys.readouterr().out
+
+
 def test_solve_json_schema(graph_file, capsys):
     assert main(_solve_args(graph_file, "--json")) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -4,6 +4,7 @@ import weakref
 from collections import Counter
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 from gsp import (
@@ -18,9 +19,11 @@ from gsp import (
     rfastar_solve,
     validate_solution,
 )
+from gsp import dp
 from gsp.dp import _Table, build_layers
 
-from conftest import A, B, O, T, decimal_price_graph, random_instance, worked_example
+from conftest import (A, B, O, T, decimal_price_graph, random_instance, worked_example,
+                      worked_example_graph)
 
 
 class TestGasValues:
@@ -121,29 +124,56 @@ class TestDpSolve:
             bests.append(best)
         assert bests == sorted(bests, reverse=True)
 
-    @pytest.mark.parametrize("u, w, stops", [
-        (1, 2, ((0, 2.0), (1, 4.0), (3, 3.0))),  # the fill-up leaves the lower state
-        (2, 1, ((0, 4.0), (1, 1.0), (3, 3.0))),  # the deficit row does
+    @pytest.mark.parametrize("price, edges, q_max, target, sources, stops, cost", [
+        # v = 3 is reached at level 0 in two stops for 6 both ways: filling up
+        # at u (price 1) on the tankful hop u -> v, and buying the deficit at
+        # w (price 2, as dear as v) on the hop w -> v, after filling up at the
+        # start.  Here the fill-up leaves the lower state, u = 1 ...
+        pytest.param([1.0, 1.0, 2.0, 2.0, 1.0],
+                     [(0, 1, 2.0), (0, 2, 2.0), (1, 3, 4.0), (2, 3, 3.0), (3, 4, 3.0)], 4.0,
+                     (2, 3, 0.0), ((1, 0.0), (2, 2.0)), ((0, 2.0), (1, 4.0), (3, 3.0)), 12.0,
+                     id="1-2-stops0"),
+        # ... and here the deficit move does, w = 1.
+        pytest.param([1.0, 2.0, 1.0, 2.0, 1.0],
+                     [(0, 2, 2.0), (0, 1, 2.0), (2, 3, 4.0), (1, 3, 3.0), (3, 4, 3.0)], 4.0,
+                     (2, 3, 0.0), ((2, 0.0), (1, 2.0)), ((0, 4.0), (1, 1.0), (3, 3.0)), 12.0,
+                     id="2-1-stops1"),
+        # x = 3 (price 5) is reached in two stops at level 6 for 14, filling
+        # up at the start and at a = 1, and at level 7 for 19, buying the hop
+        # to b = 2 at the start and filling up there.  Both buy the hop x -> 4
+        # of fuel 9 for 29 in all: one arc whose prefix minimum of A - 5·q,
+        # -16, two levels of its tail attain.
+        pytest.param([1.0, 2.0, 1.0, 5.0, 5.0],
+                     [(0, 1, 2.0), (0, 2, 9.0), (1, 3, 4.0), (2, 3, 3.0), (3, 4, 9.0)], 10.0,
+                     (3, 4, 0.0), ((3, 6.0), (3, 7.0)), ((0, 10.0), (1, 2.0), (3, 3.0)), 29.0,
+                     id="two-levels-of-one-tail"),
     ])
-    def test_tie_goes_to_the_lowest_source_state(self, u, w, stops):
-        """v = 3 is reached at level 0 in two stops for 6 both ways: filling
-        up at u (price 1) on the tankful hop u -> v, and buying the deficit
-        at w (price 2, as dear as v) on the hop w -> v, after filling up at
-        the start.  The optimal move from the lower state is taken."""
-        price = [1.0, 1.0, 2.0, 2.0, 1.0] if u == 1 else [1.0, 2.0, 1.0, 2.0, 1.0]
-        graph = FuelGraph.build(price, [(0, u, 2.0), (0, w, 2.0), (u, 3, 4.0), (w, 3, 3.0),
-                                        (3, 4, 3.0)])
-        inst = Instance(graph, 0, 4, 4.0, 3)
-        reach = compute_reachable_sets(graph, 4.0)
+    def test_tie_goes_to_the_lowest_source_state(self, price, edges, q_max, target, sources,
+                                                 stops, cost):
+        """State (v, q) of layer k is attained from each source state of
+        layer k - 1 by one move, and from 0 to 4 the optimal move from the
+        lowest of them is taken."""
+        graph = FuelGraph.build(price, edges)
+        inst = Instance(graph, 0, 4, q_max, 3)
+        reach = compute_reachable_sets(graph, q_max)
         table, layers = build_layers(inst, reach)
-        fill_src, deficit_src = table.state(u, 0.0), table.state(w, 2.0)
-        assert layers[1][fill_src] + table.fill_cost[fill_src] == 6.0
-        assert layers[1][deficit_src] + 2.0 * (3.0 - 2.0) == 6.0
-        assert layers[2][table.state(3, 0.0)] == 6.0
+        k, v, q = target
+        into, src = table.state(v, q), [table.state(u, level) for u, level in sources]
+        moves = _table_moves(inst, table)
+        for s in src:
+            assert [layers[k - 1][s] + c for a, b, c, _ in moves if (a, b) == (s, into)] == [
+                layers[k][into]]
         result, _ = dp_solve(inst, reach=reach)
         assert result.stops == stops
-        assert table.state(result.route[1][0], result.arrival_fuel[1]) == min(fill_src, deficit_src)
-        assert result.total_cost == 12.0
+        assert table.state(result.route[k - 1][0], result.arrival_fuel[k - 1]) == min(src)
+        assert result.total_cost == cost
+
+    def test_a_huge_stop_limit_relaxes_no_more_layers_than_states(self, wx_reach):
+        result, stats = dp_solve(worked_example(k_max=10**12), reach=wx_reach)
+        table, layers = build_layers(worked_example(k_max=10**12), wx_reach)
+        assert len(layers) == table.size + 1
+        assert repr(result) == repr(dp_solve(worked_example(k_max=2), reach=wx_reach)[0])
+        assert stats.dp_states_computed == 10**12 * table.size
 
     def test_fill_up_leaves_the_lowest_level_of_its_tail(self):
         """From a dry start with 3 units, u = 3 is reached in one stop empty
@@ -182,6 +212,35 @@ def _decimal(inst):
     return Instance(graph, inst.start, inst.goal, inst.q_max * 0.1, inst.k_max, inst.q0 * 0.1)
 
 
+def _grid_graph(rows=6, side=6):
+    """A road grid with fuels 1..9 both ways, prices 1..9 and a dry station
+    in every ninth or so: 6 x 6 with a tank of 20 gives a vertex up to 17
+    levels."""
+    n = rows * side
+    edges = []
+    for v in range(n):
+        for w in (v + 1, v + side):
+            if w < n and (w == v + side or w % side):
+                f = float(1 + (7 * v + 3 * w) % 9)
+                edges += [(v, w, f), (w, v, f)]
+    price = [math.inf if v % 36 in (7, 15, 28) else float(1 + 5 * v % 9) for v in range(n)]
+    return FuelGraph.build(price, edges)
+
+
+def _grid_instance(start, goal, q0=0.0, rows=6):
+    return Instance(_grid_graph(rows), start, goal, 20.0, 4, q0)
+
+
+# The worked example with every price times m, 2 stops and a tank of 6: the
+# per-arc moves take it while 3 * 6 * (5 * m) < 2**53.
+_BOUND_SCALE = (2**53 - 1) // 90
+
+
+def _scaled_example(m):
+    g = worked_example_graph()
+    return Instance(FuelGraph.build([p * m for p in g.price], list(g.edges)), O, T, 6.0, 2)
+
+
 def _coasts(inst, reach):
     """Free-coast arrivals (vertex, level) on the initial fuel, in succ order."""
     return [(v, inst.q0 - d) for v, d in reach.succ[inst.start]
@@ -206,6 +265,37 @@ def _reference_moves(inst, reach, table):
                 a, arrive, ok = d - q, 0.0, d > q
             if ok:
                 moves.add((s, table.state(v, arrive), a * cu, a))
+    return moves
+
+
+def _table_moves(inst, table):
+    """Every (source, landing, cost, amount) move a table relaxes.  A row is
+    one move; a fill-up arc stands for one move from every level of its tail
+    with room in the tank, priced by the tail's fill_cost; a per-arc move
+    from tail u stands for one move from every state of u whose cell is at
+    most the one it reads (the spare cell 0 is no state's)."""
+    n, q_max, price = inst.graph.n, inst.q_max, inst.graph.price
+    if not table.exact:
+        moves = list(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
+                         table.amount.tolist()))
+        for u, dst in zip(table.fill_tail.tolist(), table.fill_dst.tolist()):
+            for s in range(table.offset[u], table.offset[u + 1]):
+                if table.fill_cost[s] < math.inf:
+                    moves.append((s, dst, float(table.fill_cost[s]),
+                                  q_max - float(table.state_q[s])))
+        return moves
+    moves = []
+    run = table.run.tolist()
+    for t in range(table.size):
+        for i in range(run[n + t], run[n + t + 1]):
+            read, leave = int(table.read[i]), float(table.leave[i])
+            if read == 1:  # blank
+                continue
+            u = (read - 2) % n
+            for s in range(table.offset[u], table.offset[u + 1]):
+                if 2 <= table.cell[s] <= read:
+                    a = leave - float(table.state_q[s])
+                    moves.append((s, t, a * price[u], a))
     return moves
 
 
@@ -235,16 +325,23 @@ class TestArrayTable:
         inst = random_instance(seed, with_q0=with_q0)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         table = _Table(inst, reach)
-        moves = list(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
-                         table.amount.tolist()))
+        assert table.exact  # integral: the per-arc moves
+        moves = _table_moves(inst, table)
+        assert len(moves) == len(set(moves))
+        assert set(moves) == _reference_moves(inst, reach, table)
+
+    @pytest.mark.parametrize("inst", [
+        *(_decimal(random_instance(seed, with_q0=q0))
+          for seed in range(10) for q0 in (False, True)),
+        *(Instance(decimal_price_graph(), s, t, 10.0, 3, q0)
+          for s in range(3) for t in range(3) if s != t for q0 in (0.0, 4.0, 10.0)),
+    ])
+    def test_rows_match_the_purchase_rule(self, inst):
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        table = _Table(inst, reach)
+        assert not table.exact  # decimal: the rows
         assert table.src.tolist() == sorted(table.src.tolist())
-        # Each fill-up arc stands for one move from every level of its tail
-        # with room in the tank, priced by the tail's fill_cost.
-        for u, dst in zip(table.fill_tail.tolist(), table.fill_dst.tolist()):
-            for s in range(table.offset[u], table.offset[u + 1]):
-                if table.fill_cost[s] < math.inf:
-                    moves.append((s, dst, float(table.fill_cost[s]),
-                                  inst.q_max - float(table.state_q[s])))
+        moves = _table_moves(inst, table)
         assert len(moves) == len(set(moves))
         assert set(moves) == _reference_moves(inst, reach, table)
 
@@ -253,6 +350,10 @@ class TestArrayTable:
         *(_decimal(random_instance(seed, with_q0=seed % 2 == 1)) for seed in range(25)),
         *(Instance(decimal_price_graph(), s, t, 10.0, 3, q0)
           for s in range(3) for t in range(3) if s != t for q0 in (0.0, 4.0, 9.0, 10.0)),
+        _grid_instance(0, 35), _grid_instance(20, 3), _grid_instance(0, 35, 7.0),
+        _grid_instance(14, 21, 12.0), _grid_instance(9, 26, 20.0),
+        _grid_instance(40, 90, rows=22), _grid_instance(40, 90, 9.0, rows=22),
+        _scaled_example(_BOUND_SCALE), _scaled_example(_BOUND_SCALE + 1),
     ])
     def test_layers_match_a_python_relaxation(self, inst):
         reach = compute_reachable_sets(inst.graph, inst.q_max)
@@ -279,6 +380,26 @@ class TestArrayTable:
                 nxt[dst] = min(nxt[dst], prev[src] + cost)
             prev = nxt
 
+    def test_layer_inputs_cover_the_per_arc_cases(self):
+        """The grid inputs above: many levels per vertex, initial fuel that
+        gives the start and its coasts new levels, and goals with fill-up
+        levels in the base table; the scaled examples lie on each side of
+        the 2**53 bound."""
+        reach = compute_reachable_sets(_grid_graph(), 20.0)
+        levels = np.diff(reach.table.ptr[0])
+        assert levels.max() >= 10
+        assert levels[35] > 1 and levels[21] > 1
+        assert _grid_graph(22).n >= dp._ROW_BY_ROW  # the prefix minima go rank by rank
+        for inst in (_grid_instance(0, 35, 7.0), _grid_instance(14, 21, 12.0)):
+            table = _Table(inst, reach)
+            assert table.exact and len(table.fresh) > 1
+            assert (inst.start in table.state_v[table.fresh].tolist()) == (inst.start == 0)
+        for m, exact in ((_BOUND_SCALE, True), (_BOUND_SCALE + 1, False)):
+            inst = _scaled_example(m)
+            table = _Table(inst, compute_reachable_sets(inst.graph, inst.q_max))
+            assert table.depth == 2 and (3 * 6 * (5 * m) < 2**53) is exact
+            assert table.exact is exact
+
     def test_unknown_state_raises(self, wx, wx_reach):
         table = _Table(wx, wx_reach)
         with pytest.raises(KeyError):
@@ -299,12 +420,9 @@ def _solve_key(inst, reach):
     return repr(result), stats.dp_states_computed
 
 
-def _table_key(table):
-    rows = sorted(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
-                      table.amount.tolist()))
-    fills = sorted(zip(table.fill_tail.tolist(), table.fill_dst.tolist()))
+def _table_key(inst, table):
     return (table.state_v.tolist(), table.state_q.tolist(), table.fill_cost.tolist(),
-            table.initial.tolist(), table.goal, rows, fills)
+            table.initial.tolist(), table.goal, sorted(_table_moves(inst, table)))
 
 
 class TestTableBase:
@@ -323,28 +441,27 @@ class TestTableBase:
         fresh = {}
         for inst in queries:
             reach = compute_reachable_sets(graph, q_max)
-            fresh[inst] = (_table_key(_Table(inst, reach)), _solve_key(inst, reach))
+            fresh[inst] = (_table_key(inst, _Table(inst, reach)), _solve_key(inst, reach))
         for order in (queries, queries[::-1]):
             shared = compute_reachable_sets(graph, q_max)
             for inst in order:
-                key = (_table_key(_Table(inst, shared)), _solve_key(inst, shared))
+                key = (_table_key(inst, _Table(inst, shared)), _solve_key(inst, shared))
                 assert key == fresh[inst]
 
     def test_overlay_graph_covers_each_case(self):
         graph = _overlay_graph()
         reach = compute_reachable_sets(graph, 10.0)
 
-        def rows_into_goal(table):
-            return [(table.state_v[s], table.state_q[s], a) for s, t, a in
-                    zip(table.src.tolist(), table.dst.tolist(), table.amount.tolist())
-                    if t == table.goal]
+        def moves_into_goal(inst):
+            table = _Table(inst, reach)
+            return [(table.state_v[s], table.state_q[s], a)
+                    for s, t, _, a in _table_moves(inst, table) if t == table.goal]
 
         # Goal 1: the tail 0 is cheaper, so its fill-up arc of fuel 4 buys
         # 4 - q from each of its levels up to 4, here 0.
-        assert (0, 0.0, 4.0) in rows_into_goal(_Table(Instance(graph, 0, 1, 10.0, 3), reach))
+        assert (0, 0.0, 4.0) in moves_into_goal(Instance(graph, 0, 1, 10.0, 3))
         # Goal 2: the dearer tail 3 reaches it from level 7 with d = 7.
-        table = _Table(Instance(graph, 0, 2, 10.0, 3), reach)
-        assert (3, 7.0, 0.0) in rows_into_goal(table)
+        assert (3, 7.0, 0.0) in moves_into_goal(Instance(graph, 0, 2, 10.0, 3))
         # A full start fills nothing.
         table = _Table(Instance(graph, 0, 2, 10.0, 3, 10.0), reach)
         assert table.state_q[table.initial[0]] == 10.0
@@ -358,12 +475,17 @@ class TestTableBase:
         base = reach.table
         dp_solve(Instance(inst.graph, inst.goal, inst.start, inst.q_max, inst.k_max), reach=reach)
         assert reach.table is base
+        assert "table_rows" not in vars(reach)  # integral: no query took the rows
+        dp_solve(Instance(inst.graph, inst.start, inst.goal, inst.q_max, inst.k_max, 0.5),
+                 reach=reach)
+        assert "table_rows" in vars(reach) and reach.table is base
 
     def test_arrays_are_read_only(self):
         inst = random_instance(7, with_q0=True)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         dp_solve(inst, reach=reach)
         assert not any(a.flags.writeable for a in reach.table)
+        assert not any(a.flags.writeable for a in reach.table_rows)
         with pytest.raises(ValueError, match="read-only"):
             reach.table.levels[1, 0] = 0.0
 

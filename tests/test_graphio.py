@@ -197,3 +197,14 @@ def test_resolve_instance_takes_int_and_float_fuel(q_max, q0):
     inst = resolve_instance(worked_example_graph(), "o", "t", q_max, 2, q0)
     assert (inst.q_max, inst.q0) == (float(q_max), float(q0))
     assert type(inst.q_max) is float and type(inst.q0) is float
+
+
+@pytest.mark.parametrize("q_max, q0, what", [
+    (10**400, 2, "tank capacity"),
+    (-10**400, 2, "tank capacity"),
+    (6, 10**400, "initial fuel"),
+    (6, 10**5000, "initial fuel"),  # past the digits str() converts
+], ids=["tank", "negative-tank", "fuel", "fuel-of-5001-digits"])
+def test_resolve_instance_rejects_an_int_too_large_for_a_float(q_max, q0, what):
+    with pytest.raises(SchemaError, match=f"{what} .* too large"):
+        resolve_instance(worked_example_graph(), "o", "t", q_max, 2, q0)
