@@ -33,10 +33,15 @@ minimum down every vertex's column, and relaxes every arc with one read of
 the grid plus c_u·L.  As in Khuller, Malekian and Mestre (2011) for
 fill-ups, the minimum over the levels is taken once per arc, not once per
 (level, arc).  The hub of u, its cheapest fill-up, is the read at u's last
-level.  The moves are sorted by the state they land in, after the hubs, so
-one segment minimum (``np.minimum.reduceat``) lands them all.  An initial
-fuel level that the base lacks takes a cell of its own, and the moves from
-its vertex that it is open to read one rank higher.
+level.  The moves into one hub or state are its run, and a run lands in
+one of two ways, by its length.  Runs shorter than ``_SHORT_RUN`` take one
+unbuffered scatter-minimum (``np.minimum.at``) into the layer, which starts
+at +inf; longer ones take one segment minimum (``np.minimum.reduceat``),
+written to their hubs and states.  The moves are sorted by (long run?,
+hub or state), once per reach graph, so that each way reads one slice and
+each state's moves are one range.  An initial fuel level that the base
+lacks takes a cell of its own, and the moves from its vertex that it is
+open to read one rank higher; nothing lands in it, so it stays +inf.
 
 The split sums equal the direct ones only where every operand and every sum
 is an exact integer; ``_exact`` is that predicate.  Inputs that fail it
@@ -102,24 +107,27 @@ class TableArrays(NamedTuple):
     each vertex's price.
 
     Per state s of vertex v: states[0] is v and states[1] the cell of s in
-    the grid, 2 + j·n + v for the j-th level of v, so that the levels of
+    the grid, 1 + j·n + v for the j-th level of v, so that the levels of
     one rank lie side by side (cell 0 is a spare one, which states without
-    a cell write, and cell 1 a blank one, which stays +inf).  levels[0] is
-    the level q, levels[1] the fill-up cost and levels[2] the fuel's worth
-    q·c_v (0 where v sells nothing).
+    a cell write).  levels[0] is the level q, levels[1] the fill-up cost
+    and levels[2] the fuel's worth q·c_v (0 where v sells nothing).
 
     Per vertex v, each a range in the array it names: ptr[0] the states of
-    v and ptr[1] the column arcs into v; v's range is ptr[k][v]:ptr[k][v + 1].
+    v, ptr[1] the column arcs into v, ptr[2] the short moves into v's
+    states, ptr[3] their long runs and ptr[4] the moves of those runs,
+    counted past the short moves; v's range is ptr[k][v]:ptr[k][v + 1].
 
     The per-arc moves.  Move i reads cell move_read[i], the last level of
     its tail u below the level moves[0][i] it buys up to, and adds
-    moves[1][i], c_u times that level; its tail is (move_read[i] - 2) mod n.
-    Run r of them is the moves from landing[r] to landing[r + 1].  Run
-    v < n is v's hub, a fill-up from its last level; run n + s holds the
-    moves that land in state s: the fill-up arcs and, at a level 0, the
-    deficit arcs from a tail that sells, or one blank move if there are
-    none.  A blank move reads the blank cell and buys up to level 0.  One
-    ends the moves, and landing ends with its index.
+    moves[1][i], c_u times that level; its tail is (move_read[i] - 1) mod n.
+    Each lands in a slot: slot v < n is v's hub, a fill-up from its last
+    level, and slot n + s is state s, which the fill-up arcs and, at a
+    level 0, the deficit arcs from a tail that sells land in.  The moves
+    into one slot are its run.  Runs shorter than ``_SHORT_RUN`` come
+    first, in slot order, and move i of them lands in slot land[i]; the
+    long runs follow, also in slot order, the r-th landing in slot
+    long_runs[0][r] and starting long_runs[1][r] moves past the short
+    ones.  A slot that nothing lands in has no run.
 
     The column arcs are the arcs whose tail sells, by head.  Were the head
     the goal, such an arc u -> v of fuel column_dist = d would buy d - q
@@ -128,7 +136,8 @@ class TableArrays(NamedTuple):
     a per-arc move it reads cell column_read, u's last level at most d.
 
     bound is q_max times the largest finite price if every fuel, q_max and
-    every finite price is integral, else inf (``_exact``).
+    every finite price is integral, else inf (``_exact``).  width is the
+    most levels of any vertex, the grid's count of ranks.
     """
 
     price: np.ndarray
@@ -137,10 +146,12 @@ class TableArrays(NamedTuple):
     levels: np.ndarray
     move_read: np.ndarray
     moves: np.ndarray
-    landing: np.ndarray
+    land: np.ndarray
+    long_runs: np.ndarray
     column_read: np.ndarray
     column_dist: np.ndarray
     bound: np.ndarray
+    width: np.ndarray
 
 
 class RowArrays(NamedTuple):
@@ -196,48 +207,48 @@ def base_table(reach: ReachGraph) -> TableArrays:
     offset = state_v.searchsorted(vertex)
 
     # A move from a tail reads the cell of the last level it is open to,
-    # 2 + (levels open - 1)·n + tail.  A column arc of fuel d is open to the
+    # 1 + (levels open - 1)·n + tail.  A column arc of fuel d is open to the
     # levels up to d.
     column = sells[src].nonzero()[0]
     column = column[nbr[column].argsort(kind="stable")]
-    column_read = 2 + (_at_most(state_q, offset, src[column], dist[column]) - 1) * n + src[column]
+    column_read = 1 + (_at_most(state_q, offset, src[column], dist[column]) - 1) * n + src[column]
 
-    # The moves, after the hubs, in the order of the state they land in:
-    # the fill-up arcs, open to every level of their tail; the deficit arcs
-    # of fuel d from a tail that sells, open to the levels below d; and a
-    # blank move for each state that nothing else lands in and one past
-    # them all.
-    hub = 2 + (np.diff(offset) - 1) * n + vertex[:n]
+    # The moves and the slot each lands in: the hubs, open to every level
+    # of their vertex; the fill-up arcs, open to every level of their tail;
+    # and the deficit arcs of fuel d from a tail that sells, open to the
+    # levels below d.  Short runs come first, then long ones, each in slot
+    # order, so that the moves into a slot stay one range.
+    ranks = np.diff(offset)  # the levels of each vertex
+    hub = 1 + (ranks - 1) * n + vertex[:n]
     paid = ((~cheaper) & sells[src]).nonzero()[0]
-    land = np.concatenate((cand_state[n:], offset[nbr[paid]]))
-    blank = np.setdiff1d(np.arange(size + 1), land)
-    land = np.concatenate((land, blank))
-    by_land = land.argsort(kind="stable")
-    count = np.bincount(land)
-    tail = np.concatenate((src[fill], src[paid]))
-    move_read = np.concatenate((
-        hub, np.concatenate((hub[src[fill]], 2 + n * (_at_most(
-            state_q, offset, src[paid], dist[paid], "left") - 1) + src[paid],
-                             np.ones(len(blank), dtype=np.int64)))[by_land]))
-    moves = np.zeros((2, n + len(land)))  # a blank move buys nothing
-    moves[0, :n + len(fill)] = q_max
-    moves[1, :n] = q_max * price
-    moves[0, n + len(fill):n + len(tail)] = dist[paid]
-    moves[1, n:n + len(tail)] = moves[0, n:n + len(tail)] * price[tail]
-    moves[:, n:] = moves[:, n:][:, by_land]
+    land = np.concatenate((vertex[:n], n + cand_state[n:], n + offset[nbr[paid]]))
+    count = np.bincount(land, minlength=n + size)
+    long = count >= _SHORT_RUN
+    order = np.lexsort((land, long[land]))
+    land = land[order]
+    tail = np.concatenate((vertex[:n], src[fill], src[paid]))[order]
+    move_read = np.concatenate((hub, hub[src[fill]], 1 + n * (_at_most(
+        state_q, offset, src[paid], dist[paid], "left") - 1) + src[paid]))[order]
+    leave = np.concatenate((np.full(n + len(fill), q_max), dist[paid]))[order]
+    short = len(land) - int(count[long].sum())
+    long_slot = long.nonzero()[0]
+    long_start = np.append(0, count[long_slot].cumsum())  # and the end of the last
+    long_ptr = long_slot.searchsorted(n + offset)
 
     finite = price[sells]
     integral = ((dist % 1.0 == 0.0).all() and float(q_max).is_integer()
                 and (finite % 1.0 == 0.0).all())
     return TableArrays(*map(_read_only, (
         price,
-        np.array([offset, nbr[column].searchsorted(vertex)]),
-        np.array([state_v, 2 + (np.arange(size) - offset[state_v]) * n + state_v]),
+        np.array([offset, nbr[column].searchsorted(vertex), land[:short].searchsorted(n + offset),
+                  long_ptr, long_start[long_ptr]]),
+        np.array([state_v, 1 + (np.arange(size) - offset[state_v]) * n + state_v]),
         np.array([state_q, (q_max - state_q) * price[state_v], state_q * unit[state_v]]),
-        move_read, moves,
-        np.concatenate((vertex[:n], n + count.cumsum() - count)),
+        move_read, np.array([leave, leave * price[tail]]), land[:short].astype(np.int32),
+        np.array([long_slot, long_start[:-1]]),
         column_read, dist[column],
-        np.array(q_max * finite.max(initial=0.0) if integral else math.inf))))
+        np.array(q_max * finite.max(initial=0.0) if integral else math.inf),
+        np.array(ranks.max()))))
 
 
 def base_rows(reach: ReachGraph) -> RowArrays:
@@ -326,6 +337,16 @@ def _exact(inst: Instance, base: TableArrays, depth: int) -> bool:
 # 19 µs rank by rank, and 0.6 µs for 3 ranks of 6, against 1.4 µs.
 _ROW_BY_ROW = 128
 
+# Runs of fewer moves than this land by one unbuffered scatter-minimum
+# (np.minimum.at), about 2 ns a move; longer ones by one segment minimum
+# (np.minimum.reduceat), about 25 ns a run but less a move.  On a 2-CPU
+# Xeon VM with seed-7 benchmark inputs, a 45x45-grid query's layers took
+# 6.0 ms at 12 to 16 (7.8 at 4, 6.5 at 32, 7.2 by scatter alone and about
+# twice as long by segments alone), a G(256, 0.3) desk query's 0.97 ms at
+# 16 to 24 (1.08 by segments alone, 2.48 by scatter alone), and a tiny one's
+# 19 µs at 8 to 16 (21 µs at 4).
+_SHORT_RUN = 16
+
 
 class _Table:
     """Flattened state space and moves for one instance.
@@ -338,14 +359,17 @@ class _Table:
     depth is the count of layers to relax, and exact is ``_exact``.
 
     The per-arc moves, where exact.  State s writes A - worth[s] into cell
-    cell[s] of grid, 2 + width·n cells whose rank rows lanes views: the
-    j-th level of v is cell 2 + j·n + v, the goal writes the spare cell 0,
-    so that its cells stay +inf, and cell 1 is blank.  Move i reads cell read[i], buys up to
-    level leave[i] and adds charge[i].  Run r of them is the moves from
-    run[r] to run[r + 1]: the hubs, then one run per state, the goal's
-    being its column arcs and a blank move.  A new initial-fuel level,
-    which no move lands in, repeats the start of the run after it, and
-    fresh lists these states.
+    cell[s] of grid, 1 + width·n cells whose rank rows lanes views: the
+    j-th level of v is cell 1 + j·n + v, and the goal writes the spare
+    cell 0, so that its cells stay +inf.  Move i reads cell read[i], buys
+    up to level leave[i] and adds charge[i].  As in ``TableArrays``, slot
+    v < n is v's hub and slot n + s is state s, and the moves into a slot
+    are its run.  The short runs come first, in slot order, move i of them
+    landing in slot land[i]; the goal's run, its column arcs, is one of
+    them whatever its length.  The long runs follow in slot order, the
+    r-th landing in slot runs[0][r] and starting runs[1][r] moves past the
+    short ones.  fresh lists the new initial-fuel levels (None without
+    initial fuel); nothing lands in them.
 
     The rows, where not exact.  Deficit row i leaves state src[i], buys
     amount[i] for cost[i] and lands in dst[i]; rows are ordered by src.
@@ -364,8 +388,8 @@ class _Table:
         n, start, goal, q_max, q0 = inst.graph.n, inst.start, inst.goal, inst.q_max, inst.q0
         base = reach.table
         price = base.price
-        g_lo, c_lo = base.ptr[:, goal].tolist()
-        g_hi, c_hi = base.ptr[:, goal + 1].tolist()
+        g_lo, c_lo, a, ra, la = base.ptr[:, goal].tolist()
+        g_hi, c_hi, b, rb, lb = base.ptr[:, goal + 1].tolist()
 
         # The goal only sees empty arrivals: it keeps its level 0, and the
         # moves into its other levels go.  State i of the table is state
@@ -417,45 +441,56 @@ class _Table:
         column_read, column_dist = base.column_read[c_lo:c_hi], base.column_dist[c_lo:c_hi]
 
         if self.exact:
-            # The runs of the goal's states give way to its column and a
-            # blank move, so that the goal's run is never empty.  A column
-            # arc of fuel d buys d - q from every level q of u up to d.
-            run = base.landing
-            a, b = run.item(n + g_lo), run.item(n + g_hi)
-            self.read = np.concatenate((base.move_read[:a], column_read, [1],
-                                        base.move_read[b:]))
-            self.leave, self.charge = np.concatenate(
-                (base.moves[:, :a],
-                 [column_dist, column_dist * price[(column_read - 2) % n]], [[0.0], [0.0]],
-                 base.moves[:, b:]), axis=1)
-            run = np.concatenate((run[:n + g_lo + 1], run[n + g_hi:] + (c_hi - c_lo + 1 - b + a)))
-            # The hubs read the top level of every vertex, so the grid is as
-            # wide as the most levels, and one more with initial fuel.
-            self.width = int(base.move_read[:n].max() - 2) // n + 1
+            # The goal's base runs give way to its column, which lands as a
+            # short run however many arcs it has, so that a query adds no
+            # long run.  A column arc of fuel d buys d - q from every level q
+            # of u up to d.  Slot n + j past the goal's level 0 becomes
+            # n + j - drop.
+            short, columns = len(base.land), c_hi - c_lo
+
+            def splice(x: np.ndarray, column: np.ndarray) -> np.ndarray:
+                return np.concatenate(
+                    (x[..., :a], column, x[..., b:short + la], x[..., short + lb:]), axis=-1)
+
+            self.read = splice(base.move_read, column_read)
+            self.leave, self.charge = splice(
+                base.moves, np.array([column_dist, column_dist * price[(column_read - 1) % n]]))
+            self.land = np.concatenate(
+                (base.land[:a], np.zeros(columns, np.int32), base.land[b:]), dtype=np.intp)
+            self.land[a:a + columns] = n + g_lo
+            self.land[a + columns:] -= drop
+            self.runs = base.long_runs
+            if ra < self.runs.shape[1]:  # long runs from the goal's states on
+                self.runs = np.concatenate((self.runs[:, :ra], self.runs[:, rb:]), axis=1)
+                self.runs[0, ra:] -= drop
+                self.runs[1, ra:] -= lb - la
+            # The grid is as wide as the most levels, and one more with
+            # initial fuel.
+            self.width = base.width.item()
             self.fresh = None
             if merged is not None:
+                self.fresh = (pick >= base.states.shape[1]).nonzero()[0]
                 # A new level x of v takes a cell of v, above the levels
                 # below it, so a move from v that buys above x (or up to x,
-                # into the goal) reads one rank higher.
+                # into the goal) reads one rank higher.  No move lands in a
+                # new level, so it stays +inf past layer 0.
                 self.width += 1
-                self.cell = 2 + (np.arange(size) - offset[state_v]) * n + state_v
-                self.fresh = (pick >= base.states.shape[1]).nonzero()[0]
+                self.cell = 1 + (np.arange(size) - offset[state_v]) * n + state_v
                 x = np.full(n, math.inf)
                 x[state_v[self.fresh]] = state_q[self.fresh]
-                x = x[(self.read - 2) % n]
+                x = x[(self.read - 1) % n]
                 up = x < self.leave
-                into_goal = slice(a, a + c_hi - c_lo)
+                into_goal = slice(a, a + columns)
                 up[into_goal] = x[into_goal] <= self.leave[into_goal]
                 self.read += n * up
-                # No move lands in a new level: its run repeats the start of
-                # the next one, and the layers write +inf over what it lands.
-                behind = np.zeros(len(run) + len(self.fresh), dtype=np.int64)
-                behind[n + 1 + self.fresh] = 1
-                run = run[np.arange(len(behind)) - behind.cumsum()]
+                # Slot n + i becomes n + merged[i], in order.
+                slot = np.concatenate((np.arange(n), n + merged))
+                self.land = slot[self.land]
+                if self.runs.shape[1]:
+                    self.runs = np.array([slot[self.runs[0]], self.runs[1]])
             self.cell[self.goal] = 0
-            self.run = run
-            self.grid = np.full(2 + self.width * n, math.inf)
-            self.lanes = self.grid[2:].reshape(self.width, n)
+            self.grid = np.full(1 + self.width * n, math.inf)
+            self.lanes = self.grid[1:].reshape(self.width, n)
         else:
             rows = reach.table_rows
             f_lo, f_hi = rows.ptr[0, goal], rows.ptr[0, goal + 1]
@@ -480,7 +515,7 @@ class _Table:
             # [low, d]: all up to d where u is cheaper than the goal, else
             # only a level equal to d.
             bounds = np.full((2, n), -math.inf)
-            tails = (column_read - 2) % n
+            tails = (column_read - 1) % n
             bounds[:, tails] = (np.where(price[tails] < price[goal], -math.inf, column_dist),
                                 column_dist)
             low, d = bounds.take(state_v, axis=1)
@@ -506,7 +541,7 @@ class _Table:
             np.multiply(self.amount, price[state_v].repeat(per), out=self.cost)
 
     def minima(self, layer: np.ndarray) -> np.ndarray:
-        """The grid of a layer's prefix minima, where exact: cell 2 + j·n + v
+        """The grid of a layer's prefix minima, where exact: cell 1 + j·n + v
         holds the least A - c·q over the levels of v up to the j-th."""
         grid, lanes = self.grid, self.lanes
         grid[self.cell] = layer[:self.size] - self.worth
@@ -516,6 +551,18 @@ class _Table:
             for j in range(1, len(lanes)):
                 np.minimum(lanes[j], lanes[j - 1], out=lanes[j])
         return grid
+
+    def moves_into(self, state: int) -> tuple[int, int]:
+        """The range of the per-arc moves that land in state, where exact."""
+        slot, short = len(self.offset) - 1 + state, len(self.land)
+        lo, hi = self.land.searchsorted([slot, slot + 1]).tolist()
+        if lo == hi:  # a long run
+            slots, starts = self.runs[0], self.runs[1]
+            r = int(slots.searchsorted(slot))
+            lo, hi = short + starts.item(r), len(self.read)
+            if r + 1 < len(starts):
+                hi = short + starts.item(r + 1)
+        return lo, hi
 
     def state(self, v: int, q: float) -> int:
         lo, hi = int(self.offset[v]), int(self.offset[v + 1])
@@ -535,10 +582,12 @@ def build_layers(
 
     layers[k, :table.size] is A_k, and layers[k, table.size + u] the hub of
     u after it: the least cost of reaching u in k stops and filling up there
-    (+inf on the last row, which nothing relaxes from).  The per-arc moves
-    relax a layer where table.exact, the rows elsewhere.  Past the
-    deadline, raises SolveTimeout with the states of the layers relaxed so
-    far.
+    (+inf on the last row, which nothing relaxes from).  Where table.exact,
+    the per-arc moves relax a layer: every move reads the prefix minima of
+    the layer before, then the short runs land by one scatter-minimum and
+    the long runs by one segment minimum.  The rows relax it elsewhere.
+    Past the deadline, raises SolveTimeout with the states of the layers
+    relaxed so far.
     """
     table = _Table(inst, reach)
     n, size = inst.graph.n, table.size
@@ -546,9 +595,10 @@ def build_layers(
     layers[0][table.initial] = 0.0
     if table.exact:
         # The hubs of layer k - 1 and the states of layer k lie side by
-        # side, and one segment minimum lands them all.
-        flat, read, charge, run, fresh = (layers.ravel(), table.read, table.charge,
-                                          table.run[:-1], table.fresh)
+        # side, slot by slot, and start at +inf.
+        flat, read, charge, land = layers.ravel(), table.read, table.charge, table.land
+        long_slot, long_start = table.runs[0], table.runs[1]
+        short = len(land)
     else:
         fill_cost, from_, to, add = table.fill_cost, table.from_, table.to, table.add
         starts = table.offset[:-1]  # no vertex has an empty run: each has level 0
@@ -557,11 +607,14 @@ def build_layers(
             raise SolveTimeout(SearchStats(dp_states_computed=(k - 1) * size))
         prev = layers[k - 1]
         if table.exact:
-            grid = table.minima(prev)
+            cost = table.minima(prev)[read]
+            cost += charge
             end = k * (size + n)
-            np.minimum.reduceat(grid[read] + charge, run, out=flat[end - n:end + size])
-            if fresh is not None:
-                layers[k][fresh] = math.inf
+            slots = flat[end - n:end + size]
+            np.minimum.at(slots, land, cost[:short])
+            if len(long_slot):
+                slots[long_slot] = np.minimum.reduceat(cost[short:], long_start)
+            del cost  # freed before the next layer's gather, which then reuses its pages
         else:
             np.minimum.reduceat(prev[:size] + fill_cost, starts, out=prev[size:])
             np.minimum.at(layers[k], to, prev[from_] + add)
@@ -596,15 +649,16 @@ def _arc_step(table: _Table, grid: np.ndarray, target: float, state: int) -> tup
     amount bought).  A move from tail u leaves from the first level of u
     whose prefix minimum is the one it reads."""
     n = len(table.offset) - 1
-    lo, hi = table.run.item(n + state), table.run.item(n + state + 1)
+    lo, hi = table.moves_into(state)
     optimal = (grid[table.read[lo:hi]] + table.charge[lo:hi] == target).nonzero()[0]
     best = table.size
-    for i in (lo + optimal).tolist():
+    for i in optimal.tolist():
+        i += lo
         r = table.read.item(i)
-        u = (r - 2) % n
-        j = grid[2 + u:r + 1:n].tolist().index(grid.item(r))
+        u = (r - 1) % n
+        j = grid[1 + u:r + 1:n].tolist().index(grid.item(r))
         first, last = table.offset.item(u), table.offset.item(u + 1)
-        s = first + table.cell[first:last].tolist().index(2 + j * n + u)
+        s = first + table.cell[first:last].tolist().index(1 + j * n + u)
         if s < best:
             best, move = s, i
     return best, table.leave.item(move) - table.state_q.item(best)

@@ -241,6 +241,19 @@ def _scaled_example(m):
     return Instance(FuelGraph.build([p * m for p in g.price], list(g.edges)), O, T, 6.0, 2)
 
 
+# The inputs whose layers are checked against a Python relaxation.
+_LAYER_INPUTS = [
+    *(random_instance(seed, with_q0=q0) for seed in range(25) for q0 in (False, True)),
+    *(_decimal(random_instance(seed, with_q0=seed % 2 == 1)) for seed in range(25)),
+    *(Instance(decimal_price_graph(), s, t, 10.0, 3, q0)
+      for s in range(3) for t in range(3) if s != t for q0 in (0.0, 4.0, 9.0, 10.0)),
+    _grid_instance(0, 35), _grid_instance(20, 3), _grid_instance(0, 35, 7.0),
+    _grid_instance(14, 21, 12.0), _grid_instance(9, 26, 20.0),
+    _grid_instance(40, 90, rows=22), _grid_instance(40, 90, 9.0, rows=22),
+    _scaled_example(_BOUND_SCALE), _scaled_example(_BOUND_SCALE + 1),
+]
+
+
 def _coasts(inst, reach):
     """Free-coast arrivals (vertex, level) on the initial fuel, in succ order."""
     return [(v, inst.q0 - d) for v, d in reach.succ[inst.start]
@@ -268,12 +281,20 @@ def _reference_moves(inst, reach, table):
     return moves
 
 
+def _slots(table):
+    """The slot each per-arc move of a table lands in."""
+    slots, starts = table.runs
+    lengths = np.diff(np.append(starts, len(table.read) - len(table.land)))
+    return np.concatenate((table.land, slots.repeat(lengths))).tolist()
+
+
 def _table_moves(inst, table):
     """Every (source, landing, cost, amount) move a table relaxes.  A row is
     one move; a fill-up arc stands for one move from every level of its tail
     with room in the tank, priced by the tail's fill_cost; a per-arc move
-    from tail u stands for one move from every state of u whose cell is at
-    most the one it reads (the spare cell 0 is no state's)."""
+    into state t from tail u stands for one move from every state of u
+    whose cell is at most the one it reads (the spare cell 0 is no
+    state's)."""
     n, q_max, price = inst.graph.n, inst.q_max, inst.graph.price
     if not table.exact:
         moves = list(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
@@ -285,17 +306,15 @@ def _table_moves(inst, table):
                                   q_max - float(table.state_q[s])))
         return moves
     moves = []
-    run = table.run.tolist()
-    for t in range(table.size):
-        for i in range(run[n + t], run[n + t + 1]):
-            read, leave = int(table.read[i]), float(table.leave[i])
-            if read == 1:  # blank
-                continue
-            u = (read - 2) % n
-            for s in range(table.offset[u], table.offset[u + 1]):
-                if 2 <= table.cell[s] <= read:
-                    a = leave - float(table.state_q[s])
-                    moves.append((s, t, a * price[u], a))
+    for i, slot in enumerate(_slots(table)):
+        if slot < n:  # a hub
+            continue
+        read, leave = int(table.read[i]), float(table.leave[i])
+        u = (read - 1) % n
+        for s in range(table.offset[u], table.offset[u + 1]):
+            if 1 <= table.cell[s] <= read:
+                a = leave - float(table.state_q[s])
+                moves.append((s, slot - n, a * price[u], a))
     return moves
 
 
@@ -345,16 +364,7 @@ class TestArrayTable:
         assert len(moves) == len(set(moves))
         assert set(moves) == _reference_moves(inst, reach, table)
 
-    @pytest.mark.parametrize("inst", [
-        *(random_instance(seed, with_q0=q0) for seed in range(25) for q0 in (False, True)),
-        *(_decimal(random_instance(seed, with_q0=seed % 2 == 1)) for seed in range(25)),
-        *(Instance(decimal_price_graph(), s, t, 10.0, 3, q0)
-          for s in range(3) for t in range(3) if s != t for q0 in (0.0, 4.0, 9.0, 10.0)),
-        _grid_instance(0, 35), _grid_instance(20, 3), _grid_instance(0, 35, 7.0),
-        _grid_instance(14, 21, 12.0), _grid_instance(9, 26, 20.0),
-        _grid_instance(40, 90, rows=22), _grid_instance(40, 90, 9.0, rows=22),
-        _scaled_example(_BOUND_SCALE), _scaled_example(_BOUND_SCALE + 1),
-    ])
+    @pytest.mark.parametrize("inst", _LAYER_INPUTS)
     def test_layers_match_a_python_relaxation(self, inst):
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         table, layers = build_layers(inst, reach)
@@ -382,9 +392,9 @@ class TestArrayTable:
 
     def test_layer_inputs_cover_the_per_arc_cases(self):
         """The grid inputs above: many levels per vertex, initial fuel that
-        gives the start and its coasts new levels, and goals with fill-up
-        levels in the base table; the scaled examples lie on each side of
-        the 2**53 bound."""
+        gives the start and its coasts new levels, goals with fill-up levels
+        in the base table, and runs on each side of _SHORT_RUN in one
+        table; the scaled examples lie on each side of the 2**53 bound."""
         reach = compute_reachable_sets(_grid_graph(), 20.0)
         levels = np.diff(reach.table.ptr[0])
         assert levels.max() >= 10
@@ -394,11 +404,39 @@ class TestArrayTable:
             table = _Table(inst, reach)
             assert table.exact and len(table.fresh) > 1
             assert (inst.start in table.state_v[table.fresh].tolist()) == (inst.start == 0)
+            runs = Counter(_slots(table))
+            assert min(runs.values()) < dp._SHORT_RUN <= max(runs.values())
+            assert 0 < len(table.land) < len(table.read) and table.runs.shape[1] > 0
         for m, exact in ((_BOUND_SCALE, True), (_BOUND_SCALE + 1, False)):
             inst = _scaled_example(m)
             table = _Table(inst, compute_reachable_sets(inst.graph, inst.q_max))
             assert table.depth == 2 and (3 * 6 * (5 * m) < 2**53) is exact
             assert table.exact is exact
+
+    @pytest.mark.parametrize("short_run", [1, 10**9], ids=["segment-minima", "scatter-minima"])
+    def test_either_way_of_landing_gives_the_same_layers(self, monkeypatch, short_run):
+        """Landing every run by a segment minimum (every base run is long)
+        or by the scatter-minimum (every run is short) relaxes the same
+        layers to the bit and gives the same answers."""
+        cases = [*_LAYER_INPUTS, *(random_instance(seed, with_q0=q0)
+                                   for seed in range(200) for q0 in (False, True))]
+
+        def solve_all():
+            out = []
+            for inst in cases:
+                reach = compute_reachable_sets(inst.graph, inst.q_max)
+                table, layers = build_layers(inst, reach)
+                result, stats = dp_solve(inst, reach=reach)
+                out.append((layers.shape, layers.tobytes(), repr(result), stats.dp_states_computed))
+                if table.exact and dp._SHORT_RUN == 1:  # only the goal's column is short
+                    assert set(table.land.tolist()) <= {inst.graph.n + table.goal}
+                elif table.exact and dp._SHORT_RUN == 10**9:
+                    assert table.runs.shape[1] == 0
+            return out
+
+        expected = solve_all()
+        monkeypatch.setattr(dp, "_SHORT_RUN", short_run)
+        assert solve_all() == expected
 
     def test_unknown_state_raises(self, wx, wx_reach):
         table = _Table(wx, wx_reach)
