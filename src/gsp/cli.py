@@ -32,9 +32,9 @@ EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 EXIT_TIMEOUT = 4
 
-# ParseError, SchemaError, InvalidInstance, SolutionError, InstanceTooLarge
-# and NonIntegralInput are ValueErrors.  OSError covers a path that is
-# missing, names a directory or cannot be read.
+# ParseError, SchemaError, InvalidInstance, SolutionError and
+# InstanceTooLarge are ValueErrors.  OSError covers a path that is missing,
+# names a directory or cannot be read.
 _INPUT_ERRORS = (ValueError, KeyError, OSError, GenerationFailed)
 
 

@@ -7,12 +7,12 @@ solutions are refuel schedules that can be replayed and priced independently
 of the solver that produced them.
 
 All fuel and money quantities are 64-bit floats and comparisons are exact,
-with no epsilon.  Run-time values are sums and products of input values, so
-exactness holds whenever the inputs are integers, the recommended usage.
-Short decimals are not exact: with decimal fuels and initial fuel a
-schedule can come out one ulp short of a hop and fail validate_solution
-(FuelNegative), and decimal prices can make two solvers' costs differ in
-the last bit.  ROADMAP item 4 plans exact arithmetic for them.
+with no epsilon.  Every solver and validate_solution run on integers: a
+query counts fuels, tank and initial fuel in one decimal unit 10**-a and
+prices in one unit 10**-b, the coarsest in which every such value, read as
+its shortest repr, is a whole number (``decimals``, ``in_units`` and
+``reach.integral``).  Integral inputs take a = b = 0 and are used as they
+are.  A Solution is converted back once, at output (``Solution.from_units``).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,23 @@ NON_REFUELLABLE = math.inf
 
 class InvalidInstance(ValueError):
     """A graph or instance violates a structural invariant."""
+
+
+def decimals(x: float) -> int:
+    """The decimal places of x's shortest repr: 0 for 3.0 (and for inf),
+    1 for 0.5, 17 for 0.30000000000000004."""
+    x = float(x)
+    if x.is_integer() or not math.isfinite(x):
+        return 0
+    return -Decimal(repr(x)).as_tuple().exponent
+
+
+def in_units(x: float, unit: int) -> float:
+    """x counted in units of 1 / unit, read as its shortest repr, so that it
+    is exact and whole where x has at most log10(unit) decimal places."""
+    if unit == 1:
+        return float(x)
+    return float(Decimal(repr(float(x))) * unit)
 
 
 class SolutionError(ValueError):
@@ -149,6 +167,22 @@ class FuelGraph:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
+    def decimals(self) -> tuple[int, int]:
+        """The most decimal places of any fuel and of any finite price, built
+        on first use."""
+        fuels = [d for _, _, d in self.edges]
+        prices = [p for p in self.price if p < math.inf]
+        return tuple(0 if all(map(float.is_integer, values)) else max(map(decimals, values))
+                     for values in (fuels, prices))
+
+    def in_units(self, fuel: int, price: int) -> "FuelGraph":
+        """This graph with fuels counted in units of 1 / fuel and prices in
+        units of 1 / price."""
+        return FuelGraph.build([in_units(p, price) for p in self.price],
+                               [(u, v, in_units(d, fuel)) for u, v, d in self.edges],
+                               list(self.names))
+
+    @cached_property
     def cheapest(self) -> tuple[tuple[float, int], ...]:
         """The two least (price, vertex) pairs, built on first use.
 
@@ -251,6 +285,16 @@ class Solution:
         stops = tuple((v, a) for v, a in zip(vertices, bought) if a > 0.0)
         return cls(stops, tuple(route), cost, tuple(arrival))
 
+    def from_units(self, fuel: int, money: int) -> Solution:
+        """The schedule with every fuel quantity divided by fuel and the cost
+        by money: from a solver's integral units back to the input's.  Each
+        quotient is the float nearest the exact decimal."""
+        if fuel == money == 1:
+            return self
+        return Solution(tuple((v, a / fuel) for v, a in self.stops),
+                        tuple((v, d / fuel) for v, d in self.route), self.total_cost / money,
+                        tuple(q / fuel for q in self.arrival_fuel))
+
 
 @dataclass
 class SearchStats:
@@ -307,14 +351,17 @@ def scalarized_dominates(l: Label, l2: Label, c_v: float) -> bool:
 def validate_solution(inst: Instance, sol: Solution, reach=None) -> float:
     """Replay a schedule hop by hop and return the recomputed total cost.
 
-    Hops are priced with the refuel graph's minimum-fuel distances.  Raises
-    TankExceeded, FuelNegative, TooManyStops or BadEndpoints naming the
-    first violation, and InvalidSolution for malformed schedules.  A reach
-    graph passed in must match the instance (``reach_for``, else ValueError).
+    Hops are priced with the refuel graph's minimum-fuel distances.  The
+    replay runs in the query's integral units (``reach.integral``), a finer
+    one where an amount has more decimal places, so that it is exact.
+    Raises TankExceeded, FuelNegative, TooManyStops or BadEndpoints naming
+    the first violation, and InvalidSolution for malformed schedules.  A
+    reach graph passed in must match the instance (``reach_for``, else
+    ValueError).
     """
-    from .reach import reach_for
+    from .reach import integral
 
-    reach = reach_for(inst, reach)
+    inst, reach, unit, money = integral(inst, reach, inst.k_max, [a for _, a in sol.stops])
     if not sol.route:
         raise InvalidSolution("route is empty")
     names = inst.graph.names
@@ -338,15 +385,14 @@ def validate_solution(inst: Instance, sol: Solution, reach=None) -> float:
     verts = [v for v, _ in sol.route]
     for i, v in enumerate(verts):
         if next_stop < len(sol.stops) and sol.stops[next_stop][0] == v:
-            amount = sol.stops[next_stop][1]
+            amount = in_units(sol.stops[next_stop][1], unit)
             if math.isinf(inst.graph.price[v]):
                 raise InvalidSolution(f"stop {next_stop} at non-refuellable {names[v]}")
             fuel += amount
             cost += amount * inst.graph.price[v]
             if fuel > inst.q_max:
-                raise TankExceeded(
-                    f"stop {next_stop} at {names[v]}: tank {fuel} exceeds {inst.q_max}"
-                )
+                raise TankExceeded(f"stop {next_stop} at {names[v]}: "
+                                   f"tank {fuel / unit} exceeds {inst.q_max / unit}")
             next_stop += 1
         if i + 1 < len(verts):
             d = reach.distance(v, verts[i + 1])
@@ -358,11 +404,11 @@ def validate_solution(inst: Instance, sol: Solution, reach=None) -> float:
             fuel -= d
             if fuel < 0.0:
                 raise FuelNegative(
-                    f"hop {i} {names[v]}->{names[verts[i + 1]]}: fuel drops to {fuel}"
+                    f"hop {i} {names[v]}->{names[verts[i + 1]]}: fuel drops to {fuel / unit}"
                 )
     if next_stop != len(sol.stops):
         raise InvalidSolution(
             f"stop {next_stop} at {names[sol.stops[next_stop][0]]} "
             "does not match the route order"
         )
-    return cost
+    return cost / money

@@ -43,17 +43,10 @@ each state's moves are one range.  An initial fuel level that the base
 lacks takes a cell of its own, and the moves from its vertex that it is
 open to read one rank higher; nothing lands in it, so it stays +inf.
 
-The split sums equal the direct ones only where every operand and every sum
-is an exact integer; ``_exact`` is that predicate.  Inputs that fail it
-(decimal fuels or prices, or sums of 2**53 and more) relax one row per
-(state, deficit arc) instead: each layer takes the hub of every vertex as a
-segment minimum over the previous layer plus each state's fill-up cost,
-then every deficit row reads its source state, and every fill-up arc its
-tail's hub, in one gather, one add and one unbuffered scatter-minimum
-(``np.minimum.at``).  Both ways form the sums the per-(level, arc)
-relaxation forms, so the layers are the same to the bit.  The rows' arrays
-(``base_rows``) are built for a reach graph only when a query takes them,
-and ``ReachGraph.table_rows`` keeps them.
+The split sum (A - c·q) + c·L equals A + c·(L - q) because every operand
+and every sum is an integer below 2**53: ``dp_solve`` runs in the query's
+integral units, whose limit (``reach.integral``) keeps every cost of a
+cheapest chain, plus one move, below it.
 
 A cheapest chain with the fewest stops repeats no state, since costs are
 not negative, so min(k_max, states) layers are relaxed.  The naive method
@@ -76,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FuelGraph, Infeasible, Instance, SearchStats, Solution, SolveTimeout
-from .reach import ReachGraph, reach_for
+from .reach import ReachGraph, integral
 
 
 def gas_values(reach: ReachGraph, graph: FuelGraph, v: int, goal: int | None = None) -> list[float]:
@@ -135,9 +128,7 @@ class TableArrays(NamedTuple):
     level equal to d, since u's deficit moves cover the levels below d.  As
     a per-arc move it reads cell column_read, u's last level at most d.
 
-    bound is q_max times the largest finite price if every fuel, q_max and
-    every finite price is integral, else inf (``_exact``).  width is the
-    most levels of any vertex, the grid's count of ranks.
+    width is the most levels of any vertex, the grid's count of ranks.
     """
 
     price: np.ndarray
@@ -150,50 +141,21 @@ class TableArrays(NamedTuple):
     long_runs: np.ndarray
     column_read: np.ndarray
     column_dist: np.ndarray
-    bound: np.ndarray
     width: np.ndarray
-
-
-class RowArrays(NamedTuple):
-    """The rows' part of the table, for inputs that fail ``_exact``.
-
-    Per state s of vertex v, in the order of ``TableArrays``: the deficit
-    rows of s are the states[0] deficit arcs of v with d > q, from entry
-    states[1] on (none where v sells nothing).  Per vertex v: ptr[0] the
-    fill-up arcs into v and ptr[1] the deficit arcs of v, as ranges.
-    Fill-up arc i leaves vertex fills[0][i] and lands in state fills[1][i];
-    the arcs are ordered by landing state.  The deficit arcs of each tail
-    are sorted by fuel, with heads deficit_head and fuels deficit_dist; both
-    end with one spare entry, so that the entry just past any run can be
-    read.
-    """
-
-    ptr: np.ndarray
-    states: np.ndarray
-    fills: np.ndarray
-    deficit_head: np.ndarray
-    deficit_dist: np.ndarray
-
-
-def _arcs(reach: ReachGraph) -> tuple[np.ndarray, ...]:
-    """Every arc's tail, head and fuel, in the order of succ, and whether
-    the purchase rule fills the tank on it: its head is dearer (unless it
-    is the goal)."""
-    n, succ, price = reach.n, reach.succ, reach.graph.price
-    src = np.arange(n).repeat([len(row) for row in succ])
-    nbr = np.fromiter((v for row in succ for v, _ in row), dtype=np.int64, count=len(src))
-    dist = np.fromiter((d for row in succ for _, d in row), dtype=np.float64, count=len(src))
-    price = np.asarray(price, dtype=np.float64)
-    return src, nbr, dist, price[src] < price[nbr]
 
 
 def base_table(reach: ReachGraph) -> TableArrays:
     """The table as if there were no goal and no initial fuel, read-only;
     ``ReachGraph.table`` builds it once per reach graph."""
-    n, q_max = reach.n, reach.q_max
-    src, nbr, dist, cheaper = _arcs(reach)
-    vertex = np.arange(n + 1)
+    n, q_max, succ = reach.n, reach.q_max, reach.succ
+    # Every arc's tail, head and fuel, in the order of succ, and whether the
+    # purchase rule fills the tank on it: its head is dearer.
+    src = np.arange(n).repeat([len(row) for row in succ])
+    nbr = np.fromiter((v for row in succ for v, _ in row), dtype=np.int64, count=len(src))
+    dist = np.fromiter((d for row in succ for _, d in row), dtype=np.float64, count=len(src))
     price = np.asarray(reach.graph.price, dtype=np.float64)
+    cheaper = price[src] < price[nbr]
+    vertex = np.arange(n + 1)
     sells = price < math.inf
     unit = np.where(sells, price, 0.0)  # what a unit of fuel is worth at a vertex
 
@@ -235,9 +197,6 @@ def base_table(reach: ReachGraph) -> TableArrays:
     long_start = np.append(0, count[long_slot].cumsum())  # and the end of the last
     long_ptr = long_slot.searchsorted(n + offset)
 
-    finite = price[sells]
-    integral = ((dist % 1.0 == 0.0).all() and float(q_max).is_integer()
-                and (finite % 1.0 == 0.0).all())
     return TableArrays(*map(_read_only, (
         price,
         np.array([offset, nbr[column].searchsorted(vertex), land[:short].searchsorted(n + offset),
@@ -246,38 +205,7 @@ def base_table(reach: ReachGraph) -> TableArrays:
         np.array([state_q, (q_max - state_q) * price[state_v], state_q * unit[state_v]]),
         move_read, np.array([leave, leave * price[tail]]), land[:short].astype(np.int32),
         np.array([long_slot, long_start[:-1]]),
-        column_read, dist[column],
-        np.array(q_max * finite.max(initial=0.0) if integral else math.inf),
-        np.array(ranks.max()))))
-
-
-def base_rows(reach: ReachGraph) -> RowArrays:
-    """The rows of ``reach.table``'s states, read-only;
-    ``ReachGraph.table_rows`` builds them once per reach graph."""
-    n, q_max, table = reach.n, reach.q_max, reach.table
-    src, nbr, dist, cheaper = _arcs(reach)
-    vertex = np.arange(n + 1)
-    offset, (state_v, _), state_q = table.ptr[0], table.states, table.levels[0]
-    sells = table.price < math.inf
-
-    # A fill-up arc lands in the state of its arrival level at its head.
-    fill = cheaper.nonzero()[0]
-    fill_dst = offset[nbr[fill]] + _at_most(state_q, offset, nbr[fill], q_max - dist[fill],
-                                            "left")
-    by_dst = fill_dst.argsort(kind="stable")
-    fill_dst = fill_dst[by_dst]
-
-    deficit = (~cheaper).nonzero()[0]
-    deficit = deficit[np.lexsort((dist[deficit], src[deficit]))]
-    deficit_ptr = src[deficit].searchsorted(vertex)
-    run_end = deficit_ptr[state_v + 1]
-    deficits = (run_end - deficit_ptr[state_v]
-                - _at_most(dist[deficit], deficit_ptr, state_v, state_q)) * sells[state_v]
-    return RowArrays(*map(_read_only, (
-        np.array([fill_dst.searchsorted(offset), deficit_ptr]),
-        np.array([deficits, run_end - deficits]),
-        np.array([src[fill][by_dst], fill_dst]),
-        np.append(nbr[deficit], 0), np.append(dist[deficit], 0.0))))
+        column_read, dist[column], np.array(ranks.max()))))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -316,21 +244,6 @@ def _at_most(values: np.ndarray, ptr: np.ndarray, run: np.ndarray, x: np.ndarray
     return keys.searchsorted(run * span + rank[len(values):], side) - ptr[run]
 
 
-def _exact(inst: Instance, base: TableArrays, depth: int) -> bool:
-    """Whether the per-arc moves relax depth layers to the bit of the rows.
-
-    (A - c·q) + c·L equals A + c·(L - q) where every operand and every sum
-    is an integer below 2**53.  That holds when every fuel, q_max, q0 and
-    every finite price is integral (base.bound is finite) and
-    (depth + 1)·q_max·(largest finite price) < 2**53: no move costs more
-    than q_max times the largest price, so no cost of a layer up to depth,
-    plus one move, reaches the bound.
-    """
-    bound = base.bound.item()
-    return (bound < math.inf and float(inst.q0).is_integer()
-            and (depth + 1) * int(bound) < 2**53)
-
-
 # From this many vertices on, the prefix minima are taken one rank of the
 # grid at a time: numpy's accumulate walks the grid one column at a time.
 # On a 2.1-GHz Xeon it took 153 µs for 20 ranks of 2,025 vertices, against
@@ -349,36 +262,27 @@ _SHORT_RUN = 16
 
 
 class _Table:
-    """Flattened state space and moves for one instance.
+    """Flattened state space and moves for one instance, in integral units.
 
     state_v and state_q hold each state's vertex and level, and the states
     of v are offset[v]:offset[v + 1].  goal is the goal's one state.
     initial holds the states that cost nothing: the start, then the
     free-coast arrivals.  fill_cost[s] is the fill-up cost of s, or +inf
     where s does not buy (the goal, a full start, or an infinite price).
-    depth is the count of layers to relax, and exact is ``_exact``.
+    depth is the count of layers to relax.
 
-    The per-arc moves, where exact.  State s writes A - worth[s] into cell
-    cell[s] of grid, 1 + width·n cells whose rank rows lanes views: the
-    j-th level of v is cell 1 + j·n + v, and the goal writes the spare
-    cell 0, so that its cells stay +inf.  Move i reads cell read[i], buys
-    up to level leave[i] and adds charge[i].  As in ``TableArrays``, slot
-    v < n is v's hub and slot n + s is state s, and the moves into a slot
-    are its run.  The short runs come first, in slot order, move i of them
-    landing in slot land[i]; the goal's run, its column arcs, is one of
-    them whatever its length.  The long runs follow in slot order, the
-    r-th landing in slot runs[0][r] and starting runs[1][r] moves past the
-    short ones.  fresh lists the new initial-fuel levels (None without
-    initial fuel); nothing lands in them.
-
-    The rows, where not exact.  Deficit row i leaves state src[i], buys
-    amount[i] for cost[i] and lands in dst[i]; rows are ordered by src.
-    Fill-up arc i leaves vertex fill_tail[i] and lands in state
-    fill_dst[i].  A layer relaxes both kinds with one gather: move i reads
-    entry from_[i] of the previous layer extended by one hub per vertex,
-    entry size + u holding the cheapest fill-up at u; it adds add[i] and
-    lands in to[i].  The deficit rows come first, so src, dst and cost are
-    views of from_, to and add, and fill_dst is the rest of to.
+    The per-arc moves.  State s writes A - worth[s] into cell cell[s] of
+    grid, 1 + width·n cells whose rank rows lanes views: the j-th level of
+    v is cell 1 + j·n + v, and the goal writes the spare cell 0, so that
+    its cells stay +inf.  Move i reads cell read[i], buys up to level
+    leave[i] and adds charge[i].  As in ``TableArrays``, slot v < n is v's
+    hub and slot n + s is state s, and the moves into a slot are its run.
+    The short runs come first, in slot order, move i of them landing in
+    slot land[i]; the goal's run, its column arcs, is one of them whatever
+    its length.  The long runs follow in slot order, the r-th landing in
+    slot runs[0][r] and starting runs[1][r] moves past the short ones.
+    fresh lists the new initial-fuel levels (None without initial fuel);
+    nothing lands in them.
 
     Only the goal, the start and the initial fuel belong to the query; the
     rest is read from ``ReachGraph.table``, never written.
@@ -436,112 +340,61 @@ class _Table:
         # fill-up cost +inf by itself.
         self.fill_cost[[self.goal, self.initial.item(0)] if q0 == q_max else self.goal] = math.inf
         self.depth = min(inst.k_max, size)
-        self.exact = _exact(inst, base, self.depth)
-        # The goal's column: the arcs u -> goal whose tail sells.
+
+        # The goal's column, the arcs u -> goal whose tail sells, replaces
+        # the goal's base runs and lands as a short run however many arcs it
+        # has, so that a query adds no long run.  A column arc of fuel d
+        # buys d - q from every level q of u up to d.  Slot n + j past the
+        # goal's level 0 becomes n + j - drop.
         column_read, column_dist = base.column_read[c_lo:c_hi], base.column_dist[c_lo:c_hi]
+        short, columns = len(base.land), c_hi - c_lo
 
-        if self.exact:
-            # The goal's base runs give way to its column, which lands as a
-            # short run however many arcs it has, so that a query adds no
-            # long run.  A column arc of fuel d buys d - q from every level q
-            # of u up to d.  Slot n + j past the goal's level 0 becomes
-            # n + j - drop.
-            short, columns = len(base.land), c_hi - c_lo
+        def splice(x: np.ndarray, column: np.ndarray) -> np.ndarray:
+            return np.concatenate(
+                (x[..., :a], column, x[..., b:short + la], x[..., short + lb:]), axis=-1)
 
-            def splice(x: np.ndarray, column: np.ndarray) -> np.ndarray:
-                return np.concatenate(
-                    (x[..., :a], column, x[..., b:short + la], x[..., short + lb:]), axis=-1)
-
-            self.read = splice(base.move_read, column_read)
-            self.leave, self.charge = splice(
-                base.moves, np.array([column_dist, column_dist * price[(column_read - 1) % n]]))
-            self.land = np.concatenate(
-                (base.land[:a], np.zeros(columns, np.int32), base.land[b:]), dtype=np.intp)
-            self.land[a:a + columns] = n + g_lo
-            self.land[a + columns:] -= drop
-            self.runs = base.long_runs
-            if ra < self.runs.shape[1]:  # long runs from the goal's states on
-                self.runs = np.concatenate((self.runs[:, :ra], self.runs[:, rb:]), axis=1)
-                self.runs[0, ra:] -= drop
-                self.runs[1, ra:] -= lb - la
-            # The grid is as wide as the most levels, and one more with
-            # initial fuel.
-            self.width = base.width.item()
-            self.fresh = None
-            if merged is not None:
-                self.fresh = (pick >= base.states.shape[1]).nonzero()[0]
-                # A new level x of v takes a cell of v, above the levels
-                # below it, so a move from v that buys above x (or up to x,
-                # into the goal) reads one rank higher.  No move lands in a
-                # new level, so it stays +inf past layer 0.
-                self.width += 1
-                self.cell = 1 + (np.arange(size) - offset[state_v]) * n + state_v
-                x = np.full(n, math.inf)
-                x[state_v[self.fresh]] = state_q[self.fresh]
-                x = x[(self.read - 1) % n]
-                up = x < self.leave
-                into_goal = slice(a, a + columns)
-                up[into_goal] = x[into_goal] <= self.leave[into_goal]
-                self.read += n * up
-                # Slot n + i becomes n + merged[i], in order.
-                slot = np.concatenate((np.arange(n), n + merged))
-                self.land = slot[self.land]
-                if self.runs.shape[1]:
-                    self.runs = np.array([slot[self.runs[0]], self.runs[1]])
-            self.cell[self.goal] = 0
-            self.grid = np.full(1 + self.width * n, math.inf)
-            self.lanes = self.grid[1:].reshape(self.width, n)
-        else:
-            rows = reach.table_rows
-            f_lo, f_hi = rows.ptr[0, goal], rows.ptr[0, goal + 1]
-            self.fill_tail, fill_dst = np.concatenate(
-                (rows.fills[:, :f_lo], rows.fills[:, f_hi:]), axis=1)
-            fill_dst[f_lo:] -= drop
-            row_states = rows.states
-            if merged is not None:
-                fill_dst = merged[fill_dst]
-                # A candidate (v, x) moves by the deficit arcs of v that take
-                # more fuel than x, if v sells.
-                extra = []
-                for v, x in coasts:
-                    lo, hi = rows.ptr.item(1, v), rows.ptr.item(1, v + 1)
-                    above = hi - lo - int(rows.deficit_dist[lo:hi].searchsorted(x, "right"))
-                    above *= price.item(v) < math.inf
-                    extra.append((above, hi - above))
-                row_states = np.concatenate((row_states, np.array(extra).T), axis=1)
-            deficits, first = row_states.take(pick, axis=1)
-            deficits[self.goal] = 0
-            # An arc u -> goal of fuel d buys d - q from the levels q of u in
-            # [low, d]: all up to d where u is cheaper than the goal, else
-            # only a level equal to d.
-            bounds = np.full((2, n), -math.inf)
-            tails = (column_read - 1) % n
-            bounds[:, tails] = (np.where(price[tails] < price[goal], -math.inf, column_dist),
-                                column_dist)
-            low, d = bounds.take(state_v, axis=1)
-            into_goal = (low <= state_q) & (state_q <= d)
-
-            # The deficit rows of a state: its run of deficit arcs, then its
-            # goal row if it has one, which first reads the entry past the run.
-            per = deficits + into_goal
-            row_end = per.cumsum()
-            count = int(row_end[-1])
-            arc = np.arange(count) + (first + per - row_end).repeat(per)
-            goal_rows = row_end[into_goal] - 1
-            dst = offset[rows.deficit_head[arc]]
-            dst[goal_rows] = self.goal
-            self.amount = rows.deficit_dist[arc]
-            self.amount[goal_rows] = d[into_goal]
-            self.amount -= state_q.repeat(per)
-            self.from_ = np.concatenate((np.arange(size).repeat(per), size + self.fill_tail))
-            self.to = np.concatenate((dst, fill_dst))
-            self.add = np.zeros(count + len(fill_dst))
-            self.src, self.dst, self.cost = self.from_[:count], self.to[:count], self.add[:count]
-            self.fill_dst = self.to[count:]
-            np.multiply(self.amount, price[state_v].repeat(per), out=self.cost)
+        self.read = splice(base.move_read, column_read)
+        self.leave, self.charge = splice(
+            base.moves, np.array([column_dist, column_dist * price[(column_read - 1) % n]]))
+        self.land = np.concatenate(
+            (base.land[:a], np.zeros(columns, np.int32), base.land[b:]), dtype=np.intp)
+        self.land[a:a + columns] = n + g_lo
+        self.land[a + columns:] -= drop
+        self.runs = base.long_runs
+        if ra < self.runs.shape[1]:  # long runs from the goal's states on
+            self.runs = np.concatenate((self.runs[:, :ra], self.runs[:, rb:]), axis=1)
+            self.runs[0, ra:] -= drop
+            self.runs[1, ra:] -= lb - la
+        # The grid is as wide as the most levels, and one more with initial
+        # fuel.
+        self.width = base.width.item()
+        self.fresh = None
+        if merged is not None:
+            self.fresh = (pick >= base.states.shape[1]).nonzero()[0]
+            # A new level x of v takes a cell of v, above the levels below
+            # it, so a move from v that buys above x (or up to x, into the
+            # goal) reads one rank higher.  No move lands in a new level, so
+            # it stays +inf past layer 0.
+            self.width += 1
+            self.cell = 1 + (np.arange(size) - offset[state_v]) * n + state_v
+            x = np.full(n, math.inf)
+            x[state_v[self.fresh]] = state_q[self.fresh]
+            x = x[(self.read - 1) % n]
+            up = x < self.leave
+            into_goal = slice(a, a + columns)
+            up[into_goal] = x[into_goal] <= self.leave[into_goal]
+            self.read += n * up
+            # Slot n + i becomes n + merged[i], in order.
+            slot = np.concatenate((np.arange(n), n + merged))
+            self.land = slot[self.land]
+            if self.runs.shape[1]:
+                self.runs = np.array([slot[self.runs[0]], self.runs[1]])
+        self.cell[self.goal] = 0
+        self.grid = np.full(1 + self.width * n, math.inf)
+        self.lanes = self.grid[1:].reshape(self.width, n)
 
     def minima(self, layer: np.ndarray) -> np.ndarray:
-        """The grid of a layer's prefix minima, where exact: cell 1 + j·n + v
+        """The grid of a layer's prefix minima: cell 1 + j·n + v
         holds the least A - c·q over the levels of v up to the j-th."""
         grid, lanes = self.grid, self.lanes
         grid[self.cell] = layer[:self.size] - self.worth
@@ -553,7 +406,7 @@ class _Table:
         return grid
 
     def moves_into(self, state: int) -> tuple[int, int]:
-        """The range of the per-arc moves that land in state, where exact."""
+        """The range of the per-arc moves that land in state."""
         slot, short = len(self.offset) - 1 + state, len(self.land)
         lo, hi = self.land.searchsorted([slot, slot + 1]).tolist()
         if lo == hi:  # a long run
@@ -580,67 +433,36 @@ def build_layers(
 ) -> tuple[_Table, np.ndarray]:
     """Relax table.depth layers and return (table, layers).
 
+    inst and reach are in integral units (``reach.integral``).
     layers[k, :table.size] is A_k, and layers[k, table.size + u] the hub of
     u after it: the least cost of reaching u in k stops and filling up there
-    (+inf on the last row, which nothing relaxes from).  Where table.exact,
-    the per-arc moves relax a layer: every move reads the prefix minima of
-    the layer before, then the short runs land by one scatter-minimum and
-    the long runs by one segment minimum.  The rows relax it elsewhere.
-    Past the deadline, raises SolveTimeout with the states of the layers
-    relaxed so far.
+    (+inf on the last row, which nothing relaxes from).  Every move reads
+    the prefix minima of the layer before, then the short runs land by one
+    scatter-minimum and the long runs by one segment minimum.  Past the
+    deadline, raises SolveTimeout with the states of the layers relaxed so
+    far.
     """
     table = _Table(inst, reach)
     n, size = inst.graph.n, table.size
     layers = np.full((table.depth + 1, size + n), math.inf)
     layers[0][table.initial] = 0.0
-    if table.exact:
-        # The hubs of layer k - 1 and the states of layer k lie side by
-        # side, slot by slot, and start at +inf.
-        flat, read, charge, land = layers.ravel(), table.read, table.charge, table.land
-        long_slot, long_start = table.runs[0], table.runs[1]
-        short = len(land)
-    else:
-        fill_cost, from_, to, add = table.fill_cost, table.from_, table.to, table.add
-        starts = table.offset[:-1]  # no vertex has an empty run: each has level 0
+    # The hubs of layer k - 1 and the states of layer k lie side by side,
+    # slot by slot, and start at +inf.
+    flat, read, charge, land = layers.ravel(), table.read, table.charge, table.land
+    long_slot, long_start = table.runs[0], table.runs[1]
+    short = len(land)
     for k in range(1, table.depth + 1):
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout(SearchStats(dp_states_computed=(k - 1) * size))
-        prev = layers[k - 1]
-        if table.exact:
-            cost = table.minima(prev)[read]
-            cost += charge
-            end = k * (size + n)
-            slots = flat[end - n:end + size]
-            np.minimum.at(slots, land, cost[:short])
-            if len(long_slot):
-                slots[long_slot] = np.minimum.reduceat(cost[short:], long_start)
-            del cost  # freed before the next layer's gather, which then reuses its pages
-        else:
-            np.minimum.reduceat(prev[:size] + fill_cost, starts, out=prev[size:])
-            np.minimum.at(layers[k], to, prev[from_] + add)
+        cost = table.minima(layers[k - 1])[read]
+        cost += charge
+        end = k * (size + n)
+        slots = flat[end - n:end + size]
+        np.minimum.at(slots, land, cost[:short])
+        if len(long_slot):
+            slots[long_slot] = np.minimum.reduceat(cost[short:], long_start)
+        del cost  # freed before the next layer's gather, which then reuses its pages
     return table, layers
-
-
-def _row_step(inst: Instance, table: _Table, prev: np.ndarray, target: float,
-              state: int) -> tuple[int, float]:
-    """The row into state that attains target from the lowest state of
-    prev: (that state, the amount bought).  A fill-up leaves from the first
-    state of its tail that attains the tail's hub."""
-    size, rows, from_ = table.size, len(table.amount), table.from_
-    offset, fill_cost = table.offset, table.fill_cost
-    into = (table.to == state).nonzero()[0]
-    optimal = into[prev[from_[into]] + table.add[into] == target].tolist()
-    best = size
-    for i in optimal:
-        s = from_.item(i)
-        if i >= rows:
-            lo, hi = offset.item(s - size), offset.item(s - size + 1)
-            s = lo + (prev[lo:hi] + fill_cost[lo:hi]).tolist().index(target)
-        if s < best:
-            best, move = s, i
-    if move < rows:
-        return best, table.amount.item(move)
-    return best, inst.q_max - table.state_q.item(best)
 
 
 def _arc_step(table: _Table, grid: np.ndarray, target: float, state: int) -> tuple[int, float]:
@@ -673,10 +495,7 @@ def _reconstruct(inst: Instance, reach: ReachGraph, table: _Table, layers: np.nd
     vertices, bought, arrival = [inst.goal], [0.0], [0.0]
     for k in range(k_star, 0, -1):
         target = layers.item(k, state)
-        if table.exact:
-            state, amount = _arc_step(table, table.minima(layers[k - 1]), target, state)
-        else:
-            state, amount = _row_step(inst, table, layers[k - 1], target, state)
+        state, amount = _arc_step(table, table.minima(layers[k - 1]), target, state)
         vertices.append(table.state_v.item(state))
         arrival.append(table.state_q.item(state))
         bought.append(amount)
@@ -699,19 +518,23 @@ def dp_solve(
     Stops are layered strictly ("exactly k stops") and the answer minimises
     over k, which matches the within-k reading.  The state counter reports
     every cell the naive method determines: k_max times the total number of
-    admissible fuel levels.
+    admissible fuel levels.  Runs in the query's integral units
+    (``reach.integral``, which raises InvalidInstance where they would not
+    keep every sum exact).
     """
     stats = SearchStats()
     t0 = perf_counter()
     try:
-        reach = reach_for(inst, reach)
+        inst, reach, unit, money = integral(inst, reach, inst.k_max)
         if inst.start == inst.goal:
-            return Solution.build(reach, [inst.start], [], [inst.q0], 0.0), stats
+            return Solution.build(reach, [inst.start], [], [inst.q0], 0.0).from_units(
+                unit, money), stats
         if inst.q0 > 0.0:
             d_direct = reach.distance(inst.start, inst.goal)
             if d_direct is not None and d_direct <= inst.q0:
                 return Solution.build(reach, [inst.start, inst.goal], [],
-                                      [inst.q0, inst.q0 - d_direct], 0.0), stats
+                                      [inst.q0, inst.q0 - d_direct], 0.0).from_units(
+                    unit, money), stats
 
         table, layers = build_layers(inst, reach, deadline=deadline)
         stats.dp_states_computed = inst.k_max * table.size
@@ -719,7 +542,7 @@ def dp_solve(
         best_k = int(at_goal.argmin())  # the fewest stops among the cheapest
         if not math.isfinite(at_goal[best_k]):
             return Infeasible(), stats
-        return _reconstruct(inst, reach, table, layers, best_k), stats
+        return _reconstruct(inst, reach, table, layers, best_k).from_units(unit, money), stats
     except SolveTimeout as t:
         stats = t.stats  # carries the states of the layers built in time
         raise

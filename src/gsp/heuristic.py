@@ -20,7 +20,7 @@ row for the search's vector pass with the same operations, and so the same
 bits, reading d from a float64 copy of dist, converted once on the first
 pass and then filled with the heads settled after it.
 
-On dense integral graphs a second, price-aware term is taken as well:
+On dense graphs a second, price-aware term is taken as well:
 h = max((d(v) - q) * c_min, H(v) - q * price(v), 0), where H(v) is the
 least cost from v to the goal on an empty tank with no tank or stop limit.
 It is admissible because the q units held replace units that would cost at
@@ -33,12 +33,13 @@ price(v) D(v, x) + H(x)), D the all-pairs fuel before the cut at the tank.
 ``relaxed_costs`` builds H for every goal once per reach graph, which keeps
 it as ``ReachGraph.relaxed_cost``.
 
-The term is taken only where every quantity is an exact integer: the graph
-takes the reach build's Floyd-Warshall (its fuels are integers), the tank
-and every finite price are integers, 2 * n * max fuel and the tank, times
-the largest price, are below 2**53 (checked once per reach graph by
-``relaxed_costs``), and the query's initial fuel is an integer (checked by
-``build_heuristic``).  Elsewhere h is the first term, bit for bit.
+Solvers build the context on a query's integral view of the reach graph
+(``reach.integral``), where every fuel, the tank and every finite price is
+a whole number.  The term is taken where the graph takes the reach build's
+Floyd-Warshall and 2 * n * max fuel and the tank, times the largest price,
+are below 2**53 (checked once per reach graph by ``relaxed_costs``), so
+that every sum it forms is exact.  Elsewhere h is the first term, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -133,14 +134,13 @@ def relaxed_costs(reach: ReachGraph) -> np.ndarray | None:
     meaningless, where v sells nothing).  None where the graph fails the
     gate.  D is recomputed rather than kept, so succ stays the only arc list."""
     graph = reach.graph
-    if not (reach.q_max.is_integer() and reach_module._use_floyd_warshall(graph)):
+    if not reach_module._use_floyd_warshall(graph):
         return None
     price = graph.price
     order = sorted((v for v, p in enumerate(price) if p < math.inf), key=price.__getitem__)
     sold = [price[v] for v in order]  # ascending
     fuel_max = max(d for _, _, d in graph.edges)
-    if not (sold and all(map(float.is_integer, sold))
-            and max(2 * graph.n * fuel_max, reach.q_max) * sold[-1] < 2**53):
+    if not (sold and max(2 * graph.n * fuel_max, reach.q_max) * sold[-1] < 2**53):
         return None
     fuel = reach_module._all_pairs_fuel(graph)
     cost = np.full((len(order), graph.n), math.inf)  # cost[i] is H[order[i]]
@@ -156,19 +156,18 @@ def relaxed_costs(reach: ReachGraph) -> np.ndarray | None:
     return relaxed
 
 
-def build_heuristic(reach: ReachGraph, goal: int, q0: float = 0.0) -> HeuristicContext:
+def build_heuristic(reach: ReachGraph, goal: int) -> HeuristicContext:
     """Context for one query, seeded with the goal's reach column.
 
     c_min is the least finite price of a non-goal vertex, read off
     ``FuelGraph.cheapest`` (prices are non-negative or +inf), or 0 when every
     non-goal vertex is non-refuellable, which makes the estimate the trivial
-    (still admissible) zero heuristic.  The price-aware term needs an
-    integral q0, the fuel the query starts with.
+    (still admissible) zero heuristic.
     """
     c_min = next((p for p, v in reach.graph.cheapest if v != goal), math.inf)
     if math.isinf(c_min):
         c_min = 0.0
-    relaxed = reach.relaxed_cost if float(q0).is_integer() else None
+    relaxed = reach.relaxed_cost
     return HeuristicContext(goal, c_min, reach.into[goal], reach.graph.pred,
                             None if relaxed is None else relaxed[goal], reach.graph.price)
 

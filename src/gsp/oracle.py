@@ -1,4 +1,4 @@
-"""Brute-force ground truth for small integral instances.
+"""Brute-force ground truth for small instances.
 
 Deliberately independent of the fill-up / fill-enough rule: routes are
 enumerated exhaustively as walks in the refuel graph (revisits allowed)
@@ -6,12 +6,11 @@ and each fixed route is priced by a dynamic program over integer fuel
 levels that considers every purchase amount.  Costs coming out of here are
 what the optimised solvers are tested against.
 
-Only integral fuel data is accepted: the fixed-route relaxation then has
-an integral optimal vertex, so the integer-state DP is exact.  Prices may
-be any non-negative reals, short decimals such as 1.1 included: one DP
-both prices a route and reconstructs its schedule, choosing each purchase
-from the same float values it minimised.  The reported cost is the
-schedule's own, summed stop by stop.
+Like the other solvers it runs in the query's integral units
+(``reach.integral``): the fixed-route relaxation then has an integral
+optimal vertex, so the integer-state DP is exact, and every cost is an
+exact integer.  The size guard counts the tank in those units, so a tank of
+5 with fuels in tenths is 50 levels.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import math
 from dataclasses import dataclass
 from time import perf_counter
 
-from .core import Infeasible, Instance, SearchStats, Solution, SolveTimeout
-from .reach import ReachGraph, reach_for
+from .core import Infeasible, Instance, SearchStats, Solution, SolveTimeout, in_units
+from .reach import ReachGraph, integral
 
 MAX_VERTICES = 10
 MAX_STOPS = 5
@@ -31,10 +30,6 @@ MAX_TANK = 50
 
 class InstanceTooLarge(ValueError):
     """The guarded brute-force solver refuses instances of this size."""
-
-
-class NonIntegralInput(ValueError):
-    """Exact enumeration requires integral fuel quantities."""
 
 
 @dataclass(frozen=True)
@@ -47,16 +42,6 @@ class Route:
 
     vertices: tuple[int, ...]
     hop_fuels: tuple[float, ...]
-
-
-def _check_integral(inst: Instance):
-    if not float(inst.q_max).is_integer():
-        raise NonIntegralInput(f"q_max {inst.q_max} is not integral")
-    if not float(inst.q0).is_integer():
-        raise NonIntegralInput(f"q0 {inst.q0} is not integral")
-    for u, v, d in inst.graph.edges:
-        if not float(d).is_integer():
-            raise NonIntegralInput(f"edge ({u}, {v}) fuel {d} is not integral")
 
 
 def _check_size(inst: Instance):
@@ -134,12 +119,14 @@ def _cost_layers(route: Route, inst: Instance, f0: int) -> list[list[float]]:
 
 
 def route_min_cost(route: Route, inst: Instance) -> float | Infeasible:
-    """Exact minimum cost of a fixed route over all integral schedules."""
-    _check_integral(inst)
-    if any(d > inst.q_max for d in route.hop_fuels):
+    """Exact minimum cost of a fixed route over all schedules, in the
+    integral units of the query and the route's hop fuels."""
+    inst, _, unit, money = integral(inst, None, inst.k_max, route.hop_fuels)
+    hops = tuple(in_units(d, unit) for d in route.hop_fuels)
+    if any(d > inst.q_max for d in hops):
         return Infeasible()
-    best = min(_cost_layers(route, inst, int(inst.q0))[-1])
-    return best if math.isfinite(best) else Infeasible()
+    best = min(_cost_layers(Route(route.vertices, hops), inst, int(inst.q0))[-1])
+    return best / money if math.isfinite(best) else Infeasible()
 
 
 def _route_amounts(route: Route, inst: Instance, layers: list[list[float]]) -> tuple[list[float], list[float]]:
@@ -178,10 +165,10 @@ def brute_force_solve(
     fuel (those use k_max + 1 hops but still at most k_max purchases).
     """
     _check_size(inst)
-    _check_integral(inst)
-    reach = reach_for(inst, reach)
+    inst, reach, unit, money = integral(inst, reach, inst.k_max)
+    _check_size(inst)  # again, with the tank counted in fuel units
     if inst.start == inst.goal:
-        return Solution.build(reach, [inst.start], [], [inst.q0], 0.0)
+        return Solution.build(reach, [inst.start], [], [inst.q0], 0.0).from_units(unit, money)
 
     stats = SearchStats()
     t0 = perf_counter()
@@ -218,18 +205,12 @@ def brute_force_solve(
 
     if best is None:
         return Infeasible()
-    _, route, priced, layers = best
+    cost, route, priced, layers = best
     amounts, arrivals = _route_amounts(priced, inst, layers)
     if priced is not route:  # the first hop was a free coast
         amounts = [0.0] + amounts
         arrivals = [float(f0)] + arrivals
-    # The schedule's own cost, summed stop by stop as validate_solution and
-    # the label search do; the DP's value can differ from it in the last bit.
-    cost = 0.0
-    for v, amount in zip(route.vertices, amounts):
-        if amount > 0.0:
-            cost += amount * inst.graph.price[v]
-    return Solution.build(reach, route.vertices, amounts, arrivals, cost)
+    return Solution.build(reach, route.vertices, amounts, arrivals, cost).from_units(unit, money)
 
 
 def completion_costs(inst: Instance) -> dict[tuple[int, int, int], float]:
@@ -239,10 +220,14 @@ def completion_costs(inst: Instance) -> dict[tuple[int, int, int], float]:
     graph edges (free when the tank covers them) and buying any positive
     integer amount at finitely priced vertices.  Entirely independent of
     both the refuel-graph preprocessing and the purchase rule, which makes
-    it the reference for heuristic admissibility.
+    it the reference for heuristic admissibility: it reads only the query's
+    integral units and graph from ``reach.integral``, never an arc of the
+    refuel graph.  Fuel levels and costs come back in the input's units.
     """
     _check_size(inst)
-    _check_integral(inst)
+    real = inst
+    inst, _, unit, money = integral(inst, None, inst.k_max)
+    _check_size(inst)
     g = inst.graph
     q_cap = int(inst.q_max)
     k_cap = inst.k_max
@@ -275,4 +260,6 @@ def completion_costs(inst: Instance) -> dict[tuple[int, int, int], float]:
                 if cand < dist.get(key, math.inf):
                     dist[key] = cand
                     heapq.heappush(heap, (cand, v, f - a, k + 1))
-    return dist
+    if inst is real:
+        return dist
+    return {(v, f / unit, k): c / money for (v, f, k), c in dist.items()}

@@ -60,7 +60,7 @@ from .core import (
     scalarized_dominates,
 )
 from .heuristic import HeuristicContext, build_heuristic, h_for, h_row
-from .reach import ReachGraph, reach_for
+from .reach import ReachGraph, integral
 
 # expand() prices a row of at least _ROW_MIN arcs in one numpy pass
 # (_expand_row) and a shorter one in a loop, whose fixed cost is lower.
@@ -321,17 +321,20 @@ def rfastar_solve(
 
     The refuel graph is computed on demand when not supplied; a supplied
     one must have been built from the instance's graph and tank
-    (``reach_for``, else ValueError).  deadline is a perf_counter
+    (``reach_for``, else ValueError).  The search runs in the query's
+    integral units (``integral``, which raises InvalidInstance where they
+    would not keep every sum exact).  deadline is a perf_counter
     timestamp; crossing it raises SolveTimeout carrying the partial stats.
     """
     opts = opts or SearchOptions()
     stats = SearchStats()
-    reach = reach_for(inst, reach)
+    inst, reach, unit, money = integral(inst, reach,
+                                        math.inf if opts.unbounded_stops else inst.k_max)
 
     ctx: HeuristicContext | None = None
     if opts.use_heuristic:
         t0 = perf_counter()
-        ctx = build_heuristic(reach, inst.goal, inst.q0)
+        ctx = build_heuristic(reach, inst.goal)
         stats.heuristic_build_time = perf_counter() - t0
 
     t_search = perf_counter()
@@ -343,7 +346,7 @@ def rfastar_solve(
             stats.heuristic_settled = ctx.settled
     if goal_label is None:
         return Infeasible(), stats
-    return _reconstruct(goal_label, reach), stats
+    return _reconstruct(goal_label, reach).from_units(unit, money), stats
 
 
 def _search(inst: Instance, opts: SearchOptions, reach: ReachGraph,

@@ -9,7 +9,7 @@ solver handles q0 directly; this construction exists to cross-validate it.
 
 from __future__ import annotations
 
-from .core import FuelGraph, Instance
+from .core import FuelGraph, Instance, decimals, in_units
 
 
 class TransformInapplicable(ValueError):
@@ -24,13 +24,15 @@ def apply_initial_fuel_transform(inst: Instance) -> Instance:
             "q0 = q_max would need a zero-fuel arc; solve the instance natively"
         )
     g = inst.graph
+    unit = 10 ** max(decimals(inst.q_max), decimals(inst.q0))
+    arc = (in_units(inst.q_max, unit) - in_units(inst.q0, unit)) / unit  # q_max - q0, exactly
     pseudo = "vp"
     existing = set(g.names)
     while pseudo in existing:
         pseudo += "_"
     graph2 = FuelGraph.build(
         prices=list(g.price) + [0.0],
-        edges=list(g.edges) + [(g.n, inst.start, inst.q_max - inst.q0)],
+        edges=list(g.edges) + [(g.n, inst.start, arc)],
         names=list(g.names) + [pseudo],
     )
     return Instance(

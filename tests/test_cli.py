@@ -407,3 +407,42 @@ def test_solve_timeout_exit_code(tmp_path):
         "--qmax", "16", "--kmax", "6", "--algo", "dp", "--time-limit", "1e-4",
     ])
     assert code == 4
+
+
+def _decimal_graph_file(tmp_path, fuel=3.4, price=1.1):
+    path = tmp_path / "tenths.json"
+    path.write_text(write_graph(FuelGraph.build([price, 1.0], [(0, 1, fuel)], names=["s", "t"])))
+    return path
+
+
+def _decimal_args(path, *extra):
+    return ["--graph", str(path), "--start", "s", "--goal", "t", "--qmax", "4.4", "--kmax", "1",
+            "--q0", "1.3", *extra]
+
+
+@pytest.mark.parametrize("algo", ["rfastar", "rfastar-noh", "dp", "oracle"])
+def test_decimal_graph_solves_exactly_and_validates(tmp_path, capsys, algo):
+    """Buying 2.1 at 1.1 costs 2.31 exactly, and the written schedule replays."""
+    path = _decimal_graph_file(tmp_path)
+    assert main(["solve", *_decimal_args(path, "--algo", algo)]) == 0
+    assert "cost 2.31\nroute s->t\nstops s+2.1\n" in capsys.readouterr().out
+    assert main(["solve", *_decimal_args(path, "--algo", algo, "--json")]) == 0
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(capsys.readouterr().out)
+    assert main(["validate", *_decimal_args(path, "--solution", str(sol_path))]) == 0
+    assert capsys.readouterr().out == "valid, cost 2.31\n"
+
+
+@pytest.mark.parametrize("fuel, price", [
+    pytest.param(3 * 0.1, 1.0, id="fuel-of-17-places"),
+    pytest.param(3.4, 2.0**51, id="price-past-2**53"),
+])
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_sums_past_2_53_in_integral_units_exit_3(tmp_path, capsys, fuel, price, command):
+    path = _decimal_graph_file(tmp_path, fuel, price)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"cost": 1.0, "stops": [{"vertex": "s", "amount": 1.0}],
+                                    "route": ["s", "t"]}))
+    extra = ["--solution", str(sol_path)] if command == "validate" else []
+    assert main([command, *_decimal_args(path, *extra)]) == 3
+    assert "2**53" in capsys.readouterr().err

@@ -10,11 +10,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsp import (
     FuelGraph,
     Infeasible,
     Instance,
+    InvalidInstance,
+    apply_initial_fuel_transform,
     brute_force_solve,
     completion_costs,
     compute_reachable_sets,
@@ -23,7 +27,7 @@ from gsp import (
     rfastar_solve,
     validate_solution,
 )
-from gsp.core import FuelNegative
+from gsp.oracle import InstanceTooLarge
 from gsp.search import SearchOptions
 
 from conftest import random_instance, unpruned_solve
@@ -103,33 +107,115 @@ def test_every_solver_returns_the_same_solution(inst, with_oracle):
     assert validate_solution(inst, results[0], reach) == results[0].total_cost
 
 
-# Pinned defects of decimal inputs (ROADMAP item 4); exact arithmetic fixes all three.
+# Decimal inputs, once pinned as defects of float arithmetic: every solver
+# and the validator now run in the query's integral units.
 
-@pytest.mark.xfail(raises=FuelNegative, strict=True,
-                   reason="decimal fuels with initial fuel buy one ulp too little")
 def test_decimal_fuels_with_initial_fuel_validate():
+    """The search and the DP once bought 2.0999999999999996 where 2.1 is due."""
     inst = Instance(FuelGraph.build([1, 1], [(0, 1, 3.4)]), 0, 1, 5.4, 1, 1.3)
     for solve in (dp_solve, rfastar_solve):
         sol, _ = solve(inst)
-        validate_solution(inst, sol)
+        assert sol.stops == ((0, 2.1),)
+        assert validate_solution(inst, sol) == sol.total_cost == 2.1
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the oracle sums decimal prices to 7.7, the others to 7.700000000000001")
 def test_decimal_prices_cost_the_same_in_every_solver():
+    """The oracle once summed these prices to 7.7, the others to 7.700000000000001."""
     graph = FuelGraph.build([1.1, 0.1, 1.1], [(0, 1, 6), (1, 0, 8), (1, 2, 2), (2, 0, 1)])
     inst = Instance(graph, 2, 1, 8.0, 2)
     oracle = brute_force_solve(inst)
-    assert _cost(dp_solve(inst)[0]) == _cost(rfastar_solve(inst)[0]) == _cost(oracle)
+    assert _cost(dp_solve(inst)[0]) == _cost(rfastar_solve(inst)[0]) == _cost(oracle) == 7.7
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the search spends a third stop on 1.1e-16 of fuel and costs "
-                          "1.3000000000000007, the DP 1.3")
+def _tenths(inst: Instance, fuel_unit, price_factor=1) -> Instance:
+    """inst with every fuel, the tank and q0 times fuel_unit, prices times
+    price_factor."""
+    graph = FuelGraph.build([p * price_factor for p in inst.graph.price],
+                            [(u, v, d * fuel_unit) for u, v, d in inst.graph.edges])
+    return Instance(graph, inst.start, inst.goal, inst.q_max * fuel_unit, inst.k_max,
+                    inst.q0 * fuel_unit)
+
+
 def test_decimal_fuels_with_initial_fuel_cost_the_same_in_search_and_dp():
-    """random_instance(138, with_q0=True) with fuels, tank and q0 times 0.1:
-    start 2, goal 5, q_max 1.0, k_max 3, q0 0.2."""
+    """random_instance(138, with_q0=True) with fuels, tank and q0 in tenths:
+    start 2, goal 5, q_max 1.0, k_max 3, q0 0.2.  The search once spent a
+    third stop on 1.1e-16 of fuel and cost 1.3000000000000007."""
     base = random_instance(138, with_q0=True)
-    graph = FuelGraph.build(list(base.graph.price), [(u, v, d * 0.1) for u, v, d in base.graph.edges])
-    inst = Instance(graph, base.start, base.goal, base.q_max * 0.1, base.k_max, base.q0 * 0.1)
-    assert _cost(rfastar_solve(inst)[0]) == _cost(dp_solve(inst)[0])
+    graph = FuelGraph.build(list(base.graph.price), [(u, v, d / 10) for u, v, d in base.graph.edges])
+    inst = Instance(graph, base.start, base.goal, base.q_max / 10, base.k_max, base.q0 / 10)
+    search, dp = rfastar_solve(inst)[0], dp_solve(inst)[0]
+    assert search == dp and search.total_cost == 1.3
+    assert validate_solution(inst, search) == 1.3
+
+
+def test_float_products_of_tenths_are_refused():
+    """d * 0.1 and p * 1.1 give values such as 0.30000000000000004 and
+    3.3000000000000003, whose 16 and 17 places put the query's sums past
+    2**53: every solver and the validator refuse them."""
+    base = random_instance(138, with_q0=True)
+    assert 3.0 in {d for _, _, d in base.graph.edges} and 3.0 in base.graph.price
+    good = rfastar_solve(base)[0]
+    for inst in (_tenths(base, 0.1), _tenths(base, 1, 1.1)):
+        for solve in (lambda i: rfastar_solve(i)[0], lambda i: dp_solve(i)[0],
+                      lambda i: rfastar_solve(i, SearchOptions(unbounded_stops=True))[0],
+                      brute_force_solve, lambda i: validate_solution(i, good)):
+            with pytest.raises(InvalidInstance, match="2\\*\\*53"):
+                solve(inst)
+
+
+def test_unbounded_search_limits_its_sums_by_the_states():
+    """Without a stop limit a chain may stop at every state, so the limit
+    takes n + arcs for k_max: a price that the bounded search takes is
+    refused there."""
+    graph = FuelGraph.build([1.0, 2.0**50, 1.0], [(0, 1, 1.0), (1, 2, 1.0)])
+    inst = Instance(graph, 0, 2, 2.0, 1)  # (1 + 1) * 2 * 2**50 < 2**53 <= (6 + 1) * 2 * 2**50
+    assert rfastar_solve(inst)[0].total_cost == 2.0
+    with pytest.raises(InvalidInstance):
+        rfastar_solve(inst, SearchOptions(unbounded_stops=True))
+
+
+@st.composite
+def _decimal_instances(draw):
+    """Small instances on two-way roads with fuels, tank and q0 in tenths or
+    hundredths, prices in tenths, about one station in six selling nothing."""
+    n = draw(st.integers(2, 6))
+    unit = 10 ** draw(st.sampled_from([1, 1, 2]))
+    tank = draw(st.integers(1, 5 * unit))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                   st.integers(1, tank)), min_size=n, max_size=3 * n))
+    prices = draw(st.lists(st.integers(0, 60).map(lambda p: p / 10 if p <= 50 else math.inf),
+                           min_size=n, max_size=n))
+    graph = FuelGraph.build(prices, [(u, v, d / unit) for u, v, d in arcs if u != v],
+                            undirected=True)
+    start, goal = draw(st.sampled_from([(s, t) for s in range(n) for t in range(n) if s != t]))
+    q0 = draw(st.sampled_from([0, draw(st.integers(0, tank))]))
+    return Instance(graph, start, goal, tank / unit, draw(st.integers(1, 4)), q0 / unit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_decimal_instances())
+def test_every_solver_is_exact_on_decimal_inputs(inst):
+    """Every schedule validates, and every solver agrees exactly, the oracle
+    wherever its size guard takes the instance and the initial-fuel
+    transform wherever it applies; without a stop limit the search agrees
+    with the DP given a stop per state."""
+    reach = compute_reachable_sets(inst.graph, inst.q_max)
+    results = [rfastar_solve(inst, reach=reach)[0], dp_solve(inst, reach=reach)[0],
+               rfastar_solve(inst, SearchOptions(use_heuristic=False), reach=reach)[0]]
+    try:
+        results.append(brute_force_solve(inst, reach=reach))
+    except InstanceTooLarge:
+        pass
+    states = inst.graph.n + reach.edge_count()
+    free = Instance(inst.graph, inst.start, inst.goal, inst.q_max, states, inst.q0)
+    unbounded = [rfastar_solve(inst, SearchOptions(unbounded_stops=True), reach=reach)[0],
+                 dp_solve(free, reach=reach)[0]]
+    if 0.0 < inst.q0 < inst.q_max:  # the pseudo vertex's arc, q_max - q0, is exact
+        assert _cost(rfastar_solve(apply_initial_fuel_transform(inst))[0]) == _cost(results[0])
+    for group in (results, unbounded):
+        assert len({_cost(r) for r in group}) == 1, group
+        assert _cost(group[0]) >= _cost(unbounded[0])
+        case = free if group is unbounded else inst
+        for r in group:
+            if not isinstance(r, Infeasible):
+                assert validate_solution(case, r, reach) == r.total_cost

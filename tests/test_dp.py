@@ -11,6 +11,7 @@ from gsp import (
     FuelGraph,
     Infeasible,
     Instance,
+    InvalidInstance,
     SolveTimeout,
     brute_force_solve,
     compute_reachable_sets,
@@ -21,6 +22,7 @@ from gsp import (
 )
 from gsp import dp
 from gsp.dp import _Table, build_layers
+from gsp.reach import integral
 
 from conftest import (A, B, O, T, decimal_price_graph, random_instance, worked_example,
                       worked_example_graph)
@@ -206,10 +208,18 @@ class TestDpSolve:
 
 
 def _decimal(inst):
-    """inst with fuels, tank and initial fuel times 0.1 and prices times 1.1."""
+    """inst with fuels, tank and initial fuel in tenths and prices times 1.1,
+    each the float nearest its decimal."""
     g = inst.graph
-    graph = FuelGraph.build([p * 1.1 for p in g.price], [(u, v, d * 0.1) for u, v, d in g.edges])
-    return Instance(graph, inst.start, inst.goal, inst.q_max * 0.1, inst.k_max, inst.q0 * 0.1)
+    graph = FuelGraph.build([p * 11 / 10 for p in g.price],
+                            [(u, v, d / 10) for u, v, d in g.edges])
+    return Instance(graph, inst.start, inst.goal, inst.q_max / 10, inst.k_max, inst.q0 / 10)
+
+
+def _integral(inst):
+    """inst and its reach graph in the query's integral units, as dp_solve
+    relaxes them."""
+    return integral(inst, None, inst.k_max)[:2]
 
 
 def _grid_graph(rows=6, side=6):
@@ -250,7 +260,7 @@ _LAYER_INPUTS = [
     _grid_instance(0, 35), _grid_instance(20, 3), _grid_instance(0, 35, 7.0),
     _grid_instance(14, 21, 12.0), _grid_instance(9, 26, 20.0),
     _grid_instance(40, 90, rows=22), _grid_instance(40, 90, 9.0, rows=22),
-    _scaled_example(_BOUND_SCALE), _scaled_example(_BOUND_SCALE + 1),
+    _scaled_example(_BOUND_SCALE), _grid_instance(9, 26, 12.5),
 ]
 
 
@@ -289,22 +299,11 @@ def _slots(table):
 
 
 def _table_moves(inst, table):
-    """Every (source, landing, cost, amount) move a table relaxes.  A row is
-    one move; a fill-up arc stands for one move from every level of its tail
-    with room in the tank, priced by the tail's fill_cost; a per-arc move
-    into state t from tail u stands for one move from every state of u
+    """Every (source, landing, cost, amount) move a table relaxes.  A per-arc
+    move into state t from tail u stands for one move from every state of u
     whose cell is at most the one it reads (the spare cell 0 is no
     state's)."""
-    n, q_max, price = inst.graph.n, inst.q_max, inst.graph.price
-    if not table.exact:
-        moves = list(zip(table.src.tolist(), table.dst.tolist(), table.cost.tolist(),
-                         table.amount.tolist()))
-        for u, dst in zip(table.fill_tail.tolist(), table.fill_dst.tolist()):
-            for s in range(table.offset[u], table.offset[u + 1]):
-                if table.fill_cost[s] < math.inf:
-                    moves.append((s, dst, float(table.fill_cost[s]),
-                                  q_max - float(table.state_q[s])))
-        return moves
+    n, price = inst.graph.n, inst.graph.price
     moves = []
     for i, slot in enumerate(_slots(table)):
         if slot < n:  # a hub
@@ -344,7 +343,6 @@ class TestArrayTable:
         inst = random_instance(seed, with_q0=with_q0)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         table = _Table(inst, reach)
-        assert table.exact  # integral: the per-arc moves
         moves = _table_moves(inst, table)
         assert len(moves) == len(set(moves))
         assert set(moves) == _reference_moves(inst, reach, table)
@@ -356,17 +354,17 @@ class TestArrayTable:
           for s in range(3) for t in range(3) if s != t for q0 in (0.0, 4.0, 10.0)),
     ])
     def test_rows_match_the_purchase_rule(self, inst):
-        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        """Decimal inputs: the per-arc moves of the query's integral view."""
+        inst, reach = _integral(inst)
+        assert inst.graph.decimals == (0, 0) and inst.q_max.is_integer()
         table = _Table(inst, reach)
-        assert not table.exact  # decimal: the rows
-        assert table.src.tolist() == sorted(table.src.tolist())
         moves = _table_moves(inst, table)
         assert len(moves) == len(set(moves))
         assert set(moves) == _reference_moves(inst, reach, table)
 
     @pytest.mark.parametrize("inst", _LAYER_INPUTS)
     def test_layers_match_a_python_relaxation(self, inst):
-        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        inst, reach = _integral(inst)
         table, layers = build_layers(inst, reach)
         moves = _reference_moves(inst, reach, table)
         prev = [math.inf] * table.size
@@ -394,7 +392,8 @@ class TestArrayTable:
         """The grid inputs above: many levels per vertex, initial fuel that
         gives the start and its coasts new levels, goals with fill-up levels
         in the base table, and runs on each side of _SHORT_RUN in one
-        table; the scaled examples lie on each side of the 2**53 bound."""
+        table; the scaled examples lie on each side of the 2**53 limit, and
+        the one past it is refused."""
         reach = compute_reachable_sets(_grid_graph(), 20.0)
         levels = np.diff(reach.table.ptr[0])
         assert levels.max() >= 10
@@ -402,16 +401,19 @@ class TestArrayTable:
         assert _grid_graph(22).n >= dp._ROW_BY_ROW  # the prefix minima go rank by rank
         for inst in (_grid_instance(0, 35, 7.0), _grid_instance(14, 21, 12.0)):
             table = _Table(inst, reach)
-            assert table.exact and len(table.fresh) > 1
+            assert len(table.fresh) > 1
             assert (inst.start in table.state_v[table.fresh].tolist()) == (inst.start == 0)
             runs = Counter(_slots(table))
             assert min(runs.values()) < dp._SHORT_RUN <= max(runs.values())
             assert 0 < len(table.land) < len(table.read) and table.runs.shape[1] > 0
-        for m, exact in ((_BOUND_SCALE, True), (_BOUND_SCALE + 1, False)):
-            inst = _scaled_example(m)
-            table = _Table(inst, compute_reachable_sets(inst.graph, inst.q_max))
-            assert table.depth == 2 and (3 * 6 * (5 * m) < 2**53) is exact
-            assert table.exact is exact
+        inst = _scaled_example(_BOUND_SCALE)
+        assert 3 * 6 * (5 * _BOUND_SCALE) < 2**53 <= 3 * 6 * (5 * (_BOUND_SCALE + 1))
+        assert _Table(inst, compute_reachable_sets(inst.graph, inst.q_max)).depth == 2
+        assert dp_solve(inst)[0] == rfastar_solve(inst)[0]
+        past = _scaled_example(_BOUND_SCALE + 1)
+        for solve in (dp_solve, rfastar_solve):
+            with pytest.raises(InvalidInstance, match="2\\*\\*53"):
+                solve(past)
 
     @pytest.mark.parametrize("short_run", [1, 10**9], ids=["segment-minima", "scatter-minima"])
     def test_either_way_of_landing_gives_the_same_layers(self, monkeypatch, short_run):
@@ -424,13 +426,13 @@ class TestArrayTable:
         def solve_all():
             out = []
             for inst in cases:
-                reach = compute_reachable_sets(inst.graph, inst.q_max)
-                table, layers = build_layers(inst, reach)
-                result, stats = dp_solve(inst, reach=reach)
+                scaled, reach = _integral(inst)
+                table, layers = build_layers(scaled, reach)
+                result, stats = dp_solve(inst, reach=reach if scaled is inst else None)
                 out.append((layers.shape, layers.tobytes(), repr(result), stats.dp_states_computed))
-                if table.exact and dp._SHORT_RUN == 1:  # only the goal's column is short
+                if dp._SHORT_RUN == 1:  # only the goal's column is short
                     assert set(table.land.tolist()) <= {inst.graph.n + table.goal}
-                elif table.exact and dp._SHORT_RUN == 10**9:
+                elif dp._SHORT_RUN == 10**9:
                     assert table.runs.shape[1] == 0
             return out
 
@@ -513,17 +515,21 @@ class TestTableBase:
         base = reach.table
         dp_solve(Instance(inst.graph, inst.goal, inst.start, inst.q_max, inst.k_max), reach=reach)
         assert reach.table is base
-        assert "table_rows" not in vars(reach)  # integral: no query took the rows
-        dp_solve(Instance(inst.graph, inst.start, inst.goal, inst.q_max, inst.k_max, 0.5),
-                 reach=reach)
-        assert "table_rows" in vars(reach) and reach.table is base
+        assert "_views" not in vars(reach)  # integral: no query took another unit
+        # A q0 in halves is solved on the view in tenths, which keeps a
+        # table of its own, built once.
+        for _ in range(2):
+            dp_solve(Instance(inst.graph, inst.start, inst.goal, inst.q_max, inst.k_max, 0.5),
+                     reach=reach)
+            view = reach.in_units(10)
+            assert list(vars(reach)["_views"]) == [10] and reach.table is base
+        assert view.table is not base and view.q_max == 10 * reach.q_max
 
     def test_arrays_are_read_only(self):
         inst = random_instance(7, with_q0=True)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         dp_solve(inst, reach=reach)
         assert not any(a.flags.writeable for a in reach.table)
-        assert not any(a.flags.writeable for a in reach.table_rows)
         with pytest.raises(ValueError, match="read-only"):
             reach.table.levels[1, 0] = 0.0
 

@@ -27,7 +27,7 @@ from gsp import reach as reach_module
 from gsp import search
 from gsp.graphio import load_reach_cache, save_reach_cache
 from gsp.heuristic import HeuristicContext, h_for
-from gsp.reach import dijkstra, reach_for
+from gsp.reach import dijkstra, integral, reach_for
 from gsp.search import SearchOptions
 
 from conftest import (
@@ -295,41 +295,37 @@ class TestSeededDistArray:
 
 
 class TestDecimalInputs:
-    """h stays below the oracle's optimum from every state on decimal data."""
+    """h stays below the oracle's optimum from every state on decimal data,
+    both read in the query's integral units, where the solvers run."""
 
     TANK, STOPS = 10, 3
 
-    def _optima(self, goal):
-        """Oracle optimum from (v, q) for integral q on decimal_price_graph."""
-        graph = decimal_price_graph()
+    def _optima(self, graph, tank, goal):
+        """Oracle optimum from (v, q), q = 0, tank / 10, ..., tank, with the
+        query's integral view, q and the optimum in its units."""
         for v in range(graph.n):
-            for q in range(self.TANK + 1):
-                sol = brute_force_solve(Instance(graph, v, goal, self.TANK, self.STOPS, q))
+            for i in range(self.TANK + 1):
+                inst = Instance(graph, v, goal, tank, self.STOPS, tank * i / self.TANK)
+                sol = brute_force_solve(inst)
                 if not isinstance(sol, Infeasible):
-                    yield v, q, sol.total_cost
+                    inst, reach, unit, money = integral(inst, None, inst.k_max)
+                    yield reach, v, inst.q0, sol.total_cost, money
+
+    def _check(self, graph, tank, goal):
+        for reach, v, q, cost, money in self._optima(graph, tank, goal):
+            h = h_for(build_heuristic(reach, goal), v, q)
+            assert h.is_integer() and h / money <= cost
 
     @pytest.mark.parametrize("goal", range(3))
     def test_decimal_prices(self, goal):
-        reach = compute_reachable_sets(decimal_price_graph(), self.TANK)
-        ctx = build_heuristic(reach, goal)
-        for v, q, cost in self._optima(goal):
-            assert h_for(ctx, v, float(q)) <= cost
+        self._check(decimal_price_graph(), self.TANK, goal)
 
     @pytest.mark.parametrize("goal", range(3))
     def test_decimal_fuels(self, goal):
-        """Fuels, tank and fuel held divided by 10.
-
-        brute_force_solve takes integral fuels only, so the optimum of the
-        decimal copy is the integral one divided by 10.  The two sides are
-        equal in exact arithmetic on tight states, where float rounding may
-        put h one unit in the last place above the optimum.
-        """
+        """Fuels, tank and fuel held divided by 10."""
         graph = decimal_price_graph()
         tenths = FuelGraph.build(list(graph.price), [(u, v, d / 10) for u, v, d in graph.edges])
-        ctx = build_heuristic(compute_reachable_sets(tenths, self.TANK / 10), goal)
-        for v, q, cost in self._optima(goal):
-            h = h_for(ctx, v, q / 10)
-            assert h <= cost / 10 or h == pytest.approx(cost / 10, rel=1e-15, abs=0.0)
+        self._check(tenths, self.TANK / 10, goal)
 
 
 # The price-aware term.  It is taken only on graphs that take the
@@ -415,7 +411,7 @@ def test_start_estimate_never_exceeds_the_dp_optimum(seed, dry):
     assert reach.relaxed_cost is not None
     tighter = 0
     for inst in _queries(graph, tank, 40, seed):
-        ctx = build_heuristic(reach, inst.goal, inst.q0)
+        ctx = build_heuristic(reach, inst.goal)
         assert ctx.relaxed_row is not None
         h = h_for(ctx, inst.start, inst.q0)
         sol, _ = dp_solve(inst, reach=reach)
@@ -455,17 +451,19 @@ _GATE_GRAPH = _desk_graph(7)
 
 
 class TestPriceBoundGate:
-    """Where any quantity may not be an exact integer, the price-aware term
-    is not taken and h is the paper's estimate bit for bit."""
+    """Where a sum could reach 2**53, or the graph does not take the
+    Floyd-Warshall build, the price-aware term is not taken and h is the
+    paper's estimate bit for bit.  Decimal inputs take it in the query's
+    integral units."""
 
     TANK = 12.0
 
     @staticmethod
-    def _check_paper_h(reach, goal, q0=0.0):
-        ctx = build_heuristic(reach, goal, q0)
+    def _check_paper_h(reach, goal):
+        ctx = build_heuristic(reach, goal)
         assert ctx.relaxed_row is None
         for v in range(reach.n):
-            for q in (0.0, q0, 3.0, 7.5):
+            for q in (0.0, 3.0, 7.5):
                 assert h_for(ctx, v, q) == _paper_h(ctx, v, q)
 
     def test_integral_dense_graph_takes_it(self):
@@ -476,8 +474,6 @@ class TestPriceBoundGate:
         assert any(h_for(ctx, v, 0.0) > _paper_h(ctx, v, 0.0) for v in range(reach.n))
 
     @pytest.mark.parametrize("graph, tank", [
-        pytest.param(_first_priced(_GATE_GRAPH, 2.5), TANK, id="decimal-price"),
-        pytest.param(_GATE_GRAPH, TANK + 0.5, id="decimal-tank"),
         pytest.param(_desk_graph(7, n=63), TANK, id="63-vertices"),
         pytest.param(_first_priced(_GATE_GRAPH, 2.0**46), TANK, id="sums-reach-2**53"),
     ])
@@ -486,11 +482,30 @@ class TestPriceBoundGate:
         assert reach.relaxed_cost is None
         self._check_paper_h(reach, 0)
 
+    @pytest.mark.parametrize("graph, tank", [
+        pytest.param(_first_priced(_GATE_GRAPH, 2.5), TANK, id="decimal-price"),
+        pytest.param(_GATE_GRAPH, TANK + 0.5, id="decimal-tank"),
+    ])
+    def test_decimal_graph_takes_it_in_integral_units(self, graph, tank):
+        reach = compute_reachable_sets(graph, tank)
+        inst = Instance(graph, 5, 0, tank, 3)
+        _, view, _, _ = integral(inst, reach, inst.k_max)
+        assert view is not reach and view.relaxed_cost is not None
+        assert view.graph.decimals == (0, 0) and view.q_max.is_integer()
+        sol = rfastar_solve(inst, reach=reach)[0]
+        assert sol == dp_solve(inst, reach=reach)[0]
+        assert validate_solution(inst, sol, reach) == sol.total_cost
+
     def test_decimal_initial_fuel(self):
+        """A q0 finer than the reach graph's units gets the finer unit's
+        view, which takes the term too."""
         reach = compute_reachable_sets(_GATE_GRAPH, self.TANK)
-        self._check_paper_h(reach, 0, q0=0.5)
         inst = Instance(reach.graph, 5, 0, self.TANK, 3, 0.5)
-        assert rfastar_solve(inst, reach=reach)[0] == dp_solve(inst, reach=reach)[0]
+        _, view, unit, _ = integral(inst, reach, inst.k_max)
+        assert unit == 10 and view is reach.in_units(10) and view.relaxed_cost is not None
+        sol = rfastar_solve(inst, reach=reach)[0]
+        assert sol == dp_solve(inst, reach=reach)[0]
+        assert validate_solution(inst, sol, reach) == sol.total_cost
 
     def test_second_solve_reuses_the_first_solves_bound(self, monkeypatch):
         built = []

@@ -18,7 +18,7 @@ from gsp import (
     validate_solution,
 )
 from gsp.heuristic import build_heuristic, h_for
-from gsp.oracle import InstanceTooLarge, NonIntegralInput, enumerate_goal_routes
+from gsp.oracle import InstanceTooLarge, enumerate_goal_routes
 from gsp.search import refuel_schedule_for_route
 
 from conftest import A, B, O, T, decimal_price_graph, random_instance, worked_example
@@ -36,11 +36,10 @@ class TestRouteMinCost:
         result = route_min_cost(Route((O, T), (7.0,)), wx)
         assert isinstance(result, Infeasible)
 
-    def test_non_integral_input_rejected(self):
-        g = FuelGraph.build([1.0, 1.0], [(0, 1, 1.5)])
+    def test_decimal_route_is_priced_in_tenths(self):
+        g = FuelGraph.build([1.1, 1.0], [(0, 1, 1.5)])
         inst = Instance(g, 0, 1, 3.0, 1)
-        with pytest.raises(NonIntegralInput):
-            route_min_cost(Route((0, 1), (1.5,)), inst)
+        assert route_min_cost(Route((0, 1), (1.5,)), inst) == 1.65
 
 
 class TestGuards:
@@ -56,6 +55,16 @@ class TestGuards:
     def test_tank_too_large(self, wx):
         with pytest.raises(InstanceTooLarge):
             brute_force_solve(Instance(wx.graph, O, T, 60.0, 2))
+
+    def test_decimal_fuels_count_the_tank_in_tenths(self):
+        """Fuels in tenths make a tank of 5 fifty levels, which the guard
+        takes, and a tank of 6 sixty, which it refuses."""
+        g = FuelGraph.build([2.0, 1.0, 3.0], [(0, 1, 2.5), (1, 2, 3.5), (0, 2, 5.5)])
+        result = brute_force_solve(Instance(g, 0, 2, 5.0, 2, 0.5))
+        assert result.stops == ((0, 2.0), (1, 3.5)) and result.total_cost == 7.5
+        assert result.total_cost == dp_solve(Instance(g, 0, 2, 5.0, 2, 0.5))[0].total_cost
+        with pytest.raises(InstanceTooLarge, match="q_max 60.0"):
+            brute_force_solve(Instance(g, 0, 2, 6.0, 2, 0.5))
 
 
 class TestBruteForce:

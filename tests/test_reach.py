@@ -227,23 +227,27 @@ def test_floyd_warshall_build_equals_dijkstra_build(dense, data):
 
 @pytest.mark.parametrize("fuel, takes_floyd_warshall", [
     pytest.param(lambda u, v: 1 + (u * v) % 10, True, id="integral"),
-    pytest.param(lambda u, v: 0.5 + (u * v) % 10, False, id="decimal"),
-    pytest.param(lambda u, v: 1.0 if u * v else 1.5, False, id="one-decimal"),
+    pytest.param(lambda u, v: 0.5 + (u * v) % 10, True, id="decimal"),
+    pytest.param(lambda u, v: 1.0 if u * v else 1.5, True, id="one-decimal"),
     pytest.param(lambda u, v: 2**46 - 1 if u + v == 1 else 1, True, id="sums-below-2**53"),
     pytest.param(lambda u, v: 2**46 if u + v == 1 else 1, False, id="sums-reach-2**53"),
 ])
 def test_only_exact_integral_dense_graphs_take_floyd_warshall(monkeypatch, fuel,
                                                               takes_floyd_warshall):
+    """Dense graphs take Floyd-Warshall where its uncut sums stay below
+    2**53; a decimal graph takes it on its integral form, fuels in tenths."""
     graph = FuelGraph.build([1.0] * 64, [(u, v, fuel(u, v))
                                          for u in range(64) for v in range(64) if u != v])
-    assert reach_module._use_floyd_warshall(graph) == takes_floyd_warshall
+    unit = 10 ** graph.decimals[0]
+    assert reach_module._use_floyd_warshall(graph.in_units(unit, 1)) == takes_floyd_warshall
     taken = []
     build = reach_module._build_by_floyd_warshall
     monkeypatch.setattr(reach_module, "_build_by_floyd_warshall",
                         lambda *args: taken.append(args) or build(*args))
     reach = compute_reachable_sets(graph, 12.0)
     assert bool(taken) == takes_floyd_warshall
-    assert reach == reach_module._build_by_dijkstra(graph, 12.0)
+    assert all(g.decimals == (0, 0) and q_max == 12 * unit for g, q_max in taken)
+    assert reach == reach_module._build_by_dijkstra(graph, 12.0)  # halves sum exactly
 
 
 def test_floyd_warshall_build_round_trips_through_the_reach_cache(tmp_path):

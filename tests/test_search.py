@@ -129,13 +129,13 @@ class TestLazyChildren:
             self._check_entries(l, reach, inst, ctx)
 
     @pytest.mark.parametrize("case", ["integral-q0", "decimal-q0", "no-heuristic",
-                                      "dry-goal", "zero-price"])
+                                      "dry-goal", "zero-price", "no-price-term"])
     def test_short_rows_are_priced_by_the_shared_rules(self, case):
         """The loop over rows below the gate applies refuel_amount's rule and
         h_for's operations inline.  Every selling vertex is a parent, with an
         empty tank, the query's q0 and a full tank (no fill-up child); the
-        rows reach the goal, dry stations and the dead end, and with an
-        integral q0 h takes the price-aware term on some children."""
+        rows reach the goal, dry stations and the dead end, and h takes the
+        price-aware term on some children unless the case drops it."""
         graph = short_row_graph(3, zero_price=case == "zero-price")
         reach = compute_reachable_sets(graph, SHORT_ROW_TANK)
         price, dead_end = graph.price, graph.n - 1
@@ -144,10 +144,12 @@ class TestLazyChildren:
         goal = dry[0] if case == "dry-goal" else t
         q0 = 2.5 if case == "decimal-q0" else 4.0
         inst = Instance(graph, s, goal, SHORT_ROW_TANK, 4, q0)
-        ctx = None if case == "no-heuristic" else build_heuristic(reach, goal, q0)
+        ctx = None if case == "no-heuristic" else build_heuristic(reach, goal)
         if ctx is not None:
-            assert (ctx.relaxed_row is None) == (case == "decimal-q0")
+            assert ctx.relaxed_row is not None
             assert (ctx.c_min == 0.0) == (case == "zero-price")
+            if case == "no-price-term":
+                ctx.relaxed_row = None  # as on a graph outside relaxed_costs' gate
         heads, price_aware = set(), 0
         for v in range(graph.n):
             if math.isinf(price[v]):
@@ -166,10 +168,10 @@ class TestLazyChildren:
                     price_aware += (price[v2] < math.inf and ctx.relaxed_row.item(v2)
                                     - arrive * price[v2] > (ctx.dist[v2] - arrive) * ctx.c_min)
         assert {goal, dead_end, *dry} <= heads
-        assert (price_aware > 0) == (case in ("integral-q0", "dry-goal", "zero-price"))
+        assert (price_aware > 0) == (case not in ("no-heuristic", "no-price-term"))
 
     @pytest.mark.parametrize("case", ["integral-q0", "decimal-q0", "no-heuristic",
-                                      "dry-goal", "zero-price"])
+                                      "dry-goal", "zero-price", "no-price-term"])
     def test_long_rows_are_priced_by_the_shared_rules(self, monkeypatch, case):
         """Rows that pass the gate take the vector pass; every entry, read off
         the _Run in pop order, is the loop's, bit for bit, and reading takes
@@ -183,9 +185,11 @@ class TestLazyChildren:
         goal = dry[0] if case == "dry-goal" else t
         q0 = 2.5 if case == "decimal-q0" else 4.0
         inst = Instance(graph, s, goal, LONG_ROW_TANK, 4, q0)
-        ctx = None if case == "no-heuristic" else build_heuristic(reach, goal, q0)
+        ctx = None if case == "no-heuristic" else build_heuristic(reach, goal)
         if ctx is not None:
-            assert (ctx.relaxed_row is None) == (case == "decimal-q0")
+            assert ctx.relaxed_row is not None
+            if case == "no-price-term":
+                ctx.relaxed_row = None  # as on a graph outside relaxed_costs' gate
             assert h_for(ctx, dead_end, 0.0) == math.inf
         if case == "zero-price":
             assert ctx.c_min == 0.0
