@@ -127,13 +127,13 @@ def test_decimal_prices_cost_the_same_in_every_solver():
     assert _cost(dp_solve(inst)[0]) == _cost(rfastar_solve(inst)[0]) == _cost(oracle) == 7.7
 
 
-def _tenths(inst: Instance, fuel_unit, price_factor=1) -> Instance:
-    """inst with every fuel, the tank and q0 times fuel_unit, prices times
-    price_factor."""
+def _by_product(inst: Instance, fuel_factor, price_factor=1) -> Instance:
+    """inst with every fuel, the tank and q0 times fuel_factor and every
+    price times price_factor, each a float product."""
     graph = FuelGraph.build([p * price_factor for p in inst.graph.price],
-                            [(u, v, d * fuel_unit) for u, v, d in inst.graph.edges])
-    return Instance(graph, inst.start, inst.goal, inst.q_max * fuel_unit, inst.k_max,
-                    inst.q0 * fuel_unit)
+                            [(u, v, d * fuel_factor) for u, v, d in inst.graph.edges])
+    return Instance(graph, inst.start, inst.goal, inst.q_max * fuel_factor, inst.k_max,
+                    inst.q0 * fuel_factor)
 
 
 def test_decimal_fuels_with_initial_fuel_cost_the_same_in_search_and_dp():
@@ -155,7 +155,7 @@ def test_float_products_of_tenths_are_refused():
     base = random_instance(138, with_q0=True)
     assert 3.0 in {d for _, _, d in base.graph.edges} and 3.0 in base.graph.price
     good = rfastar_solve(base)[0]
-    for inst in (_tenths(base, 0.1), _tenths(base, 1, 1.1)):
+    for inst in (_by_product(base, 0.1), _by_product(base, 1, 1.1)):
         for solve in (lambda i: rfastar_solve(i)[0], lambda i: dp_solve(i)[0],
                       lambda i: rfastar_solve(i, SearchOptions(unbounded_stops=True))[0],
                       brute_force_solve, lambda i: validate_solution(i, good)):

@@ -242,7 +242,7 @@ def _grid_instance(start, goal, q0=0.0, rows=6):
 
 
 # The worked example with every price times m, 2 stops and a tank of 6: the
-# per-arc moves take it while 3 * 6 * (5 * m) < 2**53.
+# solvers take it while 3 * 6 * (5 * m) < 2**53 and refuse it from there.
 _BOUND_SCALE = (2**53 - 1) // 90
 
 
