@@ -285,6 +285,16 @@ class Solution:
         stops = tuple((v, a) for v, a in zip(vertices, bought) if a > 0.0)
         return cls(stops, tuple(route), cost, tuple(arrival))
 
+    @classmethod
+    def coast(cls, reach: ReachGraph, inst: Instance) -> Solution | None:
+        """The free coast from the start straight to the goal on the initial
+        fuel, which no schedule beats on cost or stops; None where the
+        initial fuel does not reach the goal."""
+        d = reach.distance(inst.start, inst.goal)
+        if d is None or d > inst.q0:  # d > 0: an empty tank coasts nowhere
+            return None
+        return cls.build(reach, [inst.start, inst.goal], [], [inst.q0, inst.q0 - d], 0.0)
+
     def from_units(self, fuel: int, money: int) -> Solution:
         """The schedule with every fuel quantity divided by fuel and the cost
         by money: from a solver's integral units back to the input's.  Each

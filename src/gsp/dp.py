@@ -20,9 +20,13 @@ vertex that sells nothing (infinite price) buys nothing.
 Most of the table is the same for every query on a reach graph.
 ``base_table`` builds it as if there were no goal and no initial fuel
 (``TableArrays``), on the first DP query, and ``ReachGraph.table`` keeps
-it, read-only.  A query's table (``_Table``) trims the goal to its level 0,
-merges in the start's initial-fuel levels, and takes the moves into the
-goal from the goal's column.
+it, read-only.  A query's table (``_Table``) reads it in place.  The goal
+keeps the base's numbering: its levels above 0 are reset to +inf in every
+layer, as a dropped state would be, and its level 0 takes the minimum over
+the goal's column, the arcs into it whose tail sells.  The initial states
+are the only finite ones of layer 0, and nothing lands in an initial level
+that the base lacks, so layer 1 is relaxed from their own moves and every
+later layer from the base's moves alone.
 
 Per-arc moves.  A move from (u, q) that buys up to level L (d for a
 deficit move, q_max for a fill-up) costs A(u, q) + c_u·(L - q), which is
@@ -32,16 +36,13 @@ grid whose row j holds the j-th level of every vertex, takes the running
 minimum down every vertex's column, and relaxes every arc with one read of
 the grid plus c_u·L.  As in Khuller, Malekian and Mestre (2011) for
 fill-ups, the minimum over the levels is taken once per arc, not once per
-(level, arc).  The hub of u, its cheapest fill-up, is the read at u's last
-level.  The moves into one hub or state are its run, and a run lands in
-one of two ways, by its length.  Runs shorter than ``_SHORT_RUN`` take one
-unbuffered scatter-minimum (``np.minimum.at``) into the layer, which starts
-at +inf; longer ones take one segment minimum (``np.minimum.reduceat``),
-written to their hubs and states.  The moves are sorted by (long run?,
-hub or state), once per reach graph, so that each way reads one slice and
-each state's moves are one range.  An initial fuel level that the base
-lacks takes a cell of its own, and the moves from its vertex that it is
-open to read one rank higher; nothing lands in it, so it stays +inf.
+(level, arc).  The goal's cells stay +inf, so no move leaves it.  The
+moves into one state are its run, and a run lands in one of two ways, by
+its length.  Runs shorter than ``_SHORT_RUN`` take one unbuffered
+scatter-minimum (``np.minimum.at``) into the layer, which starts at +inf;
+longer ones take one segment minimum (``np.minimum.reduceat``).  The moves
+are sorted by (long run?, state), once per reach graph, so that each way
+reads one slice and each state's moves are one range.
 
 The split sum (A - c·q) + c·L equals A + c·(L - q) because every operand
 and every sum is an integer below 2**53: ``dp_solve`` runs in the query's
@@ -55,9 +56,12 @@ reports.
 
 The schedule is read back from the layers, goal first, as the states it
 passes and the amount bought at each, taking at each step the optimal move
-from the lowest state: a per-arc move leaves from the first level of its
-tail that attains the prefix minimum it reads.  It is written through
-``Solution.build``, which prices every hop with the reach graph's distance.
+from the lowest state.  A step builds no grid: it prices each move into its
+state from every level of the move's tail up to the rank it reads, in the
+layer before, so a per-arc move leaves from the first level of its tail
+that attains the prefix minimum it reads.  The first stop leaves an
+initial state.  The schedule is written through ``Solution.build``, which
+prices every hop with the reach graph's distance.
 """
 
 from __future__ import annotations
@@ -96,31 +100,26 @@ class TableArrays(NamedTuple):
     """The part of the state table that no query decides.
 
     Arrays of one length and type are stacked, so that a reach graph keeps
-    few array objects and a query gathers each stack at once.  price holds
-    each vertex's price.
+    few array objects.  price holds each vertex's price.
 
     Per state s of vertex v: states[0] is v and states[1] the cell of s in
-    the grid, 1 + j·n + v for the j-th level of v, so that the levels of
-    one rank lie side by side (cell 0 is a spare one, which states without
-    a cell write).  levels[0] is the level q, levels[1] the fill-up cost
-    and levels[2] the fuel's worth q·c_v (0 where v sells nothing).
+    the grid, j·n + v for the j-th level of v, so that the levels of one
+    rank lie side by side.  levels[0] is the level q and levels[1] the
+    fuel's worth q·c_v (0 where v sells nothing).
 
     Per vertex v, each a range in the array it names: ptr[0] the states of
-    v, ptr[1] the column arcs into v, ptr[2] the short moves into v's
-    states, ptr[3] their long runs and ptr[4] the moves of those runs,
-    counted past the short moves; v's range is ptr[k][v]:ptr[k][v + 1].
+    v, ptr[1] the column arcs into v and ptr[2] the moves out of v in
+    by_tail; v's range is ptr[k][v]:ptr[k][v + 1].
 
     The per-arc moves.  Move i reads cell move_read[i], the last level of
-    its tail u below the level moves[0][i] it buys up to, and adds
-    moves[1][i], c_u times that level; its tail is (move_read[i] - 1) mod n.
-    Each lands in a slot: slot v < n is v's hub, a fill-up from its last
-    level, and slot n + s is state s, which the fill-up arcs and, at a
-    level 0, the deficit arcs from a tail that sells land in.  The moves
-    into one slot are its run.  Runs shorter than ``_SHORT_RUN`` come
-    first, in slot order, and move i of them lands in slot land[i]; the
-    long runs follow, also in slot order, the r-th landing in slot
-    long_runs[0][r] and starting long_runs[1][r] moves past the short
-    ones.  A slot that nothing lands in has no run.
+    its tail u below the level moves[0][i] it buys up to, adds moves[1][i],
+    c_u times that level, and lands in state land[i]; its tail is
+    move_read[i] mod n.  The fill-up arcs land in the level they fill up
+    to, and the deficit arcs from a tail that sells in level 0.  The moves
+    into one state are its run.  Runs shorter than ``_SHORT_RUN`` come
+    first, in state order; the long runs follow, also in state order, the
+    r-th landing in state long_runs[0][r] and starting at move
+    long_runs[1][r].  by_tail lists the moves by tail.
 
     The column arcs are the arcs whose tail sells, by head.  Were the head
     the goal, such an arc u -> v of fuel column_dist = d would buy d - q
@@ -139,6 +138,7 @@ class TableArrays(NamedTuple):
     moves: np.ndarray
     land: np.ndarray
     long_runs: np.ndarray
+    by_tail: np.ndarray
     column_read: np.ndarray
     column_dist: np.ndarray
     width: np.ndarray
@@ -169,42 +169,39 @@ def base_table(reach: ReachGraph) -> TableArrays:
     offset = state_v.searchsorted(vertex)
 
     # A move from a tail reads the cell of the last level it is open to,
-    # 1 + (levels open - 1)·n + tail.  A column arc of fuel d is open to the
+    # (levels open - 1)·n + tail.  A column arc of fuel d is open to the
     # levels up to d.
     column = sells[src].nonzero()[0]
     column = column[nbr[column].argsort(kind="stable")]
-    column_read = 1 + (_at_most(state_q, offset, src[column], dist[column]) - 1) * n + src[column]
+    column_read = (_at_most(state_q, offset, src[column], dist[column]) - 1) * n + src[column]
 
-    # The moves and the slot each lands in: the hubs, open to every level
-    # of their vertex; the fill-up arcs, open to every level of their tail;
-    # and the deficit arcs of fuel d from a tail that sells, open to the
-    # levels below d.  Short runs come first, then long ones, each in slot
-    # order, so that the moves into a slot stay one range.
+    # The moves and the state each lands in: the fill-up arcs, open to
+    # every level of their tail, and the deficit arcs of fuel d from a tail
+    # that sells, open to the levels below d.  Short runs come first, then
+    # long ones, each in state order, so that the moves into a state stay
+    # one range.
     ranks = np.diff(offset)  # the levels of each vertex
-    hub = 1 + (ranks - 1) * n + vertex[:n]
     paid = ((~cheaper) & sells[src]).nonzero()[0]
-    land = np.concatenate((vertex[:n], n + cand_state[n:], n + offset[nbr[paid]]))
-    count = np.bincount(land, minlength=n + size)
+    land = np.concatenate((cand_state[n:], offset[nbr[paid]]))
+    tail = np.concatenate((src[fill], src[paid]))
+    read = tail + n * (np.concatenate((ranks[src[fill]], _at_most(
+        state_q, offset, src[paid], dist[paid], "left"))) - 1)
+    leave = np.concatenate((np.full(len(fill), q_max), dist[paid]))
+    count = np.bincount(land, minlength=size)
     long = count >= _SHORT_RUN
     order = np.lexsort((land, long[land]))
-    land = land[order]
-    tail = np.concatenate((vertex[:n], src[fill], src[paid]))[order]
-    move_read = np.concatenate((hub, hub[src[fill]], 1 + n * (_at_most(
-        state_q, offset, src[paid], dist[paid], "left") - 1) + src[paid]))[order]
-    leave = np.concatenate((np.full(n + len(fill), q_max), dist[paid]))[order]
-    short = len(land) - int(count[long].sum())
-    long_slot = long.nonzero()[0]
-    long_start = np.append(0, count[long_slot].cumsum())  # and the end of the last
-    long_ptr = long_slot.searchsorted(n + offset)
+    land, tail, read, leave = land[order], tail[order], read[order], leave[order]
+    long_state = long.nonzero()[0]
+    long_start = len(land) - count[long].sum() + np.append(0, count[long_state].cumsum())[:-1]
+    by_tail = tail.argsort(kind="stable").astype(np.int32)
 
     return TableArrays(*map(_read_only, (
         price,
-        np.array([offset, nbr[column].searchsorted(vertex), land[:short].searchsorted(n + offset),
-                  long_ptr, long_start[long_ptr]]),
-        np.array([state_v, 1 + (np.arange(size) - offset[state_v]) * n + state_v]),
-        np.array([state_q, (q_max - state_q) * price[state_v], state_q * unit[state_v]]),
-        move_read, np.array([leave, leave * price[tail]]), land[:short].astype(np.int32),
-        np.array([long_slot, long_start[:-1]]),
+        np.array([offset, nbr[column].searchsorted(vertex), tail[by_tail].searchsorted(vertex)]),
+        np.array([state_v, (np.arange(size) - offset[state_v]) * n + state_v]),
+        np.array([state_q, state_q * unit[state_v]]),
+        read, np.array([leave, leave * price[tail]]), land,
+        np.array([long_state, long_start]), by_tail,
         column_read, dist[column], np.array(ranks.max()))))
 
 
@@ -262,165 +259,78 @@ _SHORT_RUN = 16
 
 
 class _Table:
-    """Flattened state space and moves for one instance, in integral units.
+    """One query's view of ``ReachGraph.table`` (base), in integral units.
 
-    state_v and state_q hold each state's vertex and level, and the states
-    of v are offset[v]:offset[v + 1].  goal is the goal's one state.
-    initial holds the states that cost nothing: the start, then the
-    free-coast arrivals.  fill_cost[s] is the fill-up cost of s, or +inf
-    where s does not buy (the goal, a full start, or an infinite price).
-    depth is the count of layers to relax.
+    The states and moves are the base's, read in place, never written.
+    state_v, state_q and offset are its arrays: state s is (state_v[s],
+    state_q[s]), and the states of v are offset[v]:offset[v + 1].  goal is
+    the goal's level 0; its levels above 0, goal + 1:top, hold +inf in
+    every layer.  The short runs are the moves before short.  column holds
+    the goal's column arcs as (read, leave, charge) arrays, like the moves.
 
-    The per-arc moves.  State s writes A - worth[s] into cell cell[s] of
-    grid, 1 + width·n cells whose rank rows lanes views: the j-th level of
-    v is cell 1 + j·n + v, and the goal writes the spare cell 0, so that
-    its cells stay +inf.  Move i reads cell read[i], buys up to level
-    leave[i] and adds charge[i].  As in ``TableArrays``, slot v < n is v's
-    hub and slot n + s is state s, and the moves into a slot are its run.
-    The short runs come first, in slot order, move i of them landing in
-    slot land[i]; the goal's run, its column arcs, is one of them whatever
-    its length.  The long runs follow in slot order, the r-th landing in
-    slot runs[0][r] and starting runs[1][r] moves past the short ones.
-    fresh lists the new initial-fuel levels (None without initial fuel);
-    nothing lands in them.
+    initial lists the states that cost nothing, (vertex, level) in vertex
+    order: the start and the free-coast arrivals; start_states holds those
+    that are base states.  first holds the moves out of them as (move,
+    state it lands in, cost) arrays, the cost +inf where the initial level
+    is not below the level the move buys up to, and into_goal their column
+    arcs as (cost, vertex, level, amount), in vertex order.
 
-    Only the goal, the start and the initial fuel belong to the query; the
-    rest is read from ``ReachGraph.table``, never written.
+    size counts the states of the naive method: the base's, with the goal
+    at level 0 only, and the initial levels the base lacks.  depth is the
+    count of layers to relax.
     """
 
     def __init__(self, inst: Instance, reach: ReachGraph):
-        n, start, goal, q_max, q0 = inst.graph.n, inst.start, inst.goal, inst.q_max, inst.q0
-        base = reach.table
+        start, goal, q0 = inst.start, inst.goal, inst.q0
+        self.base = base = reach.table
+        self.state_v, self.state_q = base.states[0], base.levels[0]
+        self.offset = offset = base.ptr[0]
+        self.goal, self.top = offset[goal:goal + 2].tolist()
+        self.short = base.long_runs.item(1, 0) if base.long_runs.shape[1] else len(base.land)
         price = base.price
-        g_lo, c_lo, a, ra, la = base.ptr[:, goal].tolist()
-        g_hi, c_hi, b, rb, lb = base.ptr[:, goal + 1].tolist()
+        column = slice(*base.ptr[1, goal:goal + 2].tolist())
+        read, leave = base.column_read[column], base.column_dist[column]
+        self.column = read, leave, leave * price[read % len(price)]
 
-        # The goal only sees empty arrivals: it keeps its level 0, and the
-        # moves into its other levels go.  State i of the table is state
-        # pick[i] of the base.  Base state j past the goal's level 0 is
-        # candidate j - drop below, and state merged[j - drop] once the
-        # initial-fuel levels have joined.
-        drop = g_hi - g_lo - 1
-        pick = np.arange(base.states.shape[1] - drop)
-        pick[g_lo + 1:] += drop
-        states, levels = base.states, base.levels
-        merged = None
-
+        # The start level and the coast arrivals (an empty tank coasts
+        # nowhere); a vertex has one at most.
+        initial = [(start, q0)]
         if q0 > 0.0:
-            # The start level and the coast arrivals (an empty tank coasts
-            # nowhere).  A candidate (v, x) fills up for (q_max - x) *
-            # price[v]; its cell is set below.
-            coasts = [(start, q0)] + [(v, q0 - d) for v, d in reach.succ[start]
-                                      if d <= q0 and v != goal]
-            ints = np.array([(v, 0) for v, _ in coasts]).T
-            floats = []
-            for v, x in coasts:
-                p = price.item(v)
-                floats.append((x, (q_max - x) * p, x * p if p < math.inf else 0.0))
-            floats = np.array(floats).T
-            # They join the levels as the base merged its own.  Where pick[i]
-            # is past the base's states, state i is candidate pick[i] minus
-            # their count.
-            rep, merged = distinct_levels(np.concatenate((states[0].take(pick), ints[0])),
-                                          np.concatenate((levels[0].take(pick), floats[0])))
-            self.initial = merged[len(pick):]
-            pick = np.concatenate((pick, states.shape[1] + np.arange(len(coasts))))[rep]
-            states = np.concatenate((states, ints), axis=1)
-            levels = np.concatenate((levels, floats), axis=1)
-        state_v, self.cell = states.take(pick, axis=1)
-        state_q, fill_cost, self.worth = levels.take(pick, axis=1)
-        self.state_v, self.state_q, self.fill_cost = state_v, state_q, fill_cost
-        self.size = size = len(state_v)
-        self.offset = offset = state_v.searchsorted(np.arange(n + 1))
-        self.goal = int(offset[goal])
-        if q0 == 0.0:
-            self.initial = offset[start:start + 1].copy()
-        # Nothing is bought at the goal, nor filled at a full start (q0 =
-        # q_max), the only level not below q_max.  An infinite price makes a
-        # fill-up cost +inf by itself.
-        self.fill_cost[[self.goal, self.initial.item(0)] if q0 == q_max else self.goal] = math.inf
-        self.depth = min(inst.k_max, size)
+            initial += [(v, q0 - d) for v, d in reach.succ[start] if d <= q0 and v != goal]
+        self.initial = initial = sorted(initial)
+        self.start_states, new = [], 0
+        for v, x in initial:
+            lo, hi = offset[v:v + 2].tolist()
+            s = lo + int(self.state_q[lo:hi].searchsorted(x))
+            if s < hi and self.state_q.item(s) == x:
+                self.start_states.append(s)
+            else:
+                new += 1
+        self.size = len(self.state_v) - (self.top - self.goal - 1) + new
+        self.depth = min(inst.k_max, self.size)
 
-        # The goal's column, the arcs u -> goal whose tail sells, replaces
-        # the goal's base runs and lands as a short run however many arcs it
-        # has, so that a query adds no long run.  A column arc of fuel d
-        # buys d - q from every level q of u up to d.  Slot n + j past the
-        # goal's level 0 becomes n + j - drop.
-        column_read, column_dist = base.column_read[c_lo:c_hi], base.column_dist[c_lo:c_hi]
-        short, columns = len(base.land), c_hi - c_lo
-
-        def splice(x: np.ndarray, column: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                (x[..., :a], column, x[..., b:short + la], x[..., short + lb:]), axis=-1)
-
-        self.read = splice(base.move_read, column_read)
-        self.leave, self.charge = splice(
-            base.moves, np.array([column_dist, column_dist * price[(column_read - 1) % n]]))
-        self.land = np.concatenate(
-            (base.land[:a], np.zeros(columns, np.int32), base.land[b:]), dtype=np.intp)
-        self.land[a:a + columns] = n + g_lo
-        self.land[a + columns:] -= drop
-        self.runs = base.long_runs
-        if ra < self.runs.shape[1]:  # long runs from the goal's states on
-            self.runs = np.concatenate((self.runs[:, :ra], self.runs[:, rb:]), axis=1)
-            self.runs[0, ra:] -= drop
-            self.runs[1, ra:] -= lb - la
-        # The grid is as wide as the most levels, and one more with initial
-        # fuel.
-        self.width = base.width.item()
-        self.fresh = None
-        if merged is not None:
-            self.fresh = (pick >= base.states.shape[1]).nonzero()[0]
-            # A new level x of v takes a cell of v, above the levels below
-            # it, so a move from v that buys above x (or up to x, into the
-            # goal) reads one rank higher.  No move lands in a new level, so
-            # it stays +inf past layer 0.
-            self.width += 1
-            self.cell = 1 + (np.arange(size) - offset[state_v]) * n + state_v
-            x = np.full(n, math.inf)
-            x[state_v[self.fresh]] = state_q[self.fresh]
-            x = x[(self.read - 1) % n]
-            up = x < self.leave
-            into_goal = slice(a, a + columns)
-            up[into_goal] = x[into_goal] <= self.leave[into_goal]
-            self.read += n * up
-            # Slot n + i becomes n + merged[i], in order.
-            slot = np.concatenate((np.arange(n), n + merged))
-            self.land = slot[self.land]
-            if self.runs.shape[1]:
-                self.runs = np.array([slot[self.runs[0]], self.runs[1]])
-        self.cell[self.goal] = 0
-        self.grid = np.full(1 + self.width * n, math.inf)
-        self.lanes = self.grid[1:].reshape(self.width, n)
-
-    def minima(self, layer: np.ndarray) -> np.ndarray:
-        """The grid of a layer's prefix minima: cell 1 + j·n + v
-        holds the least A - c·q over the levels of v up to the j-th."""
-        grid, lanes = self.grid, self.lanes
-        grid[self.cell] = layer[:self.size] - self.worth
-        if len(lanes[0]) < _ROW_BY_ROW:
-            np.minimum.accumulate(lanes, axis=0, out=lanes)
-        else:
-            for j in range(1, len(lanes)):
-                np.minimum(lanes[j], lanes[j - 1], out=lanes[j])
-        return grid
-
-    def moves_into(self, state: int) -> tuple[int, int]:
-        """The range of the per-arc moves that land in state."""
-        slot, short = len(self.offset) - 1 + state, len(self.land)
-        lo, hi = self.land.searchsorted([slot, slot + 1]).tolist()
-        if lo == hi:  # a long run
-            slots, starts = self.runs[0], self.runs[1]
-            r = int(slots.searchsorted(slot))
-            lo, hi = short + starts.item(r), len(self.read)
-            if r + 1 < len(starts):
-                hi = short + starts.item(r + 1)
-        return lo, hi
+        # A move out of (v, x) is open to it when x is below the level it
+        # buys up to, and a column arc of fuel d when x is at most d.  A
+        # vertex that sells nothing has no moves, so its x·c_v is never read.
+        tail_ptr = base.ptr[2]
+        rows = [base.by_tail[tail_ptr.item(v):tail_ptr.item(v + 1)] for v, _ in initial]
+        x, worth = np.repeat(np.array([(x, x * price.item(v)) for v, x in initial]).T,
+                             [len(row) for row in rows], axis=1)
+        move = np.concatenate(rows)
+        leave, charge = base.moves.take(move, axis=1)
+        self.first = move, base.land[move], np.where(leave > x, charge - worth, math.inf)
+        self.into_goal = []
+        for v, x in initial:
+            c, d = price.item(v), reach.distance(v, goal)
+            if c < math.inf and d is not None and x <= d:
+                self.into_goal.append((d * c - x * c, v, x, d - x))
 
     def state(self, v: int, q: float) -> int:
-        lo, hi = int(self.offset[v]), int(self.offset[v + 1])
+        """The state (v, q); KeyError for none, for the goal's levels above
+        0 and for an initial level the base lacks."""
+        lo, hi = self.offset[v:v + 2].tolist()
         i = lo + int(self.state_q[lo:hi].searchsorted(q))
-        if i == hi or self.state_q[i] != q:
+        if i == hi or self.state_q[i] != q or self.goal < i < self.top:
             raise KeyError((v, q))
         return i
 
@@ -433,57 +343,94 @@ def build_layers(
 ) -> tuple[_Table, np.ndarray]:
     """Relax table.depth layers and return (table, layers).
 
-    inst and reach are in integral units (``reach.integral``).
-    layers[k, :table.size] is A_k, and layers[k, table.size + u] the hub of
-    u after it: the least cost of reaching u in k stops and filling up there
-    (+inf on the last row, which nothing relaxes from).  Every move reads
-    the prefix minima of the layer before, then the short runs land by one
-    scatter-minimum and the long runs by one segment minimum.  Past the
-    deadline, raises SolveTimeout with the states of the layers relaxed so
-    far.
+    inst and reach are in integral units (``reach.integral``).  layers[k]
+    is A_k over the base's states.  Layer 1 lands the moves out of the
+    initial states.  Every later layer writes the layer before into the
+    grid, takes its prefix minima, reads every base move, lands the short
+    runs by one scatter-minimum and the long runs by one segment minimum,
+    and takes the goal's level 0 from its column.  Past the deadline,
+    raises SolveTimeout with the states of the layers relaxed so far.
     """
     table = _Table(inst, reach)
-    n, size = inst.graph.n, table.size
-    layers = np.full((table.depth + 1, size + n), math.inf)
-    layers[0][table.initial] = 0.0
-    # The hubs of layer k - 1 and the states of layer k lie side by side,
-    # slot by slot, and start at +inf.
-    flat, read, charge, land = layers.ravel(), table.read, table.charge, table.land
-    long_slot, long_start = table.runs[0], table.runs[1]
-    short = len(land)
+    base, n = table.base, inst.graph.n
+    layers = np.full((table.depth + 1, len(table.state_v)), math.inf)
+    layers[0][table.start_states] = 0.0
+    grid = np.full(base.width.item() * n, math.inf)
+    lanes = grid.reshape(-1, n)
+    cell, worth, read, charge = base.states[1], base.levels[1], base.move_read, base.moves[1]
+    land, (long_state, long_start) = base.land[:table.short], base.long_runs
+    column_read, _, column_charge = table.column
+    above = slice(table.goal + 1, table.top)  # the goal's levels above 0
     for k in range(1, table.depth + 1):
         if deadline is not None and perf_counter() > deadline:
-            raise SolveTimeout(SearchStats(dp_states_computed=(k - 1) * size))
-        cost = table.minima(layers[k - 1])[read]
-        cost += charge
-        end = k * (size + n)
-        slots = flat[end - n:end + size]
-        np.minimum.at(slots, land, cost[:short])
-        if len(long_slot):
-            slots[long_slot] = np.minimum.reduceat(cost[short:], long_start)
-        del cost  # freed before the next layer's gather, which then reuses its pages
+            raise SolveTimeout(SearchStats(dp_states_computed=(k - 1) * table.size))
+        layer = layers[k]
+        if k == 1:
+            _, into, cost = table.first
+            np.minimum.at(layer, into, cost)
+            at_goal = min((cost for cost, *_ in table.into_goal), default=math.inf)
+        else:
+            grid[cell] = layers[k - 1] - worth
+            grid[inst.goal] = math.inf  # the goal's level 0
+            if n < _ROW_BY_ROW:
+                np.minimum.accumulate(lanes, axis=0, out=lanes)
+            else:
+                for j in range(1, len(lanes)):
+                    np.minimum(lanes[j], lanes[j - 1], out=lanes[j])
+            cost = grid[read]
+            cost += charge
+            np.minimum.at(layer, land, cost[:len(land)])
+            if len(long_state):
+                layer[long_state] = np.minimum.reduceat(cost, long_start)
+            del cost  # freed before the next layer's gather, which then reuses its pages
+            at_goal = (grid[column_read] + column_charge).min(initial=math.inf)
+        layer[above] = math.inf
+        layer[table.goal] = at_goal
     return table, layers
 
 
-def _arc_step(table: _Table, grid: np.ndarray, target: float, state: int) -> tuple[int, float]:
+def _step(table: _Table, prev: np.ndarray, target: float, state: int) -> tuple[int, float]:
     """The per-arc move into state that attains target from the lowest
-    state, given the prefix minima of the layer before: (that state, the
-    amount bought).  A move from tail u leaves from the first level of u
-    whose prefix minimum is the one it reads."""
-    n = len(table.offset) - 1
-    lo, hi = table.moves_into(state)
-    optimal = (grid[table.read[lo:hi]] + table.charge[lo:hi] == target).nonzero()[0]
-    best = table.size
-    for i in optimal.tolist():
-        i += lo
-        r = table.read.item(i)
-        u = (r - 1) % n
-        j = grid[1 + u:r + 1:n].tolist().index(grid.item(r))
-        first, last = table.offset.item(u), table.offset.item(u + 1)
-        s = first + table.cell[first:last].tolist().index(1 + j * n + u)
-        if s < best:
-            best, move = s, i
-    return best, table.leave.item(move) - table.state_q.item(best)
+    state of prev, the layer before: (that state, the amount bought).
+
+    Each move is priced from every level of its tail up to the rank it
+    reads, so it leaves from the first level that attains the prefix
+    minimum it reads, and the first move from the lowest such state wins.
+    """
+    base = table.base
+    if state == table.goal:
+        read, leave, charge = table.column
+    else:
+        lo, hi = base.land[:table.short].searchsorted([state, state + 1]).tolist()
+        if lo == hi:  # a long run
+            lo, hi = table.short + base.land[table.short:].searchsorted([state, state + 1])
+        read, (leave, charge) = base.move_read[lo:hi], base.moves[:, lo:hi]
+    rank, tail = np.divmod(read, len(base.price))
+    count = rank + 1
+    end = count.cumsum()
+    move = np.arange(len(read)).repeat(count)
+    source = np.arange(end.item(-1)) + (table.offset[tail] + count - end).repeat(count)
+    # No move from the goal, whose cells the layers never read, attains
+    # target: before k_star the goal costs more than the answer, which is at
+    # least target, as no cost is negative.
+    hit = (prev[source] - base.levels[1, source] + charge[move] == target).nonzero()[0]
+    j = hit.item(source[hit].argmin())
+    best = source.item(j)
+    return best, leave.item(move.item(j)) - table.state_q.item(best)
+
+
+def _first_step(table: _Table, target: float, state: int) -> tuple[int, float, float]:
+    """The move out of an initial state into state that costs target, from
+    the lowest: (its vertex, its level, the amount bought)."""
+    if state == table.goal:
+        return next((v, x, a) for cost, v, x, a in table.into_goal if cost == target)
+    move, into, cost = table.first
+    move = move[(into == state) & (cost == target)]
+    tail = table.base.move_read[move] % len(table.base.price)
+    j = tail.argmin()
+    v = tail.item(j)
+    x = dict(table.initial)[v]
+    return v, x, table.base.moves.item(0, move.item(j)) - x
 
 
 def _reconstruct(inst: Instance, reach: ReachGraph, table: _Table, layers: np.ndarray,
@@ -493,13 +440,16 @@ def _reconstruct(inst: Instance, reach: ReachGraph, table: _Table, layers: np.nd
     state = table.goal
     cost = layers.item(k_star, state)
     vertices, bought, arrival = [inst.goal], [0.0], [0.0]
-    for k in range(k_star, 0, -1):
-        target = layers.item(k, state)
-        state, amount = _arc_step(table, table.minima(layers[k - 1]), target, state)
+    for k in range(k_star, 1, -1):
+        state, amount = _step(table, layers[k - 1], layers.item(k, state), state)
         vertices.append(table.state_v.item(state))
         arrival.append(table.state_q.item(state))
         bought.append(amount)
-    if state != table.initial[0]:
+    v, x, amount = _first_step(table, layers.item(1, state), state)
+    vertices.append(v)
+    arrival.append(x)
+    bought.append(amount)
+    if v != inst.start:
         # The chain begins at a free-coast state reached on the initial fuel.
         vertices.append(inst.start)
         bought.append(0.0)
@@ -529,12 +479,9 @@ def dp_solve(
         if inst.start == inst.goal:
             return Solution.build(reach, [inst.start], [], [inst.q0], 0.0).from_units(
                 unit, money), stats
-        if inst.q0 > 0.0:
-            d_direct = reach.distance(inst.start, inst.goal)
-            if d_direct is not None and d_direct <= inst.q0:
-                return Solution.build(reach, [inst.start, inst.goal], [],
-                                      [inst.q0, inst.q0 - d_direct], 0.0).from_units(
-                    unit, money), stats
+        coast = Solution.coast(reach, inst)
+        if coast is not None:
+            return coast.from_units(unit, money), stats
 
         table, layers = build_layers(inst, reach, deadline=deadline)
         stats.dp_states_computed = inst.k_max * table.size

@@ -19,7 +19,9 @@ never popped.  A child becomes a Label only when its cursor reaches the
 top of the open list; it is then checked against the per-vertex frontier
 sets, which prune dominated labels once, when they are materialised and
 popped.  labels_generated counts exactly the labels taken off the open
-list.
+list.  When the initial fuel reaches the goal, the free coast there is the
+answer, as no schedule costs less or stops less; it is returned before the
+loop and counts as the two labels it is made of, the start and the coast.
 
 Every child is still priced, in one of two ways chosen by one length test
 on the tail's reach row.  A row of at least _ROW_MIN arcs is priced in one
@@ -330,6 +332,10 @@ def rfastar_solve(
     stats = SearchStats()
     inst, reach, unit, money = integral(inst, reach,
                                         math.inf if opts.unbounded_stops else inst.k_max)
+    coast = Solution.coast(reach, inst) if inst.q0 > 0.0 else None
+    if coast is not None:
+        stats.labels_generated = 2
+        return coast.from_units(unit, money), stats
 
     ctx: HeuristicContext | None = None
     if opts.use_heuristic:

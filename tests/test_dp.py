@@ -17,6 +17,7 @@ from gsp import (
     compute_reachable_sets,
     dp_solve,
     gas_values,
+    gen_binomial,
     rfastar_solve,
     validate_solution,
 )
@@ -161,14 +162,33 @@ class TestDpSolve:
         table, layers = build_layers(inst, reach)
         k, v, q = target
         into, src = table.state(v, q), [table.state(u, level) for u, level in sources]
-        moves = _table_moves(inst, table)
-        for s in src:
-            assert [layers[k - 1][s] + c for a, b, c, _ in moves if (a, b) == (s, into)] == [
+        _, moves = _table_moves(inst, table)
+        for s, source in zip(src, sources):
+            assert [layers[k - 1][s] + c for a, b, c, _ in moves if (a, b) == (source, (v, q))] == [
                 layers[k][into]]
         result, _ = dp_solve(inst, reach=reach)
         assert result.stops == stops
         assert table.state(result.route[k - 1][0], result.arrival_fuel[k - 1]) == min(src)
         assert result.total_cost == cost
+
+    @pytest.mark.parametrize("edges, start, goal, route", [
+        # With 2 units at the start, the start and its coast arrival (1, 1)
+        # each buy 1 to reach vertex 2 empty, all prices being 1, and 2 then
+        # buys 4 into the goal 3 ...
+        ([(0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0), (2, 3, 4.0)], 0, 3, (0, 2, 3)),
+        ([(1, 0, 1.0), (1, 2, 3.0), (0, 2, 2.0), (2, 3, 4.0)], 1, 3, (1, 0, 2, 3)),
+        # ... or each buys 1 into the goal 2 itself.
+        ([(0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0)], 0, 2, (0, 2)),
+        ([(1, 0, 1.0), (1, 2, 3.0), (0, 2, 2.0)], 1, 2, (1, 0, 2)),
+    ], ids=["inner-start", "inner-coast", "goal-start", "goal-coast"])
+    def test_first_stop_tie_goes_to_the_lowest_initial_state(self, edges, start, goal, route):
+        """The first stop leaves the lower of two initial states, vertex 0,
+        whether it is the start or a coast arrival."""
+        graph = FuelGraph.build([1.0] * (max(route) + 1), edges)
+        result, _ = dp_solve(Instance(graph, start, goal, 5.0, 2, 2.0))
+        assert tuple(v for v, _ in result.route) == route
+        assert result.stops[0] == (0, 1.0)
+        assert result.total_cost == (5.0 if goal == 3 else 1.0)
 
     def test_a_huge_stop_limit_relaxes_no_more_layers_than_states(self, wx_reach):
         result, stats = dp_solve(worked_example(k_max=10**12), reach=wx_reach)
@@ -189,8 +209,9 @@ class TestDpSolve:
         reach = compute_reachable_sets(graph, 4.0)
         table, layers = build_layers(inst, reach)
         low, high = table.state(3, 0.0), table.state(3, 1.0)
-        assert (layers[1][low] + table.fill_cost[low] == layers[1][high] + table.fill_cost[high]
-                == 10.0)
+        price = graph.price[3]
+        assert (layers[1][low] + (inst.q_max - 0.0) * price
+                == layers[1][high] + (inst.q_max - 1.0) * price == 10.0)
         result, _ = dp_solve(inst, reach=reach)
         assert result.stops == ((2, 1.0), (3, 4.0), (4, 2.0))
         assert result.arrival_fuel == (3.0, 0.0, 0.0, 2.0, 0.0)
@@ -270,12 +291,22 @@ def _coasts(inst, reach):
             if d <= inst.q0 and v != inst.goal]
 
 
-def _reference_moves(inst, reach, table):
-    """Every move of the purchase rule, from Python loops over succ."""
+def _naive_states(inst, reach):
+    """The states of the naive method as (vertex, level) pairs: (the levels
+    of gas_values, the initial states)."""
+    levels = {(v, q) for v in range(inst.graph.n)
+              for q in gas_values(reach, inst.graph, v, goal=inst.goal)}
+    return levels, {(inst.start, inst.q0), *_coasts(inst, reach)}
+
+
+def _reference_moves(inst, reach):
+    """Every move of the purchase rule between the states of the naive
+    method, (source, landing, cost, amount) with (vertex, level) states,
+    from Python loops over succ."""
     g, q_max = inst.graph, inst.q_max
+    levels, initial = _naive_states(inst, reach)
     moves = set()
-    for s in range(table.size):
-        u, q = int(table.state_v[s]), float(table.state_q[s])
+    for u, q in levels | initial:
         cu = g.price[u]
         if u == inst.goal or not math.isfinite(cu):
             continue
@@ -287,34 +318,55 @@ def _reference_moves(inst, reach, table):
             else:
                 a, arrive, ok = d - q, 0.0, d > q
             if ok:
-                moves.add((s, table.state(v, arrive), a * cu, a))
+                assert (v, arrive) in levels
+                moves.add(((u, q), (v, arrive), a * cu, a))
     return moves
-
-
-def _slots(table):
-    """The slot each per-arc move of a table lands in."""
-    slots, starts = table.runs
-    lengths = np.diff(np.append(starts, len(table.read) - len(table.land)))
-    return np.concatenate((table.land, slots.repeat(lengths))).tolist()
 
 
 def _table_moves(inst, table):
-    """Every (source, landing, cost, amount) move a table relaxes.  A per-arc
-    move into state t from tail u stands for one move from every state of u
-    whose cell is at most the one it reads (the spare cell 0 is no
-    state's)."""
-    n, price = inst.graph.n, inst.graph.price
-    moves = []
-    for i, slot in enumerate(_slots(table)):
-        if slot < n:  # a hub
+    """Every (source, landing, cost, amount) move a table relaxes, with
+    (vertex, level) states: (those of layer 1, out of the initial states;
+    those of every later layer).  A per-arc move from tail u stands for one
+    move from every level of u up to the rank it reads.  The goal's cells
+    are never read, and only its column lands in its level 0."""
+    n, price, base = inst.graph.n, inst.graph.price, table.base
+    level = dict(table.initial)
+
+    def pair(s):
+        return int(table.state_v[s]), float(table.state_q[s])
+
+    def into_goal(s):
+        return table.goal <= s < table.top
+
+    per_arc = [(read, leave, s) for read, leave, s in zip(
+        base.move_read.tolist(), base.moves[0].tolist(), base.land.tolist()) if not into_goal(s)]
+    per_arc += [(read, leave, table.goal)
+                for read, leave in zip(table.column[0].tolist(), table.column[1].tolist())]
+    later = []
+    for read, leave, s in per_arc:
+        u, rank = read % n, read // n
+        if u == inst.goal:
             continue
-        read, leave = int(table.read[i]), float(table.leave[i])
-        u = (read - 1) % n
-        for s in range(table.offset[u], table.offset[u + 1]):
-            if 1 <= table.cell[s] <= read:
-                a = leave - float(table.state_q[s])
-                moves.append((s, slot - n, a * price[u], a))
-    return moves
+        for source in range(table.offset[u], table.offset[u] + rank + 1):
+            a = leave - float(table.state_q[source])
+            later.append((pair(source), pair(s), a * price[u], a))
+    first = [((v, x), pair(table.goal), cost, a) for cost, v, x, a in table.into_goal]
+    for move, s, cost in zip(*(a.tolist() for a in table.first)):
+        u = base.move_read[move] % n
+        if cost < math.inf and not into_goal(s):
+            first.append(((u, level[u]), pair(s), cost, float(base.moves[0][move]) - level[u]))
+    return first, later
+
+
+def _check_moves(inst, reach, table):
+    """The table's moves are the purchase rule's: those of layer 1 leave the
+    initial states, those of every later layer the states of gas_values."""
+    first, later = _table_moves(inst, table)
+    assert len(first) == len(set(first)) and len(later) == len(set(later))
+    moves = _reference_moves(inst, reach)
+    levels, initial = _naive_states(inst, reach)
+    assert set(first) == {m for m in moves if m[0] in initial}
+    assert set(later) == {m for m in moves if m[0] in levels}
 
 
 class TestArrayTable:
@@ -324,28 +376,26 @@ class TestArrayTable:
         inst = random_instance(seed, with_q0=with_q0)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         table = _Table(inst, reach)
-        coasts = _coasts(inst, reach)
         for v in range(inst.graph.n):  # the goal and the start included
-            expected = set(gas_values(reach, inst.graph, v, goal=inst.goal))
-            if v == inst.start:
-                expected.add(inst.q0)
-            expected |= {q for w, q in coasts if w == v}
             lo, hi = table.offset[v], table.offset[v + 1]
-            assert table.state_q[lo:hi].tolist() == sorted(expected)
+            if v == inst.goal:
+                assert lo == table.goal and hi == table.top
+                hi = lo + 1  # its levels above 0 are no states
+            assert table.state_q[lo:hi].tolist() == gas_values(reach, inst.graph, v, goal=inst.goal)
             assert (table.state_v[lo:hi] == v).all()
-        assert table.size == table.offset[-1] == len(table.state_v)
-        assert table.initial.tolist() == (
-            [table.state(inst.start, inst.q0)] + [table.state(v, q) for v, q in coasts])
+        assert table.offset[-1] == len(table.state_v)
+        levels, initial = _naive_states(inst, reach)
+        assert table.initial == sorted(initial)
+        assert [table.state(v, q) for v, q in table.initial if (v, q) in levels] == (
+            table.start_states)
+        assert table.size == len(levels | initial)
 
     @pytest.mark.parametrize("with_q0", [False, True])
     @pytest.mark.parametrize("seed", range(25))
     def test_moves_match_the_purchase_rule(self, seed, with_q0):
         inst = random_instance(seed, with_q0=with_q0)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
-        table = _Table(inst, reach)
-        moves = _table_moves(inst, table)
-        assert len(moves) == len(set(moves))
-        assert set(moves) == _reference_moves(inst, reach, table)
+        _check_moves(inst, reach, _Table(inst, reach))
 
     @pytest.mark.parametrize("inst", [
         *(_decimal(random_instance(seed, with_q0=q0))
@@ -357,33 +407,27 @@ class TestArrayTable:
         """Decimal inputs: the per-arc moves of the query's integral view."""
         inst, reach = _integral(inst)
         assert inst.graph.decimals == (0, 0) and inst.q_max.is_integer()
-        table = _Table(inst, reach)
-        moves = _table_moves(inst, table)
-        assert len(moves) == len(set(moves))
-        assert set(moves) == _reference_moves(inst, reach, table)
+        _check_moves(inst, reach, _Table(inst, reach))
 
     @pytest.mark.parametrize("inst", _LAYER_INPUTS)
     def test_layers_match_a_python_relaxation(self, inst):
         inst, reach = _integral(inst)
         table, layers = build_layers(inst, reach)
-        moves = _reference_moves(inst, reach, table)
-        prev = [math.inf] * table.size
-        for s in table.initial.tolist():
-            prev[s] = 0.0
-        price = inst.graph.price
+        moves = _reference_moves(inst, reach)
+        levels, initial = _naive_states(inst, reach)
+        prev = dict.fromkeys(levels | initial, math.inf) | dict.fromkeys(initial, 0.0)
         assert len(layers) == inst.k_max + 1
+        # A column of layers is a state of the base: no hub has one.  The
+        # fill-up moves the hubs stood for are among the reference moves.
+        assert layers.shape[1] == len(table.state_v)
         for k, row in enumerate(layers):
-            assert row[:table.size].tolist() == prev
-            # The hubs: the cheapest fill-up at each vertex after A_k.
-            for u in range(inst.graph.n):
-                hub = math.inf
-                if k < inst.k_max and u != inst.goal:
-                    for s in range(table.offset[u], table.offset[u + 1]):
-                        q = float(table.state_q[s])
-                        if q < inst.q_max:
-                            hub = min(hub, prev[s] + (inst.q_max - q) * price[u])
-                assert row[table.size + u] == hub
-            nxt = [math.inf] * table.size
+            assert {(int(table.state_v[s]), float(table.state_q[s])): row[s]
+                    for s in range(len(row)) if not table.goal < s < table.top} == {
+                        state: prev[state] for state in levels}
+            assert (row[table.goal + 1:table.top] == math.inf).all()
+            if k:  # nothing lands in an initial level the base lacks
+                assert all(prev[state] == math.inf for state in initial - levels)
+            nxt = dict.fromkeys(prev, math.inf)
             for src, dst, cost, _ in moves:
                 nxt[dst] = min(nxt[dst], prev[src] + cost)
             prev = nxt
@@ -401,11 +445,13 @@ class TestArrayTable:
         assert _grid_graph(22).n >= dp._ROW_BY_ROW  # the prefix minima go rank by rank
         for inst in (_grid_instance(0, 35, 7.0), _grid_instance(14, 21, 12.0)):
             table = _Table(inst, reach)
-            assert len(table.fresh) > 1
-            assert (inst.start in table.state_v[table.fresh].tolist()) == (inst.start == 0)
-            runs = Counter(_slots(table))
+            levels, _ = _naive_states(inst, reach)
+            fresh = [v for v, q in table.initial if (v, q) not in levels]
+            assert len(fresh) > 1
+            assert (inst.start in fresh) == (inst.start == 0)
+            runs = Counter(table.base.land.tolist())
             assert min(runs.values()) < dp._SHORT_RUN <= max(runs.values())
-            assert 0 < len(table.land) < len(table.read) and table.runs.shape[1] > 0
+            assert 0 < table.short < len(table.base.land) and table.base.long_runs.shape[1] > 0
         inst = _scaled_example(_BOUND_SCALE)
         assert 3 * 6 * (5 * _BOUND_SCALE) < 2**53 <= 3 * 6 * (5 * (_BOUND_SCALE + 1))
         assert _Table(inst, compute_reachable_sets(inst.graph, inst.q_max)).depth == 2
@@ -430,10 +476,10 @@ class TestArrayTable:
                 table, layers = build_layers(scaled, reach)
                 result, stats = dp_solve(inst, reach=reach if scaled is inst else None)
                 out.append((layers.shape, layers.tobytes(), repr(result), stats.dp_states_computed))
-                if dp._SHORT_RUN == 1:  # only the goal's column is short
-                    assert set(table.land.tolist()) <= {inst.graph.n + table.goal}
+                if dp._SHORT_RUN == 1:  # every run is long
+                    assert table.short == 0
                 elif dp._SHORT_RUN == 10**9:
-                    assert table.runs.shape[1] == 0
+                    assert table.base.long_runs.shape[1] == 0
             return out
 
         expected = solve_all()
@@ -461,8 +507,9 @@ def _solve_key(inst, reach):
 
 
 def _table_key(inst, table):
-    return (table.state_v.tolist(), table.state_q.tolist(), table.fill_cost.tolist(),
-            table.initial.tolist(), table.goal, sorted(_table_moves(inst, table)))
+    first, later = _table_moves(inst, table)
+    return (table.state_v.tolist(), table.state_q.tolist(), table.initial, table.start_states,
+            table.goal, table.top, table.size, table.depth, sorted(first), sorted(later))
 
 
 class TestTableBase:
@@ -493,19 +540,23 @@ class TestTableBase:
         reach = compute_reachable_sets(graph, 10.0)
 
         def moves_into_goal(inst):
-            table = _Table(inst, reach)
-            return [(table.state_v[s], table.state_q[s], a)
-                    for s, t, _, a in _table_moves(inst, table) if t == table.goal]
+            first, later = _table_moves(inst, _Table(inst, reach))
+            return [(*source, a) for source, t, _, a in first + later if t == (inst.goal, 0.0)]
 
         # Goal 1: the tail 0 is cheaper, so its fill-up arc of fuel 4 buys
         # 4 - q from each of its levels up to 4, here 0.
         assert (0, 0.0, 4.0) in moves_into_goal(Instance(graph, 0, 1, 10.0, 3))
         # Goal 2: the dearer tail 3 reaches it from level 7 with d = 7.
         assert (3, 7.0, 0.0) in moves_into_goal(Instance(graph, 0, 2, 10.0, 3))
-        # A full start fills nothing.
-        table = _Table(Instance(graph, 0, 2, 10.0, 3, 10.0), reach)
-        assert table.state_q[table.initial[0]] == 10.0
-        assert table.fill_cost[table.initial[0]] == math.inf
+        # A full start fills nothing: no move from its level buys anything.
+        inst = Instance(graph, 0, 2, 10.0, 3, 10.0)
+        table = _Table(inst, reach)
+        assert table.initial[0] == (0, 10.0)
+        first, _ = _table_moves(inst, table)
+        assert not [a for source, _, _, a in first if source == (0, 10.0) and a > 0.0]
+        move, _, cost = table.first
+        from_start = table.base.move_read[move] % graph.n == 0
+        assert from_start.any() and (cost[from_start] == math.inf).all()
 
     def test_built_once_on_the_first_dp_query(self):
         inst = random_instance(7, with_q0=True)
@@ -544,3 +595,61 @@ class TestTableBase:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class _NumpyLookups:
+    """numpy, counting the names looked up on it."""
+
+    def __init__(self):
+        self.names = Counter()
+
+    def __getattr__(self, name):
+        self.names[name] += 1
+        return getattr(np, name)
+
+
+class TestOverlay:
+    """A query's _Table reads ReachGraph.table in place: per query it holds
+    only arrays of the initial states' moves and of the goal's column."""
+
+    @pytest.mark.parametrize("inst", [
+        _grid_instance(40, 90, 9.0, rows=22),
+        Instance(gen_binomial(128, 0.3, seed=1), 3, 77, 16.0, 4),
+    ], ids=["sparse-grid", "desk"])
+    def test_a_query_shares_the_base_arrays(self, inst):
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        table, base = _Table(inst, reach), reach.table
+        assert table.base is base
+        for a, b in [(table.state_v, base.states), (table.state_q, base.levels),
+                     (table.offset, base.ptr), (table.column[0], base.column_read),
+                     (table.column[1], base.column_dist)]:
+            assert np.shares_memory(a, b)
+        rows = sum(len(reach.succ[v]) for v, _ in table.initial)
+        longest = max(rows, len(table.column[0]))
+        assert longest < min(len(table.state_v), len(base.land))
+        held = [a for name, value in vars(table).items() if name != "base"
+                for a in (value if isinstance(value, tuple) else [value])
+                if isinstance(a, np.ndarray)]
+        for a in held:
+            assert any(np.shares_memory(a, b) for b in base) or a.size <= longest
+
+    @pytest.mark.parametrize("inst", [
+        _grid_instance(40, 90, rows=22), _grid_instance(40, 90, 9.0, rows=22),
+        _grid_instance(0, 35), random_instance(6, with_q0=True),
+    ])
+    def test_the_read_back_takes_no_prefix_minima(self, monkeypatch, inst):
+        """build_layers looks up np.minimum for every layer; the read-back
+        prices the moves into each state it passes from the kept layers,
+        and looks up neither np.minimum nor np.full."""
+        inst, reach = _integral(inst)
+        expected = dp_solve(inst, reach=reach)[0]
+        lookups = _NumpyLookups()
+        monkeypatch.setattr(dp, "np", lookups)
+        table, layers = build_layers(inst, reach)
+        assert lookups.names["minimum"] >= table.depth
+        lookups.names.clear()
+        k = int(layers[:, table.goal].argmin())
+        assert k >= 2
+        result = dp._reconstruct(inst, reach, table, layers, k)
+        assert lookups.names and not {"minimum", "full"} & lookups.names.keys()
+        assert result == expected

@@ -568,12 +568,29 @@ class TestInitialFuel:
         assert result.total_cost == 3.0
 
     def test_coasts_left_on_the_open_list_are_not_counted(self):
-        # The start pops, then its coast to the goal; the coasts to 2 and 3
-        # stay on their cursor, so only those two labels are generated.
+        # The answer is the start's coast to the goal, returned before the
+        # loop as its two labels; the coasts to 2 and 3 are never generated.
         g = FuelGraph.build([1.0] * 4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)], undirected=True)
         result, stats = rfastar_solve(Instance(g, 0, 1, 5.0, 1, q0=3.0))
         assert result.total_cost == 0.0
         assert stats.labels_generated == 2
+
+    @pytest.mark.parametrize("opts", [SearchOptions(), SearchOptions(unbounded_stops=True)],
+                             ids=["bounded", "unbounded"])
+    def test_a_free_coast_to_the_goal_is_returned_before_the_loop(self, opts):
+        """Where the initial fuel reaches the goal, the coast there is the
+        answer, made of two labels; the loop once took 19 labels for the
+        second instance, popping every coast with more fuel left first."""
+        cases = [
+            (Instance(worked_example().graph, A, T, 6.0, 2, 6.0), "Solution(stops=(), "
+             "route=((1, 0.0), (3, 5.0)), total_cost=0.0, arrival_fuel=(6.0, 1.0))"),
+            (Instance(gen_binomial(64, 0.3, seed=5), 0, 1, 12.0, 3, 8.0), "Solution(stops=(), "
+             "route=((0, 0.0), (1, 5.0)), total_cost=0.0, arrival_fuel=(8.0, 3.0))"),
+        ]
+        for inst, expected in cases:
+            result, stats = rfastar_solve(inst, opts)
+            assert repr(result) == expected == repr(dp_solve(inst)[0])
+            assert stats.labels_generated <= 2
 
     def test_heuristic_drops_a_coast_to_a_dead_end(self):
         # Vertex 1 sells fuel but has no arc on to the goal 2.
