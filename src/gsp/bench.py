@@ -30,7 +30,7 @@ SOLVER_NAMES = ("rfastar", "rfastar-noh", "dp", "oracle")
 
 CSV_COLUMNS = (
     "instance_id", "solver", "status", "cost", "stops",
-    "labels_generated", "labels_expanded", "labels_pruned", "dp_states",
+    "labels_generated", "labels_expanded", "labels_pruned", "dp_states", "dp_layers",
     "reach_ms", "heuristic_build_ms", "search_ms", "total_ms",
 )
 
@@ -165,7 +165,7 @@ def bench_run(spec: BenchSpec) -> str:
                 "solver": solver,
                 "status": "", "cost": "", "stops": "",
                 "labels_generated": "", "labels_expanded": "", "labels_pruned": "",
-                "dp_states": "", "reach_ms": reach_ms,
+                "dp_states": "", "dp_layers": "", "reach_ms": reach_ms,
                 "heuristic_build_ms": "", "search_ms": "", "total_ms": "",
             }
             t0 = perf_counter()
@@ -189,6 +189,7 @@ def bench_run(spec: BenchSpec) -> str:
                 row["labels_expanded"] = str(stats.labels_expanded)
                 row["labels_pruned"] = str(stats.labels_pruned)
                 row["dp_states"] = str(stats.dp_states_computed)
+                row["dp_layers"] = str(stats.dp_layers)
                 row["heuristic_build_ms"] = f"{stats.heuristic_build_time * 1e3:.3f}"
                 row["search_ms"] = f"{stats.search_time * 1e3:.3f}"
             row["total_ms"] = f"{total * 1e3:.3f}"

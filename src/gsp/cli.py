@@ -138,7 +138,8 @@ def _cmd_solve(args) -> int:
         print(f"route {route}")
         print(f"stops {stops}")
         print(f"labels generated {stats.labels_generated} expanded {stats.labels_expanded} "
-              f"pruned {stats.labels_pruned} dp states {stats.dp_states_computed}")
+              f"pruned {stats.labels_pruned} dp states {stats.dp_states_computed} "
+              f"layers {stats.dp_layers}")
     return EXIT_INFEASIBLE if isinstance(result, Infeasible) else EXIT_OK
 
 

@@ -321,12 +321,17 @@ class SearchStats:
 
     heuristic_build_time covers only seeding the heuristic from the reach
     column; the settling done on demand is part of search_time.
+
+    For the DP, dp_states_computed counts the cells of the naive method,
+    k_max times the states, and dp_layers the layers it relaxed before no
+    state could beat the goal, or before the deadline.
     """
 
     labels_generated: int = 0
     labels_expanded: int = 0
     labels_pruned: int = 0
     dp_states_computed: int = 0
+    dp_layers: int = 0
     heuristic_settled: int = 0
     heuristic_build_time: float = 0.0
     search_time: float = 0.0

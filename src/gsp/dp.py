@@ -50,9 +50,15 @@ integral units, whose limit (``reach.integral``) keeps every cost of a
 cheapest chain, plus one move, below it.
 
 A cheapest chain with the fewest stops repeats no state, since costs are
-not negative, so min(k_max, states) layers are relaxed.  The naive method
+not negative, so at most min(k_max, states) layers are relaxed.  The loop
+stops after the first layer k with no state below best, the least goal
+value of layers 1 to k; the layers after it stay +inf.  That is exact:
+every move adds c_u·(L - q) >= 0 to the value of its tail, and none leaves
+the goal, whose cells are +inf, so no later layer gives the goal less than
+best, and a later tie loses to the earlier layer in the answer's argmin.
+A layer with no finite state stops the loop too.  The naive method
 determines every cell of k_max layers, which is what the state counter
-reports.
+reports; ``SearchStats.dp_layers`` counts the layers relaxed.
 
 The schedule is read back from the layers, goal first, as the states it
 passes and the amount bought at each, taking at each step the optimal move
@@ -277,7 +283,7 @@ class _Table:
 
     size counts the states of the naive method: the base's, with the goal
     at level 0 only, and the initial levels the base lacks.  depth is the
-    count of layers to relax.
+    most layers to relax, and relaxed the count ``build_layers`` relaxed.
     """
 
     def __init__(self, inst: Instance, reach: ReachGraph):
@@ -308,6 +314,7 @@ class _Table:
                 new += 1
         self.size = len(self.state_v) - (self.top - self.goal - 1) + new
         self.depth = min(inst.k_max, self.size)
+        self.relaxed = 0
 
         # A move out of (v, x) is open to it when x is below the level it
         # buys up to, and a column arc of fuel d when x is at most d.  A
@@ -341,15 +348,18 @@ def build_layers(
     *,
     deadline: float | None = None,
 ) -> tuple[_Table, np.ndarray]:
-    """Relax table.depth layers and return (table, layers).
+    """Relax up to table.depth layers and return (table, layers).
 
     inst and reach are in integral units (``reach.integral``).  layers[k]
     is A_k over the base's states.  Layer 1 lands the moves out of the
     initial states.  Every later layer writes the layer before into the
     grid, takes its prefix minima, reads every base move, lands the short
     runs by one scatter-minimum and the long runs by one segment minimum,
-    and takes the goal's level 0 from its column.  Past the deadline,
-    raises SolveTimeout with the states of the layers relaxed so far.
+    and takes the goal's level 0 from its column.  The loop stops after the
+    first layer with no state below the least goal value so far, and
+    table.relaxed counts the layers relaxed; the rest stay +inf.  Past the
+    deadline, raises SolveTimeout with the states and the count of the
+    layers relaxed so far.
     """
     table = _Table(inst, reach)
     base, n = table.base, inst.graph.n
@@ -361,9 +371,11 @@ def build_layers(
     land, (long_state, long_start) = base.land[:table.short], base.long_runs
     column_read, _, column_charge = table.column
     above = slice(table.goal + 1, table.top)  # the goal's levels above 0
+    best = math.inf  # the least goal value of the layers relaxed
     for k in range(1, table.depth + 1):
         if deadline is not None and perf_counter() > deadline:
-            raise SolveTimeout(SearchStats(dp_states_computed=(k - 1) * table.size))
+            raise SolveTimeout(SearchStats(dp_states_computed=(k - 1) * table.size,
+                                           dp_layers=k - 1))
         layer = layers[k]
         if k == 1:
             _, into, cost = table.first
@@ -386,6 +398,10 @@ def build_layers(
             at_goal = (grid[column_read] + column_charge).min(initial=math.inf)
         layer[above] = math.inf
         layer[table.goal] = at_goal
+        table.relaxed = k
+        best = min(best, at_goal)
+        if not layer.min() < best:  # no later layer can undercut best
+            break
     return table, layers
 
 
@@ -485,6 +501,7 @@ def dp_solve(
 
         table, layers = build_layers(inst, reach, deadline=deadline)
         stats.dp_states_computed = inst.k_max * table.size
+        stats.dp_layers = table.relaxed
         at_goal = layers[:, table.goal]
         best_k = int(at_goal.argmin())  # the fewest stops among the cheapest
         if not math.isfinite(at_goal[best_k]):

@@ -286,7 +286,7 @@ def _coast_children(root: Label, reach: ReachGraph, inst: Instance,
     g, q = root.g, root.q
     children: list[ChildEntry] = []
     for v2, d in reach.succ[root.v]:
-        if d > q or (v2 != inst.goal and math.isinf(price[v2])):
+        if d > q or math.isinf(price[v2]):
             continue
         h = h_for(ctx, v2, q - d) if ctx is not None else 0.0
         if h == math.inf:

@@ -143,12 +143,17 @@ def unpruned_solve(inst: Instance, reach):
     Walks every label that gsp.search.expand generates from the start, plus
     the start's free coasts on initial fuel, with no frontier and no
     heuristic.  Goal labels are leaves and bounded labels stop at k_max, so
-    the tree is finite.  Returns a Solution, or Infeasible when no goal
-    label exists; its cost is what pruning must preserve.
+    the tree is finite.  A coast straight to the goal costs nothing and
+    is the answer, as rfastar_solve finds before its loop.  Returns a
+    Solution, or Infeasible when no goal label exists; its cost is what
+    pruning must preserve.
     """
     root = Label(inst.start, 0.0, inst.q0, 0)
     stack = [root]
     if inst.q0 > 0.0 and inst.start != inst.goal:
+        d = reach.distance(inst.start, inst.goal)
+        if d is not None and d <= inst.q0:
+            return search._reconstruct(Label(inst.goal, 0.0, inst.q0 - d, 0, root, 0.0), reach)
         stack += child_labels(root, search._coast_children(root, reach, inst, None), stops=0)
     best = None
     while stack:

@@ -13,7 +13,7 @@ from conftest import worked_example_graph
 
 GOLDEN_HEADER = (
     "instance_id,solver,status,cost,stops,"
-    "labels_generated,labels_expanded,labels_pruned,dp_states,"
+    "labels_generated,labels_expanded,labels_pruned,dp_states,dp_layers,"
     "reach_ms,heuristic_build_ms,search_ms,total_ms"
 )
 
@@ -42,6 +42,7 @@ def test_all_solvers_agree_on_the_worked_example():
     assert all(r["status"] == "solved" for r in rows)
     assert {r["cost"] for r in rows} == {"15"}
     assert {r["stops"] for r in rows} == {"2"}
+    assert [r["dp_layers"] for r in rows] == ["0", "0", "2", "0"]  # the DP relaxed 2 layers
     assert len({r["reach_ms"] for r in rows}) == 1  # the one build, on every row
     assert float(rows[0]["reach_ms"]) > 0
 

@@ -48,6 +48,18 @@ def test_a_huge_stop_limit_solves(graph_file, capsys, algo):
     assert "cost 15" in capsys.readouterr().out
 
 
+def test_dp_reports_the_layers_it_relaxed(graph_file, capsys):
+    """The cheapest route takes 2 stops and no state of layer 2 costs less,
+    so the DP relaxes 2 layers; the state count stays k_max × 6 states."""
+    args = _solve_args(graph_file, "--algo", "dp")
+    args[args.index("--kmax") + 1] = "12"
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("dp states 72 layers 2")
+    assert main([*args, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["dp_layers"] == 2 and stats["dp_states_computed"] == 72
+
+
 def test_solve_json_schema(graph_file, capsys):
     assert main(_solve_args(graph_file, "--json")) == 0
     doc = json.loads(capsys.readouterr().out)

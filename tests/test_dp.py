@@ -63,7 +63,7 @@ class TestDpSolve:
     def test_past_deadline_times_out_before_any_layer(self, wx, wx_reach):
         with pytest.raises(SolveTimeout) as info:
             dp_solve(wx, reach=wx_reach, deadline=perf_counter() - 1.0)
-        assert info.value.stats.dp_states_computed == 0
+        assert info.value.stats.dp_states_computed == info.value.stats.dp_layers == 0
         assert info.value.stats.search_time > 0.0
 
     def test_degenerate_start_equals_goal(self, wx):
@@ -196,6 +196,7 @@ class TestDpSolve:
         assert len(layers) == table.size + 1
         assert repr(result) == repr(dp_solve(worked_example(k_max=2), reach=wx_reach)[0])
         assert stats.dp_states_computed == 10**12 * table.size
+        assert stats.dp_layers == 2 < table.depth
 
     def test_fill_up_leaves_the_lowest_level_of_its_tail(self):
         """From a dry start with 3 units, u = 3 is reached in one stop empty
@@ -323,6 +324,21 @@ def _reference_moves(inst, reach):
     return moves
 
 
+def _python_layers(inst, reach):
+    """Layers 0 to k_max of the naive method, relaxed over the reference
+    moves: dicts from every (vertex, level) state to its value."""
+    moves = _reference_moves(inst, reach)
+    levels, initial = _naive_states(inst, reach)
+    layer = dict.fromkeys(levels | initial, math.inf) | dict.fromkeys(initial, 0.0)
+    for _ in range(inst.k_max):
+        yield layer
+        nxt = dict.fromkeys(layer, math.inf)
+        for src, dst, cost, _ in moves:
+            nxt[dst] = min(nxt[dst], layer[src] + cost)
+        layer = nxt
+    yield layer
+
+
 def _table_moves(inst, table):
     """Every (source, landing, cost, amount) move a table relaxes, with
     (vertex, level) states: (those of layer 1, out of the initial states;
@@ -411,26 +427,34 @@ class TestArrayTable:
 
     @pytest.mark.parametrize("inst", _LAYER_INPUTS)
     def test_layers_match_a_python_relaxation(self, inst):
+        """Every layer up to the exit equals the reference's, and every row
+        after it is +inf.  The reference stops at the same rule, the first
+        layer with no state below the least goal value so far, and relaxed
+        on to k_max it never gives the goal less."""
         inst, reach = _integral(inst)
         table, layers = build_layers(inst, reach)
-        moves = _reference_moves(inst, reach)
         levels, initial = _naive_states(inst, reach)
-        prev = dict.fromkeys(levels | initial, math.inf) | dict.fromkeys(initial, 0.0)
+        goal = (inst.goal, 0.0)
         assert len(layers) == inst.k_max + 1
         # A column of layers is a state of the base: no hub has one.  The
         # fill-up moves the hubs stood for are among the reference moves.
         assert layers.shape[1] == len(table.state_v)
-        for k, row in enumerate(layers):
-            assert {(int(table.state_v[s]), float(table.state_q[s])): row[s]
-                    for s in range(len(row)) if not table.goal < s < table.top} == {
-                        state: prev[state] for state in levels}
-            assert (row[table.goal + 1:table.top] == math.inf).all()
-            if k:  # nothing lands in an initial level the base lacks
-                assert all(prev[state] == math.inf for state in initial - levels)
-            nxt = dict.fromkeys(prev, math.inf)
-            for src, dst, cost, _ in moves:
-                nxt[dst] = min(nxt[dst], prev[src] + cost)
-            prev = nxt
+        best, exit_k = math.inf, None
+        for k, (row, prev) in enumerate(zip(layers, _python_layers(inst, reach), strict=True)):
+            if exit_k is None:
+                assert {(int(table.state_v[s]), float(table.state_q[s])): row[s]
+                        for s in range(len(row)) if not table.goal < s < table.top} == {
+                            state: prev[state] for state in levels}
+                assert (row[table.goal + 1:table.top] == math.inf).all()
+                if k:  # nothing lands in an initial level the base lacks
+                    assert all(prev[state] == math.inf for state in initial - levels)
+                    best = min(best, prev[goal])
+                    if not min(prev.values()) < best:
+                        exit_k = k
+            else:
+                assert (row == math.inf).all()
+                assert not prev[goal] < best
+        assert table.relaxed == (inst.k_max if exit_k is None else exit_k)
 
     def test_layer_inputs_cover_the_per_arc_cases(self):
         """The grid inputs above: many levels per vertex, initial fuel that
@@ -490,6 +514,56 @@ class TestArrayTable:
         table = _Table(wx, wx_reach)
         with pytest.raises(KeyError):
             table.state(B, 4.0)
+
+
+class TestExit:
+    """build_layers stops after the first layer with no state below the
+    least goal value so far: no later move makes anything cheaper."""
+
+    def test_a_zero_price_tie_stops_at_the_fewest_stops(self):
+        """Every price is 0, so the goal costs 0 in one stop (0 -> 2) and
+        again in two (0 -> 1 -> 2).  No state of layer 1 is below 0, so the
+        exit fires on the tie and the answer keeps one stop."""
+        graph = FuelGraph.build([0.0] * 3, [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 4.0)])
+        inst = Instance(graph, 0, 2, 4.0, 3)
+        table, layers = build_layers(inst, compute_reachable_sets(graph, 4.0))
+        assert table.depth == 3 and table.relaxed == 1
+        assert (layers[2:] == math.inf).all()
+        result, stats = dp_solve(inst)
+        assert result.stops == ((0, 4.0),) and result.total_cost == 0.0
+        assert stats.dp_layers == 1 and stats.dp_states_computed == 3 * table.size
+
+    def test_an_infeasible_query_stops_after_its_first_empty_layer(self):
+        """Vertex 1, reached in one stop, has no arc on, and nothing reaches
+        the goal 2: layer 2 is empty."""
+        graph = FuelGraph.build([1.0] * 3, [(0, 1, 1.0)])
+        inst = Instance(graph, 0, 2, 2.0, 4)
+        table, layers = build_layers(inst, compute_reachable_sets(graph, 2.0))
+        assert table.depth == 3 and table.relaxed == 2
+        assert (layers[2:] == math.inf).all()
+        result, stats = dp_solve(inst)
+        assert isinstance(result, Infeasible)
+        assert stats.dp_layers == 2 and stats.dp_states_computed == 4 * table.size
+
+    def test_a_late_improvement_is_not_cut_off(self):
+        """The goal 3 costs 24 in one stop (4 units at 0), but 16 in three:
+        1 unit at 0, a fill-up at the cheap vertex 1 back to 0, and the last
+        unit there.  Layers 1 and 2 hold states below 24, and layer 3 one
+        below 16, (1, 0) at 15, so the loop goes on to layer 4, whose states
+        all cost at least 19, although its goal costs 43."""
+        graph = FuelGraph.build([6.0, 1.0, 5.0, 4.0],
+                                [(0, 1, 1.0), (0, 3, 4.0), (1, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)])
+        inst = Instance(graph, 0, 3, 4.0, 8)
+        reach = compute_reachable_sets(graph, 4.0)
+        table, layers = build_layers(inst, reach)
+        full = [layer[(3, 0.0)] for layer in _python_layers(inst, reach)]
+        assert full[:5] == layers[:5, table.goal].tolist() == [math.inf, 24.0, math.inf, 16.0, 43.0]
+        assert min(full[4:]) > 16.0  # relaxed on to k_max
+        assert table.depth == 6 and table.relaxed == 4
+        assert (layers[5:] == math.inf).all()
+        result, stats = dp_solve(inst, reach=reach)
+        assert result.stops == ((0, 1.0), (1, 4.0), (0, 1.0)) and result.total_cost == min(full)
+        assert stats.dp_layers == 4
 
 
 def _overlay_graph():
@@ -638,15 +712,15 @@ class TestOverlay:
         _grid_instance(0, 35), random_instance(6, with_q0=True),
     ])
     def test_the_read_back_takes_no_prefix_minima(self, monkeypatch, inst):
-        """build_layers looks up np.minimum for every layer; the read-back
-        prices the moves into each state it passes from the kept layers,
-        and looks up neither np.minimum nor np.full."""
+        """build_layers looks up np.minimum for every layer it relaxes; the
+        read-back prices the moves into each state it passes from the kept
+        layers, and looks up neither np.minimum nor np.full."""
         inst, reach = _integral(inst)
         expected = dp_solve(inst, reach=reach)[0]
         lookups = _NumpyLookups()
         monkeypatch.setattr(dp, "np", lookups)
         table, layers = build_layers(inst, reach)
-        assert lookups.names["minimum"] >= table.depth
+        assert lookups.names["minimum"] >= table.relaxed
         lookups.names.clear()
         k = int(layers[:, table.goal].argmin())
         assert k >= 2
