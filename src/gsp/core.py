@@ -202,6 +202,19 @@ class FuelGraph:
         prices.setflags(write=False)
         return prices
 
+    @cached_property
+    def fuel_to(self) -> np.ndarray:
+        """The n x n matrix of least fuel, goal-major: fuel_to[t, v] is the
+        least fuel from v to t, uncut by any tank.  Built on first use by
+        ``reach._all_pairs_fuel`` and kept, read-only.
+
+        Every Floyd-Warshall reach build on the graph reads it, whatever
+        the tank, and so do ``heuristic.relaxed_costs`` and the heuristic's
+        d.  Not a field, so equality, repr and content_hash ignore it.
+        """
+        from .reach import _all_pairs_fuel
+        return _all_pairs_fuel(self)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -317,10 +330,12 @@ class SearchStats:
     labels_pruned counts labels found dominated when popped.
     heuristic_settled counts the vertices the heuristic's backward search
     settled beyond the goal's reach column, on demand; it is 0 when every
-    vertex the search asked about lies within one tank of the goal.
+    vertex the search asked about lies within one tank of the goal, and on
+    graphs where the heuristic reads d from ``FuelGraph.fuel_to``.
 
     heuristic_build_time covers only seeding the heuristic from the reach
-    column; the settling done on demand is part of search_time.
+    column or the fuel matrix's row; the settling done on demand is part of
+    search_time.
 
     For the DP, dp_states_computed counts the cells of the naive method,
     k_max times the states, and dp_layers the layers it relaxed before no

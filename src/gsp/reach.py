@@ -19,15 +19,20 @@ amortise numpy's per-pass cost and enough arcs that a Dijkstra per source
 relaxes many of them.  Its sums are exact integers below 2^53, so its rows
 equal the Dijkstra rows bit for bit.
 
-``ReachGraph.succ`` is the only stored copy of the arcs.  Views that a
-query reads are built on first use and kept with the graph, so every later
-query on the same reach graph gets them for free: ``ReachGraph.in_units``,
-the reach graph in a query's integral units; the heuristic reads the
-goal's column of ``ReachGraph.into``, the arcs into each vertex, and the
-goal's row of ``ReachGraph.relaxed_cost``, which ``heuristic`` builds;
-``ReachGraph.table`` keeps the DP's goal-independent table, which ``dp``
-builds; ``ReachGraph.long_rows`` keeps the label search's arrays of the rows
-it prices in one numpy pass.  ``distance`` is a binary search in the sorted
+``ReachGraph.succ`` is the only stored copy of the arcs.  The
+Floyd-Warshall build reads the graph's uncut all-pairs fuel matrix,
+``FuelGraph.fuel_to``, which ``_all_pairs_fuel`` builds once per graph and
+the graph keeps for every tank.  Views that a query reads are built on
+first use and kept with the graph, so every later query on the same reach
+graph gets them for free: ``ReachGraph.in_units``, the reach graph in a
+query's integral units; the heuristic reads the goal's row of
+``ReachGraph.relaxed_cost``, which ``heuristic`` builds from
+``FuelGraph.fuel_to``, and takes d from the goal's row of that matrix, or,
+where it takes no such bound, from the goal's column of
+``ReachGraph.into``, the arcs into each vertex; ``ReachGraph.table`` keeps
+the DP's goal-independent table, which ``dp`` builds;
+``ReachGraph.long_rows`` keeps the label search's arrays of the rows it
+prices in one numpy pass.  ``distance`` is a binary search in the sorted
 arc list of the tail.  Every solver and checker gets its reach graph from
 ``reach_for``, which builds one for the instance or rejects one built for
 another graph or tank, and runs on the integral view that ``integral``
@@ -227,7 +232,8 @@ def _use_floyd_warshall(graph: FuelGraph) -> bool:
 
 
 def _all_pairs_fuel(graph: FuelGraph) -> np.ndarray:
-    """The n x n matrix of least fuel from u to v, by Floyd-Warshall.
+    """``FuelGraph.fuel_to``: the read-only n x n matrix whose entry [t, v]
+    is the least fuel from v to t, by Floyd-Warshall on the reversed arcs.
 
     Not cut at any tank; the diagonal is 0 and unreachable pairs are +inf.
     Exact when _use_floyd_warshall holds.
@@ -236,21 +242,22 @@ def _all_pairs_fuel(graph: FuelGraph) -> np.ndarray:
     fuel = np.full((n, n), math.inf)
     if graph.edges:
         tails, heads, fuels = zip(*graph.edges)
-        fuel[tails, heads] = fuels
+        fuel[heads, tails] = fuels
     np.fill_diagonal(fuel, 0.0)
     for k in range(n):
         np.minimum(fuel, fuel[:, k, None] + fuel[k], out=fuel)
+    fuel.setflags(write=False)
     return fuel
 
 
 def _build_by_floyd_warshall(graph: FuelGraph, q_max: float) -> ReachGraph:
-    """All-pairs least fuel by Floyd-Warshall, cut at q_max.  Equal to
-    _build_by_dijkstra when _use_floyd_warshall holds."""
-    fuel = _all_pairs_fuel(graph)
-    np.fill_diagonal(fuel, math.inf)  # no self arcs
+    """The graph's all-pairs least fuel (``FuelGraph.fuel_to``), cut at
+    q_max.  Equal to _build_by_dijkstra when _use_floyd_warshall holds."""
     rows = []
-    for row in fuel:
-        heads = np.flatnonzero(row <= q_max)
+    for u, row in enumerate(graph.fuel_to.T):  # row[v]: the least fuel from u to v
+        near = row <= q_max
+        near[u] = False  # no self arcs
+        heads = np.flatnonzero(near)
         rows.append(tuple(zip(heads.tolist(), row[heads].tolist())))
     return ReachGraph(graph, float(q_max), tuple(rows))
 

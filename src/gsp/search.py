@@ -10,30 +10,33 @@ Successors are generated lazily (partial-expansion A*).  Expanding a label
 computes all its children in one per-parent cursor, and the open list holds
 a single entry for that cursor, keyed on its cheapest child.  A short row's
 cursor is a heap of plain tuples; a long row's is a _Run, whose children
-wait in sorted arrays, and a tuple is built for a child only when it is
-popped.  Every label enters the open list this way, so the loop treats
-every popped label alike.  The start is the one child of a cursor with no
-parent; its free coasts on initial fuel are one more cursor, pushed with
-it before the loop, whose parent is a root label at the start that is
-never popped.  A child becomes a Label only when its cursor reaches the
-top of the open list; it is then checked against the per-vertex frontier
-sets, which prune dominated labels once, when they are materialised and
-popped.  labels_generated counts exactly the labels taken off the open
-list.  When the initial fuel reaches the goal, the free coast there is the
-answer, as no schedule costs less or stops less; it is returned before the
-loop and counts as the two labels it is made of, the start and the coast.
+wait in unsorted arrays: the next one is found by one argmin when asked,
+and a tuple is built for a child only when it is popped.  Every label
+enters the open list this way, so the loop treats every popped label alike.
+The start is the one child of a cursor with no parent; its free coasts on
+initial fuel are one more cursor, pushed with it before the loop, whose
+parent is a root label at the start that is never popped.  A child becomes
+a Label only when its cursor reaches the top of the open list; it is then
+checked against the per-vertex frontier sets, which prune dominated labels
+once, when they are materialised and popped.  labels_generated counts
+exactly the labels taken off the open list.  When the initial fuel reaches
+the goal, the free coast there is the answer, as no schedule costs less or
+stops less; it is returned before the loop and counts as the two labels it
+is made of, the start and the coast.
 
 Every child is still priced, in one of two ways chosen by one length test
 on the tail's reach row.  A row of at least _ROW_MIN arcs is priced in one
 numpy pass over its arrays (``ReachGraph.long_rows``): purchase, arrival
-fuel, the filters, both terms of h (``heuristic.h_row``), g and f, then one
-lexsort into pop order, kept as a _Run over the arrays.  A shorter row is
-priced in a Python loop, whose fixed cost is lower; it applies
-refuel_amount's rule and h_for's operations inline, on the same operands,
-and both functions stay as the references the tests check it against.
-The pass applies the loop's IEEE operations to the same operands in the
-same order, so its entries and their pop order, and with them every answer
-and counter, are the loop's bit for bit.
+fuel, the filters, both terms of h (``heuristic.h_row``), g and f, kept as
+a _Run over the arrays.  Most of a long row's children are never popped
+(partial expansion pays only when they cost close to nothing; Goldenberg et
+al., "Enhanced Partial Expansion A*", JAIR 2014), so none is sorted.  A
+shorter row is priced in a Python loop, whose fixed cost is lower; it
+applies refuel_amount's rule and h_for's operations inline, on the same
+operands, and both functions stay as the references the tests check it
+against.  The pass applies the loop's IEEE operations to the same operands
+in the same order, so its entries and their pop order, and with them every
+answer and counter, are the loop's bit for bit.
 
 Two variants share the loop: the bounded mode enforces the stop limit and
 uses three-way dominance; the unbounded mode drops the limit and prunes
@@ -66,12 +69,15 @@ from .reach import ReachGraph, integral
 
 # expand() prices a row of at least _ROW_MIN arcs in one numpy pass
 # (_expand_row) and a shorter one in a loop, whose fixed cost is lower.
-# Measured on G(256, p) graphs with fuels 1..10 and rows of 64-255 arcs:
-# the pass prices a row faster from about 64 arcs, and whole queries gain
-# up to 3.5% from a gate of 96 on rows of 71-131 arcs and tie elsewhere.
-# On 45x45 road grids, whose rows hold up to 92 arcs, a gate of 64 is 5%
-# slower and 96 to 192 tie; the margin keeps grids on the loop (ROADMAP,
-# gate table).
+# Measured on G(256, p) graphs with fuels 1..10: the pass prices a row as
+# fast as the loop at 32-63 arcs and faster from there (18 against 26 us
+# at 64-95 arcs).  Against a gate of 128, whole queries run 0.64-0.69x at
+# gates of 64-96 on G(256, 0.1) with tank 4 (rows of 4-180 arcs), 1.03x on
+# G(256, 0.05) with tank 8 (rows of 14-242) and tie on G(256, 0.3).  On
+# 45x45 road grids, whose rows hold up to 84 arcs, a gate of 64 is 5%
+# slower and 96 to 192 tie.  The margin keeps grids on the loop; no
+# benchmarked workload has rows on both sides of 64-128 (ROADMAP, gate
+# table).
 _ROW_MIN = 128
 
 # One child of expand(): (f, -arrival fuel, vertex, cost, amount bought).  A
@@ -83,34 +89,52 @@ ChildEntry = tuple[float, float, int, float, float]
 class _Run:
     """A long row's children in _expand_row's arrays, popped in order.
 
-    order holds the kept children's indices in pop order, and top is the
-    position of the next one.  pop() builds the one ChildEntry it takes
-    off; the other children stay array entries.  Iterating reads the
-    remaining entries in pop order and takes none off.
+    top is the index of the next child: the least (f, -q, head) among the
+    entries whose f is finite, found by one argmin over f when the run is
+    built and after each pop.  Heads ascend in a row, so the first of the
+    entries tied on (f, -q) has the lowest head.  pop() builds the one
+    ChildEntry it takes off and sets that child's f to +inf, so f is the
+    run's own array; the other children stay array entries.  Iterating
+    reads the remaining entries in pop order and takes none off.
     """
 
-    __slots__ = ("f", "neg_q", "v", "g", "a", "order", "top")
+    __slots__ = ("f", "neg_q", "v", "g", "a", "left", "top")
 
     def __init__(self, f: np.ndarray, neg_q: np.ndarray, v: np.ndarray, g: np.ndarray,
-                 a: np.ndarray, order: np.ndarray):
+                 a: np.ndarray):
         self.f, self.neg_q, self.v, self.g, self.a = f, neg_q, v, g, a
-        self.order, self.top = order, 0
+        self.left = np.count_nonzero(f < math.inf)
+        if self.left:
+            self.top = self._next()
 
     def __len__(self) -> int:
-        return len(self.order) - self.top
+        return self.left
 
     def key(self) -> tuple[float, float]:
         """(f, -q) of the next child: the open-list key of this cursor."""
-        j = self.order.item(self.top)
-        return self.f.item(j), self.neg_q.item(j)
+        return self.f.item(self.top), self.neg_q.item(self.top)
 
     def pop(self) -> ChildEntry:
-        j = self.order.item(self.top)
-        self.top += 1
-        return self._entry(j)
+        j = self.top
+        entry = self._entry(j)
+        self.f[j] = math.inf
+        self.left -= 1
+        if self.left:
+            self.top = self._next()
+        return entry
+
+    def _next(self) -> int:
+        f = self.f
+        j = f.argmin()
+        tied = (f == f[j]).nonzero()[0]
+        if len(tied) > 1:
+            j = tied[self.neg_q[tied].argmin()]
+        return j
 
     def __iter__(self) -> Iterator[ChildEntry]:
-        return map(self._entry, self.order[self.top:].tolist())
+        live = (self.f < math.inf).nonzero()[0]
+        order = live[np.lexsort((self.neg_q[live], self.f[live]))]  # stable: heads ascend
+        return map(self._entry, order.tolist())
 
     def _entry(self, j: int) -> ChildEntry:
         return self.f.item(j), self.neg_q.item(j), self.v.item(j), self.g.item(j), self.a.item(j)
@@ -187,9 +211,9 @@ def expand(l: Label, reach: ReachGraph, inst: Instance,
     list, whose heap order is the open list's pop order, so the search can
     take children off it one at a time.  A longer row is priced by
     _expand_row in one numpy pass and returns a _Run: the same entries wait
-    in its arrays in sorted order, and a tuple is built for each child when
-    the search pops it.  As heads are distinct no two entries tie, so
-    the pop order is the loop's.
+    in its arrays, and the run finds the least one and builds its tuple
+    each time the search pops it.  As heads are distinct no two entries
+    tie, so the pop order is the loop's.
 
     No child is created when the required purchase would be non-positive
     (such itineraries are subsumed by the refuel graph's transitive
@@ -251,7 +275,7 @@ def _expand_row(l: Label, reach: ReachGraph, inst: Instance,
 
     Every value is the loop's IEEE operation on the same operands, so the
     entries are the loop's bit for bit; the _Run pops them in the loop's
-    order, since heads are distinct.
+    order, (f, -q, head), since heads are distinct.
     """
     heads, fuels = reach.long_rows[l.v]
     c_here, q, q_max = inst.graph.price[l.v], l.q, inst.q_max
@@ -265,11 +289,9 @@ def _expand_row(l: Label, reach: ReachGraph, inst: Instance,
     keep = ((a > 0.0) & (c_next < math.inf)).nonzero()[0]
     heads, a, arrive, c_next = heads[keep], a[keep], arrive[keep], c_next[keep]
     g = l.g + a * c_here
-    f = g if ctx is None else g + h_row(ctx, heads, arrive, c_next)
-    neg_q = -arrive
-    # f is +inf where the goal is unreachable; those children sort last.
-    order = np.lexsort((heads, neg_q, f))[:np.count_nonzero(f < math.inf)]
-    return _Run(f, neg_q, heads, g, a, order)
+    # f is +inf where the goal is unreachable; the _Run never pops those.
+    f = g.copy() if ctx is None else g + h_row(ctx, heads, arrive, c_next)
+    return _Run(f, -arrive, heads, g, a)
 
 
 def _coast_children(root: Label, reach: ReachGraph, inst: Instance,

@@ -68,6 +68,14 @@ def long_row_graph(seed: int, zero_price: bool = False) -> FuelGraph:
     return _dry_station_graph(150, 0.9, seed, zero_price)
 
 
+def sparse_long_row_graph(seed: int) -> FuelGraph:
+    """G(160, 0.06) whose reach rows at LONG_ROW_TANK hold every other
+    vertex, as in long_row_graph, dry stations and dead end included; too
+    sparse for the Floyd-Warshall build, so the heuristic settles d on
+    demand and takes no price-aware term."""
+    return _dry_station_graph(160, 0.06, seed, False)
+
+
 def short_row_graph(seed: int, zero_price: bool = False) -> FuelGraph:
     """G(80, 0.15) whose reach rows at SHORT_ROW_TANK stay below
     search._ROW_MIN, dry stations, dead end and zero price as in

@@ -26,7 +26,7 @@ from gsp import (
 from gsp import reach as reach_module
 from gsp import search
 from gsp.graphio import load_reach_cache, save_reach_cache
-from gsp.heuristic import HeuristicContext, h_for
+from gsp.heuristic import HeuristicContext, _backward, h_for
 from gsp.reach import dijkstra, integral, reach_for
 from gsp.search import SearchOptions
 
@@ -37,8 +37,8 @@ from conftest import (
     O,
     T,
     decimal_price_graph,
-    long_row_graph,
     random_instance,
+    sparse_long_row_graph,
     worked_example,
 )
 
@@ -224,15 +224,17 @@ def _holds(entry: float, d: float | None) -> bool:
 
 
 class TestSeededDistArray:
-    """dist_array starts as a copy of dist, and every entry stays NaN or
-    equal to dist's."""
+    """Outside the Floyd-Warshall gate, dist_array starts as a copy of dist,
+    and every entry stays NaN or equal to dist's."""
 
     @staticmethod
     def _first_pass(goal: int, monkeypatch):
-        graph = long_row_graph(0)
+        graph = sparse_long_row_graph(0)
         reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+        assert not reach_module._use_floyd_warshall(graph)
         s = next(v for v in range(1, graph.n - 1) if graph.price[v] < math.inf and v != goal)
         ctx = build_heuristic(reach, goal)
+        assert ctx.relaxed_row is None
         before = list(ctx.dist)
         # Per settle() call, a copy of dist_array if it was allocated by then.
         calls: list[np.ndarray | None] = []
@@ -250,7 +252,7 @@ class TestSeededDistArray:
     def test_the_first_pass_copies_dist(self, monkeypatch):
         """The dead end is the one vertex outside the goal's column; the pass
         settles it after allocating the array, which then still reads NaN there."""
-        dead_end = long_row_graph(0).n - 1
+        dead_end = sparse_long_row_graph(0).n - 1
         ctx, before, calls, run = self._first_pass(1, monkeypatch)
         assert len(calls) == 1 and calls[0] is not None
         assert [v for v, d in enumerate(before) if d is None] == [dead_end]
@@ -263,7 +265,7 @@ class TestSeededDistArray:
     def test_heads_in_the_goals_column_settle_nothing(self, monkeypatch):
         """Every row reaches the dead end, so its column holds every other
         vertex."""
-        dead_end = long_row_graph(0).n - 1
+        dead_end = sparse_long_row_graph(0).n - 1
         ctx, before, calls, run = self._first_pass(dead_end, monkeypatch)
         assert None not in before
         assert calls == [] and ctx.settled == 0
@@ -447,6 +449,38 @@ def _first_priced(graph: FuelGraph, price: float) -> FuelGraph:
     return FuelGraph.build([price, *graph.price[1:]], list(graph.edges))
 
 
+def _directed_dense_graph(seed: int, n: int = 72) -> FuelGraph:
+    """A directed G(n, 0.3), each arc's fuel drawn apart from its reverse's,
+    with prices 1..10 and the last vertex a dead end with no arcs out; it
+    takes the Floyd-Warshall build."""
+    rng = random.Random(seed)
+    arcs = [(u, v, rng.randint(1, 10)) for u in range(n - 1) for v in range(n)
+            if u != v and rng.random() < 0.3]
+    return FuelGraph.build([float(rng.randint(1, 10)) for _ in range(n)], arcs)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_matrix_seeded_d_equals_the_backward_dijkstra(seed):
+    """Where the price-aware term is taken, dist and dist_array are the goal's
+    row of FuelGraph.fuel_to, known from the start, and equal the backward
+    Dijkstra's d bit for bit for every goal and vertex, +inf at the dead end
+    included.  The fuel from v to t differs from the fuel from t to v, so a
+    read of the goal's column fails."""
+    graph = _directed_dense_graph(seed)
+    reach = compute_reachable_sets(graph, 12.0)
+    assert reach.relaxed_cost is not None
+    fuel_to, dead_end = graph.fuel_to, graph.n - 1
+    assert (fuel_to != fuel_to.T).sum() > graph.n
+    for goal in range(graph.n):
+        settled = dict(_backward(goal, reach.into[goal], graph.pred))
+        expected = [float(settled.get(v, math.inf)).hex() for v in range(graph.n)]
+        assert (expected[dead_end] == math.inf.hex()) == (goal != dead_end)
+        ctx = build_heuristic(reach, goal)
+        assert [d.hex() for d in ctx.dist] == expected
+        assert [d.hex() for d in ctx.dist_array.tolist()] == expected
+        assert ctx.d_to_goal == tuple(ctx.dist) and ctx.settled == 0
+
+
 _GATE_GRAPH = _desk_graph(7)
 
 
@@ -508,17 +542,20 @@ class TestPriceBoundGate:
         assert validate_solution(inst, sol, reach) == sol.total_cost
 
     def test_second_solve_reuses_the_first_solves_bound(self, monkeypatch):
+        """One Floyd-Warshall per graph: the reach build's, which the bound
+        and the heuristic's d read again."""
         built = []
         all_pairs = reach_module._all_pairs_fuel
         monkeypatch.setattr(reach_module, "_all_pairs_fuel",
                             lambda graph: built.append(graph) or all_pairs(graph))
-        reach = compute_reachable_sets(_GATE_GRAPH, self.TANK)
-        assert len(built) == 1  # the reach build's own
-        rfastar_solve(Instance(reach.graph, 1, 2, self.TANK, 3), reach=reach)
+        graph = FuelGraph.build(list(_GATE_GRAPH.price), list(_GATE_GRAPH.edges))
+        reach = compute_reachable_sets(graph, self.TANK)
+        assert built == [graph]  # the reach build's own
+        rfastar_solve(Instance(graph, 1, 2, self.TANK, 3), reach=reach)
         relaxed = reach.relaxed_cost
-        rfastar_solve(Instance(reach.graph, 3, 4, self.TANK, 3), reach=reach)
+        rfastar_solve(Instance(graph, 3, 4, self.TANK, 3), reach=reach)
         assert reach.relaxed_cost is relaxed
-        assert len(built) == 2
+        assert built == [graph]
 
     def test_reach_cache_gets_an_equal_bound(self, tmp_path):
         graph = _GATE_GRAPH

@@ -127,11 +127,11 @@ def test_built_arrays_leave_equality_and_repr_alone(tmp_path):
     reach = compute_reachable_sets(graph, LONG_ROW_TANK)
     fresh = compute_reachable_sets(long_row_graph(3), LONG_ROW_TANK)
     texts = repr(reach), repr(graph)
-    reach.into, reach.table, graph.cheapest, graph.price_array
+    reach.into, reach.table, graph.cheapest, graph.price_array, graph.fuel_to
     assert reach.relaxed_cost is not None
     assert reach.long_rows[0] is not None
     assert {"into", "table", "relaxed_cost", "long_rows"} <= vars(reach).keys()
-    assert {"cheapest", "price_array"} <= vars(graph).keys()
+    assert {"cheapest", "price_array", "fuel_to"} <= vars(graph).keys()
     assert (repr(reach), repr(graph)) == texts
     assert reach == fresh and fresh == reach
     assert graph == fresh.graph and fresh.graph == graph
@@ -223,6 +223,28 @@ def test_floyd_warshall_build_equals_dijkstra_build(dense, data):
     by_dijkstra = reach_module._build_by_dijkstra(graph, q_max)
     assert reach_module._build_by_floyd_warshall(graph, q_max) == by_dijkstra
     assert compute_reachable_sets(graph, q_max) == by_dijkstra
+
+
+def test_tanks_on_one_graph_read_one_fuel_matrix(monkeypatch):
+    """Every Floyd-Warshall build on a graph, whatever the tank, and the
+    heuristic's bound read the one FuelGraph.fuel_to, computed once and
+    read-only; each build still equals the Dijkstra build."""
+    built = []
+    all_pairs = reach_module._all_pairs_fuel
+    monkeypatch.setattr(reach_module, "_all_pairs_fuel",
+                        lambda graph: built.append(all_pairs(graph)) or built[-1])
+    rng = random.Random(5)
+    graph = FuelGraph.build([float(rng.randint(1, 10)) for _ in range(64)],
+                            [(u, v, rng.randint(1, 10)) for u in range(64) for v in range(64)
+                             if u != v and rng.random() < 0.3])
+    assert reach_module._use_floyd_warshall(graph)
+    reaches = [compute_reachable_sets(graph, tank) for tank in (6.0, 16.0)]
+    assert len(built) == 1 and vars(graph)["fuel_to"] is built[0]
+    assert not built[0].flags.writeable
+    for reach in reaches:
+        assert reach.relaxed_cost is not None
+        assert reach == reach_module._build_by_dijkstra(graph, reach.q_max)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("fuel, takes_floyd_warshall", [

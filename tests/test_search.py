@@ -248,12 +248,13 @@ class TestLazyChildren:
         graph = long_row_graph(2)
         reach = compute_reachable_sets(graph, LONG_ROW_TANK)
         inst = Instance(graph, 0, 1, LONG_ROW_TANK, 4)
-        runs, built = [], []
+        runs, built = [], []  # runs: (run, its children when built)
         expand_row, entry = search._expand_row, search._Run._entry
 
         def recording_row(*args):
-            runs.append(expand_row(*args))
-            return runs[-1]
+            run = expand_row(*args)
+            runs.append((run, len(run)))
+            return run
 
         def recording_entry(run, j):
             built.append(j)
@@ -263,10 +264,31 @@ class TestLazyChildren:
         monkeypatch.setattr(search._Run, "_entry", recording_entry)
         _, stats = rfastar_solve(inst, reach=reach)
         assert runs and all(isinstance(getattr(run, name), np.ndarray)
-                            for run in runs for name in ("f", "neg_q", "v", "g", "a", "order"))
+                            for run, _ in runs for name in ("f", "neg_q", "v", "g", "a"))
         # Every label but the start comes off a _Run, and each pop builds one tuple.
-        assert len(built) == sum(run.top for run in runs) == stats.labels_generated - 1
-        assert len(built) < sum(len(run.order) for run in runs)
+        popped = sum(kept - len(run) for run, kept in runs)
+        assert len(built) == popped == stats.labels_generated - 1
+        assert len(built) < sum(kept for _, kept in runs)
+
+    def test_tied_children_pop_by_fuel_then_head(self, monkeypatch):
+        """With no heuristic every fill-up from the zero-price vertex costs
+        nothing and every deficit buy too, so every child ties on f: the
+        _Run pops them by -q and then by head, as sorted() orders the
+        loop's entries."""
+        graph = long_row_graph(0, zero_price=True)
+        reach = compute_reachable_sets(graph, LONG_ROW_TANK)
+        inst = Instance(graph, 0, 1, LONG_ROW_TANK, 4)
+        parent = Label(0, 0.0, 3.0, 1)
+        run = expand(parent, reach, inst, None)
+        assert isinstance(run, search._Run)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_ROW_MIN", math.inf)
+            looped = sorted(expand(parent, reach, inst, None))
+        assert len({e[0] for e in looped}) == 1 and len({e[1] for e in looped}) > 1
+        popped = []
+        while run:
+            popped.append(run.pop())
+        assert repr(popped) == repr(looped)
 
 
 @pytest.mark.parametrize("seed", range(2))
