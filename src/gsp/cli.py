@@ -15,16 +15,7 @@ from time import perf_counter
 from .bench import SOLVER_NAMES, bench_run, format_number, load_bench_spec, run_solver
 from .core import Infeasible, SolveTimeout, validate_solution
 from .generate import GenerationFailed, gen_binomial
-from .graphio import (
-    load_graph,
-    load_reach_cache,
-    resolve_instance,
-    save_reach_cache,
-    solution_from_json,
-    solution_to_json,
-    write_graph,
-)
-from .reach import compute_reachable_sets
+from .graphio import load_graph, resolve_instance, solution_from_json, solution_to_json, write_graph
 from .mip import build_mip, write_lp
 
 EXIT_OK = 0
@@ -55,19 +46,6 @@ def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("--q0", type=float, default=0.0, help="initial fuel (default 0)")
 
 
-def _load_reach(args, graph, q_max):
-    """Honour --reach-cache: reuse a matching file or rebuild and rewrite it."""
-    path = getattr(args, "reach_cache", None)
-    if not path:
-        return None
-    cached = load_reach_cache(graph, q_max, path)
-    if cached is not None:
-        return cached
-    reach = compute_reachable_sets(graph, q_max)
-    save_reach_cache(reach, graph, path)
-    return reach
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unbounded", action="store_true", help="ignore the stop limit")
     p.add_argument("--time-limit", type=float, help="seconds before giving up")
     p.add_argument("--json", action="store_true", help="emit the solution as JSON")
-    p.add_argument("--reach-cache", help="reach-graph cache file to reuse or create")
 
     p = sub.add_parser("bench", help="run a solver matrix from a spec file")
     p.add_argument("--spec", required=True, help="bench spec JSON")
@@ -123,9 +100,8 @@ def _cmd_solve(args) -> int:
     inst = resolve_instance(graph, args.start, args.goal, args.qmax, args.kmax, args.q0)
     if args.time_limit is not None and not (args.time_limit > 0):  # also rejects NaN
         raise ValueError("time limit must be positive")
-    reach = _load_reach(args, graph, inst.q_max)
     deadline = perf_counter() + args.time_limit if args.time_limit is not None else None
-    result, stats = run_solver(args.algo, inst, reach, deadline, args.unbounded)
+    result, stats = run_solver(args.algo, inst, None, deadline, args.unbounded)
     if args.json:
         sys.stdout.write(solution_to_json(graph, result, stats))
     elif isinstance(result, Infeasible):

@@ -17,7 +17,6 @@ are.  A Solution is converted back once, at output (``Solution.from_units``).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from collections.abc import Sequence
@@ -158,11 +157,6 @@ class FuelGraph:
             pred=tuple(tuple(a) for a in rev),
         )
 
-    def content_hash(self) -> str:
-        """Stable digest of the graph content, used as a cache key."""
-        blob = repr((self.n, self.price, self.edges, self.names)).encode()
-        return hashlib.sha256(blob).hexdigest()
-
     def name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
@@ -177,17 +171,21 @@ class FuelGraph:
 
     def in_units(self, fuel: int, price: int) -> "FuelGraph":
         """This graph with fuels counted in units of 1 / fuel and prices in
-        units of 1 / price."""
-        return FuelGraph.build([in_units(p, price) for p in self.price],
-                               [(u, v, in_units(d, fuel)) for u, v, d in self.edges],
-                               list(self.names))
+        units of 1 / price.  With fuel 1 the fuels are unchanged, so a
+        ``fuel_to`` already built is handed over, not built again."""
+        graph = FuelGraph.build([in_units(p, price) for p in self.price],
+                                [(u, v, in_units(d, fuel)) for u, v, d in self.edges],
+                                list(self.names))
+        if fuel == 1 and "fuel_to" in self.__dict__:
+            graph.__dict__["fuel_to"] = self.fuel_to
+        return graph
 
     @cached_property
     def cheapest(self) -> tuple[tuple[float, int], ...]:
         """The two least (price, vertex) pairs, built on first use.
 
         The least price of every vertex but one is read off them in O(1).
-        Not a field, so equality, repr and content_hash ignore it.
+        Not a field, so equality and repr ignore it.
         """
         return tuple(heapq.nsmallest(2, zip(self.price, range(self.n))))
 
@@ -196,7 +194,7 @@ class FuelGraph:
         """price as a read-only float64 array, built on first use.
 
         The label search's vector pass gathers a row's head prices from it.
-        Not a field, so equality, repr and content_hash ignore it.
+        Not a field, so equality and repr ignore it.
         """
         prices = np.array(self.price)
         prices.setflags(write=False)
@@ -210,7 +208,7 @@ class FuelGraph:
 
         Every Floyd-Warshall reach build on the graph reads it, whatever
         the tank, and so do ``heuristic.relaxed_costs`` and the heuristic's
-        d.  Not a field, so equality, repr and content_hash ignore it.
+        d.  Not a field, so equality and repr ignore it.
         """
         from .reach import _all_pairs_fuel
         return _all_pairs_fuel(self)

@@ -11,6 +11,10 @@ else does: every price and fuel must be a finite number, so 1e400 and
 Infinity (which Python's json reads as inf) are rejected.  Undirected files
 are expanded to two arcs on ingestion and always written back in directed
 form, so parse(write(g)) reproduces g exactly.
+
+No solver or command reads or writes the reach-cache file, as a rebuild
+costs no more than a load; it is kept only for the benchmark's per-layer
+metric ``graphio.reach_cache_load_s``, which times ``load_reach_cache``.
 """
 
 from __future__ import annotations
@@ -163,15 +167,23 @@ def solution_from_json(graph: FuelGraph, text: str) -> tuple[Solution, float]:
     return sol, cost
 
 
+def _graph_digest(graph: FuelGraph) -> str:
+    """The reach cache's key: sha256 of the graph's vertices, prices and arcs."""
+    blob = repr((graph.n, graph.price, graph.edges, graph.names)).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def _succ_digest(rows: list) -> str:
     """sha256 of the reach cache's succ payload in its compact JSON form."""
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
 def save_reach_cache(reach: ReachGraph, graph: FuelGraph, path: str | Path):
+    """Write reach's arcs to path, keyed to (graph, reach.q_max).  Kept only
+    for the benchmark's ``graphio.reach_cache_load_s``."""
     rows = [[[v, d] for v, d in entries] for entries in reach.succ]
     doc = {
-        "graph_hash": graph.content_hash(),
+        "graph_hash": _graph_digest(graph),
         "q_max": reach.q_max,
         "succ": rows,
         "succ_sha256": _succ_digest(rows),
@@ -188,6 +200,7 @@ def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachG
     id, above the previous entry's, and 0 < fuel <= q_max.  A well-formed
     file whose succ_sha256 is absent or does not match its arcs is stale
     too (None), so edited or corrupted fuels are rebuilt, never used.
+    Kept only for the benchmark's ``graphio.reach_cache_load_s``.
     """
     p = Path(path)
     if not p.exists():
@@ -198,7 +211,7 @@ def load_reach_cache(graph: FuelGraph, q_max: float, path: str | Path) -> ReachG
         return None
     if not isinstance(doc, dict):
         raise SchemaError("reach cache: top level must be an object")
-    if doc.get("graph_hash") != graph.content_hash() or doc.get("q_max") != q_max:
+    if doc.get("graph_hash") != _graph_digest(graph) or doc.get("q_max") != q_max:
         return None
     rows = doc.get("succ")
     if not isinstance(rows, list) or len(rows) != graph.n:

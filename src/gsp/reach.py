@@ -3,7 +3,7 @@
 For every vertex this computes the set of vertices reachable on one full
 tank together with the minimum fuel needed.  The search, its heuristic and
 the DP baseline all run on this derived graph, so the cost is paid once per
-(graph, capacity) pair and can be cached on disk.
+(graph, capacity) pair.
 
 The build runs on integers.  A graph whose fuels or tank have decimal
 places is built on its integral form, every fuel and the tank counted in

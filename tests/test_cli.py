@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -277,58 +276,16 @@ def test_validate_rejects_numbers_that_are_not_json_numbers(tmp_path, capsys, co
     assert "error: solution document is malformed" in capsys.readouterr().err
 
 
-def test_reach_cache_flag_creates_and_reuses(graph_file, tmp_path, capsys):
+def test_reach_cache_flag_is_a_usage_error(graph_file, tmp_path, capsys):
     cache = tmp_path / "reach.json"
-    assert main(_solve_args(graph_file, "--reach-cache", str(cache))) == 0
-    assert cache.exists()
-    first = cache.read_bytes()
-    assert main(_solve_args(graph_file, "--reach-cache", str(cache))) == 0
-    assert cache.read_bytes() == first
-    assert "cost 15" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("doc", [
-    pytest.param([[[1, 3.0]], [[0, 3.0]]], id="top-level-array"),
-    pytest.param({"succ": [[1], [0]]}, id="entry-not-a-pair"),
-    pytest.param({"succ": [[[1, 3.0]]]}, id="one-row-for-two-vertices"),
-    pytest.param({"succ": [[[7, 3.0]], [[0, 3.0]]]}, id="vertex-out-of-range"),
-    pytest.param({"succ": [[[0, 3.0]], [[0, 3.0]]]}, id="vertex-is-source"),
-    pytest.param({"succ": [[[1, 99.0]], [[0, 3.0]]]}, id="fuel-above-tank"),
-    pytest.param({"succ": [[[1, 0.0]], [[0, 3.0]]]}, id="fuel-zero"),
-    pytest.param({"succ": [[[1, math.nan]], [[0, 3.0]]]}, id="fuel-nan"),
-    pytest.param({"succ": [[[1, 10**400]], [[0, 3.0]]]}, id="fuel-int-too-large"),
-])
-def test_malformed_reach_cache_exits_3(tmp_path, capsys, doc):
-    graph_path = tmp_path / "pair.json"
-    graph = FuelGraph.build([1.0, 2.0], [(0, 1, 3.0)], names=["a", "b"], undirected=True)
-    graph_path.write_text(write_graph(graph))
-    if isinstance(doc, dict):
-        doc = {"graph_hash": load_graph(graph_path).content_hash(), "q_max": 5.0, **doc}
-    cache = tmp_path / "reach.json"
-    cache.write_text(json.dumps(doc))
-    assert main(["solve", "--graph", str(graph_path), "--start", "a", "--goal", "b",
-                 "--qmax", "5", "--kmax", "2", "--reach-cache", str(cache)]) == 3
-    assert "reach cache" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("digest", ["absent", "stale"])
-def test_reach_cache_with_wrong_fuels_is_rebuilt(tmp_path, capsys, digest):
-    graph_path = tmp_path / "pair.json"
-    graph = FuelGraph.build([1.0, 2.0], [(0, 1, 3.0)], names=["a", "b"], undirected=True)
-    graph_path.write_text(write_graph(graph))
-    cache = tmp_path / "reach.json"
-    args = ["solve", "--graph", str(graph_path), "--start", "a", "--goal", "b",
-            "--qmax", "5", "--kmax", "2", "--reach-cache", str(cache)]
-    doc = {"graph_hash": load_graph(graph_path).content_hash(), "q_max": 5.0}
-    if digest == "stale":
-        assert main(args) == 0
-        doc = json.loads(cache.read_text())
-    doc["succ"] = [[[1, 1.0]], [[0, 1.0]]]  # well formed, but the true fuel is 3
-    cache.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(args) == 0
-    assert "cost 3" in capsys.readouterr().out
-    assert json.loads(cache.read_text())["succ"] == [[[1, 3.0]], [[0, 3.0]]]
+    with pytest.raises(SystemExit) as exit_:
+        main(_solve_args(graph_file, "--reach-cache", str(cache)))
+    assert exit_.value.code == 3
+    assert "gsp: error: unrecognized arguments: --reach-cache" in capsys.readouterr().err
+    assert not cache.exists()
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert "--reach-cache" not in capsys.readouterr().out
 
 
 def test_bench_command(graph_file, tmp_path):

@@ -55,12 +55,6 @@ class TestFuelGraph:
         g = FuelGraph.build([math.inf, 1.0], [(0, 1, 1.0)])
         assert math.isinf(g.price[0])
 
-    def test_content_hash_changes_with_content(self):
-        g1 = FuelGraph.build([1.0, 1.0], [(0, 1, 2.0)])
-        g2 = FuelGraph.build([1.0, 2.0], [(0, 1, 2.0)])
-        assert g1.content_hash() != g2.content_hash()
-        assert g1.content_hash() == FuelGraph.build([1.0, 1.0], [(0, 1, 2.0)]).content_hash()
-
 
 class TestInstance:
     def test_bounds_checked(self):

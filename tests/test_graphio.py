@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsp import Infeasible, compute_reachable_sets, gen_binomial, rfastar_solve, validate_solution
+from gsp import (
+    FuelGraph,
+    Infeasible,
+    compute_reachable_sets,
+    gen_binomial,
+    rfastar_solve,
+    validate_solution,
+)
 from gsp.graphio import (
     ParseError,
     SchemaError,
@@ -159,6 +166,72 @@ def test_reach_cache_rejects_mismatched_key(tmp_path):
     assert load_reach_cache(g, 7.0, path) is None
     other = parse_graph(WX_JSON.replace('"price": 2', '"price": 4'))
     assert load_reach_cache(other, 6.0, path) is None
+
+
+def _pair_graph(prices=(1.0, 2.0), fuel=3.0, names=("a", "b")):
+    return FuelGraph.build(list(prices), [(0, 1, fuel)], names=list(names), undirected=True)
+
+
+# The file save_reach_cache writes for _pair_graph() at tank 5; the format
+# and its keys are fixed, so files written by earlier versions still load.
+PAIR_CACHE = (
+    '{"graph_hash": "da8ce6a384a075f0afcd907d2a80a943ef6d25039513b0e10d09e81d49d1b776", '
+    '"q_max": 5.0, "succ": [[[1, 3.0]], [[0, 3.0]]], '
+    '"succ_sha256": "5e4f1cf3c7f83351b55eae006e3c04cb26d2d3db38baa724f523a93afe755699"}\n'
+)
+
+
+def _saved_pair_cache(tmp_path):
+    """The pair graph, the path of the reach cache saved for it at tank 5,
+    and that file's document."""
+    graph = _pair_graph()
+    path = tmp_path / "reach.json"
+    save_reach_cache(compute_reachable_sets(graph, 5.0), graph, path)
+    assert path.read_text() == PAIR_CACHE
+    return graph, path, json.loads(PAIR_CACHE)
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param([[[1, 3.0]], [[0, 3.0]]], id="top-level-array"),
+    pytest.param({"succ": [[1], [0]]}, id="entry-not-a-pair"),
+    pytest.param({"succ": [[[1, 3.0]]]}, id="one-row-for-two-vertices"),
+    pytest.param({"succ": [[[7, 3.0]], [[0, 3.0]]]}, id="vertex-out-of-range"),
+    pytest.param({"succ": [[[0, 3.0]], [[0, 3.0]]]}, id="vertex-is-source"),
+    pytest.param({"succ": [[[1, 99.0]], [[0, 3.0]]]}, id="fuel-above-tank"),
+    pytest.param({"succ": [[[1, 0.0]], [[0, 3.0]]]}, id="fuel-zero"),
+    pytest.param({"succ": [[[1, math.nan]], [[0, 3.0]]]}, id="fuel-nan"),
+    pytest.param({"succ": [[[1, 10**400]], [[0, 3.0]]]}, id="fuel-int-too-large"),
+])
+def test_malformed_reach_cache_raises_schema_error(tmp_path, doc):
+    """A file keyed to the graph and tank whose arcs are malformed is
+    rejected, never read as a reach graph and never taken as stale."""
+    graph, path, saved = _saved_pair_cache(tmp_path)
+    path.write_text(json.dumps({**saved, **doc} if isinstance(doc, dict) else doc))
+    with pytest.raises(SchemaError, match="reach cache"):
+        load_reach_cache(graph, 5.0, path)
+
+
+@pytest.mark.parametrize("digest", ["absent", "stale"])
+def test_reach_cache_with_wrong_fuels_is_stale(tmp_path, digest):
+    graph, path, doc = _saved_pair_cache(tmp_path)
+    doc["succ"] = [[[1, 1.0]], [[0, 1.0]]]  # well formed, but the true fuel is 3
+    if digest == "absent":
+        del doc["succ_sha256"]
+    path.write_text(json.dumps(doc))
+    assert load_reach_cache(graph, 5.0, path) is None
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param({"prices": (1.0, 2.5)}, id="price"),
+    pytest.param({"fuel": 4.0}, id="fuel"),
+    pytest.param({"names": ("a", "c")}, id="name"),
+])
+def test_reach_cache_is_keyed_to_the_graph_content(tmp_path, other):
+    graph, path, _ = _saved_pair_cache(tmp_path)
+    equal = parse_graph(write_graph(graph))
+    assert equal is not graph
+    assert load_reach_cache(equal, 5.0, path) == compute_reachable_sets(graph, 5.0)
+    assert load_reach_cache(_pair_graph(**other), 5.0, path) is None
 
 
 def test_resolve_instance_checks_ids():

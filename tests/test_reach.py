@@ -281,6 +281,25 @@ def test_floyd_warshall_build_round_trips_through_the_reach_cache(tmp_path):
     assert load_reach_cache(graph, 16.0, path) == reach
 
 
+def test_decimal_prices_and_whole_fuels_run_floyd_warshall_once(monkeypatch):
+    """The integral view counts prices in tenths and keeps the fuels, so it
+    shares the graph's all-pairs fuel matrix instead of building its own."""
+    calls = []
+    all_pairs = reach_module._all_pairs_fuel
+    monkeypatch.setattr(reach_module, "_all_pairs_fuel",
+                        lambda graph: calls.append(graph) or all_pairs(graph))
+    base = gen_binomial(64, 0.3, seed=1)
+    graph = FuelGraph.build([p + 0.5 for p in base.price], list(base.edges), list(base.names))
+    assert reach_module._use_floyd_warshall(graph) and graph.decimals == (0, 1)
+    reach = compute_reachable_sets(graph, 16.0)
+    for start, goal in [(0, 5), (3, 17), (10, 2)]:
+        inst = Instance(graph, start, goal, 16.0, 4)
+        cost = rfastar_solve(inst, reach=reach)[0].total_cost
+        assert cost == dp_solve(inst, reach=reach)[0].total_cost
+    assert calls == [graph]
+    assert reach.in_units(1).graph.fuel_to is graph.fuel_to
+
+
 _TAKES_REACH = {
     "rfastar_solve": lambda inst, reach: rfastar_solve(inst, reach=reach),
     "dp_solve": lambda inst, reach: dp_solve(inst, reach=reach),
