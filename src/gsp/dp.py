@@ -4,18 +4,20 @@ Forward table A(v, k, q): minimal cost to travel from the start to v,
 arriving with fuel level q after exactly k refuelling stops.  The answer is
 the minimum over k of A(goal, k, 0).
 
-The states are (vertex, level) pairs, numbered in (v, q) order, so that the
-states of v are one run.  Every purchase either fills the tank or covers
-the hop exactly, so the levels of v are few: 0, and q_max - d for every arc
-u -> v of fuel d whose tail is strictly cheaper, on which a stop at u fills
-up (``gas_values`` is the per-vertex reference).  The goal keeps level 0
-alone.  Initial fuel q0 adds the start's level q0 and the level q0 - d of
-every vertex the start reaches on it, each cost-free.  A fill-up in state
-(u, q) buys q_max - q at u's price and leaves by an arc to a dearer vertex,
-landing at level q_max - d.  Every other move is a deficit move: from
-(u, q) along an arc of fuel d > q to a vertex no dearer than u, or along an
-arc into the goal with d >= q, it buys d - q and lands at level 0.  A
-vertex that sells nothing (infinite price) buys nothing.
+The states are (vertex, level) pairs.  Every purchase either fills the
+tank or covers the hop exactly, so the levels of v are few: 0, and
+q_max - d for every arc u -> v of fuel d whose tail is strictly cheaper, on
+which a stop at u fills up (``gas_values`` is the per-vertex reference).
+The goal keeps level 0 alone.  Initial fuel q0 adds the start's level q0
+and the level q0 - d of every vertex the start reaches on it, each
+cost-free.  A fill-up in state (u, q) buys q_max - q at u's price and
+leaves by an arc to a dearer vertex, landing at level q_max - d.  Every
+other move is a deficit move: from (u, q) along an arc of fuel d > q to a
+vertex no dearer than u, or along an arc into the goal with d >= q, it
+buys d - q and lands at level 0.  A vertex that sells nothing (infinite
+price) buys nothing.  The states are numbered rank by rank: the j-th
+levels of all vertices, in one order by their count of levels, descending,
+precede the (j+1)-th.
 
 Most of the table is the same for every query on a reach graph.
 ``base_table`` builds it as if there were no goal and no initial fuel
@@ -31,14 +33,15 @@ later layer from the base's moves alone.
 Per-arc moves.  A move from (u, q) that buys up to level L (d for a
 deficit move, q_max for a fill-up) costs A(u, q) + c_u·(L - q), which is
 (A(u, q) - c_u·q) + c_u·L, and it is open to a prefix of u's levels: those
-below L (at most L into the goal).  So each layer writes A - c·q into a
-grid whose row j holds the j-th level of every vertex, takes the running
-minimum down every vertex's column, and relaxes every arc with one read of
-the grid plus c_u·L.  As in Khuller, Malekian and Mestre (2011) for
-fill-ups, the minimum over the levels is taken once per arc, not once per
-(level, arc).  The goal's cells stay +inf, so no move leaves it.  The
-moves into one state are its run, and a run lands in one of two ways, by
-its length.  Runs shorter than ``_SHORT_RUN`` take one unbuffered
+below L (at most L into the goal).  So each layer writes A - c·q into one
+cell per state, a grid by the numbering: one minimum per rank with the
+cells of its vertices in the rank before, a prefix of that rank, takes the
+running minimum over every vertex's levels, and every arc is relaxed with
+one read of the grid plus c_u·L.  As in Khuller, Malekian and Mestre
+(2011) for fill-ups, the minimum over the levels is taken once per arc,
+not once per (level, arc).  The goal's cells stay +inf, so no move leaves
+it.  The moves into one state are its run, and a run lands in one of two
+ways, by its length.  Runs shorter than ``_SHORT_RUN`` take one unbuffered
 scatter-minimum (``np.minimum.at``) into the layer, which starts at +inf;
 longer ones take one segment minimum (``np.minimum.reduceat``).  The moves
 are sorted by (long run?, state), once per reach graph, so that each way
@@ -52,7 +55,7 @@ cheapest chain, plus one move, below it.
 A cheapest chain with the fewest stops repeats no state, since costs are
 not negative, so at most min(k_max, states) layers are relaxed.  The loop
 stops after the first layer k with no state below best, the least goal
-value of layers 1 to k; the layers after it stay +inf.  That is exact:
+value of layers 1 to k, and allocates no later layer.  That is exact:
 every move adds c_u·(L - q) >= 0 to the value of its tail, and none leaves
 the goal, whose cells are +inf, so no later layer gives the goal less than
 best, and a later tie loses to the earlier layer in the answer's argmin.
@@ -62,12 +65,12 @@ reports; ``SearchStats.dp_layers`` counts the layers relaxed.
 
 The schedule is read back from the layers, goal first, as the states it
 passes and the amount bought at each, taking at each step the optimal move
-from the lowest state.  A step builds no grid: it prices each move into its
-state from every level of the move's tail up to the rank it reads, in the
-layer before, so a per-arc move leaves from the first level of its tail
-that attains the prefix minimum it reads.  The first stop leaves an
-initial state.  The schedule is written through ``Solution.build``, which
-prices every hop with the reach graph's distance.
+from the lowest state in (v, q) order.  A step builds no grid: it prices
+each move into its state from every level of the move's tail up to the
+rank it reads, in the layer before, so a per-arc move leaves from the
+first level of its tail that attains the prefix minimum it reads.  The
+first stop leaves an initial state.  The schedule is written through
+``Solution.build``, which prices every hop with the reach graph's distance.
 """
 
 from __future__ import annotations
@@ -108,19 +111,20 @@ class TableArrays(NamedTuple):
     Arrays of one length and type are stacked, so that a reach graph keeps
     few array objects.  price holds each vertex's price.
 
-    Per state s of vertex v: states[0] is v and states[1] the cell of s in
-    the grid, j·n + v for the j-th level of v, so that the levels of one
-    rank lie side by side.  levels[0] is the level q and levels[1] the
-    fuel's worth q·c_v (0 where v sells nothing).
+    Per vertex v: ptr[0][v] is v's place among the vertices by their count
+    of levels, descending and stable (n after the last), and ptr[1] and
+    ptr[2] are ranges, the column arcs into v and the moves out of v in
+    by_tail, v's being ptr[k][v]:ptr[k][v + 1].
 
-    Per vertex v, each a range in the array it names: ptr[0] the states of
-    v, ptr[1] the column arcs into v and ptr[2] the moves out of v in
-    by_tail; v's range is ptr[k][v]:ptr[k][v + 1].
+    Rank j, the states rank_start[j]:rank_start[j + 1], holds the j-th
+    levels of the first vertices in that order, v's at rank_start[j] +
+    ptr[0][v].  Per state: states is its vertex v, levels[0] its level q
+    and levels[1] the fuel's worth q·c_v (0 where v sells nothing).
 
-    The per-arc moves.  Move i reads cell move_read[i], the last level of
+    The per-arc moves.  Move i reads state move_read[i], the last level of
     its tail u below the level moves[0][i] it buys up to, adds moves[1][i],
     c_u times that level, and lands in state land[i]; its tail is
-    move_read[i] mod n.  The fill-up arcs land in the level they fill up
+    states[move_read[i]].  The fill-up arcs land in the level they fill up
     to, and the deficit arcs from a tail that sells in level 0.  The moves
     into one state are its run.  Runs shorter than ``_SHORT_RUN`` come
     first, in state order; the long runs follow, also in state order, the
@@ -131,13 +135,12 @@ class TableArrays(NamedTuple):
     the goal, such an arc u -> v of fuel column_dist = d would buy d - q
     from every level q of u up to d where u is cheaper than v, else only a
     level equal to d, since u's deficit moves cover the levels below d.  As
-    a per-arc move it reads cell column_read, u's last level at most d.
-
-    width is the most levels of any vertex, the grid's count of ranks.
+    a per-arc move it reads state column_read, u's last level at most d.
     """
 
     price: np.ndarray
     ptr: np.ndarray
+    rank_start: np.ndarray
     states: np.ndarray
     levels: np.ndarray
     move_read: np.ndarray
@@ -147,7 +150,6 @@ class TableArrays(NamedTuple):
     by_tail: np.ndarray
     column_read: np.ndarray
     column_dist: np.ndarray
-    width: np.ndarray
 
 
 def base_table(reach: ReachGraph) -> TableArrays:
@@ -165,50 +167,53 @@ def base_table(reach: ReachGraph) -> TableArrays:
     sells = price < math.inf
     unit = np.where(sells, price, 0.0)  # what a unit of fuel is worth at a vertex
 
-    # Levels: {0} everywhere and the fill-up arrivals.
+    # Levels: {0} everywhere and the fill-up arrivals, ranked in (v, q)
+    # order, then renumbered rank by rank.
     fill = cheaper.nonzero()[0]
     cand_v = np.concatenate((vertex[:n], nbr[fill]))
     cand_q = np.concatenate((np.zeros(n), q_max - dist[fill]))
     rep, cand_state = distinct_levels(cand_v, cand_q)
     state_v, state_q = cand_v[rep], cand_q[rep]
-    size = len(state_v)
     offset = state_v.searchsorted(vertex)
+    ranks = np.diff(offset)  # the levels of each vertex
+    rank = np.arange(len(state_v)) - offset[state_v]
+    rank_start = np.append(0, np.bincount(rank).cumsum())
+    pos = np.append(np.argsort(-ranks, kind="stable").argsort(), n)  # each vertex's place
+    renumber = rank_start[rank] + pos[state_v]  # the state of each (v, q)
 
-    # A move from a tail reads the cell of the last level it is open to,
-    # (levels open - 1)·n + tail.  A column arc of fuel d is open to the
-    # levels up to d.
+    # A move reads the last level of its tail open to it, at rank (levels
+    # open - 1); a column arc of fuel d is open to the levels up to d.
     column = sells[src].nonzero()[0]
     column = column[nbr[column].argsort(kind="stable")]
-    column_read = (_at_most(state_q, offset, src[column], dist[column]) - 1) * n + src[column]
+    column_read = pos[src[column]] + rank_start[
+        _at_most(state_q, offset, src[column], dist[column]) - 1]
 
     # The moves and the state each lands in: the fill-up arcs, open to
     # every level of their tail, and the deficit arcs of fuel d from a tail
     # that sells, open to the levels below d.  Short runs come first, then
     # long ones, each in state order, so that the moves into a state stay
     # one range.
-    ranks = np.diff(offset)  # the levels of each vertex
     paid = ((~cheaper) & sells[src]).nonzero()[0]
-    land = np.concatenate((cand_state[n:], offset[nbr[paid]]))
+    land = np.concatenate((renumber[cand_state[n:]], pos[nbr[paid]]))
     tail = np.concatenate((src[fill], src[paid]))
-    read = tail + n * (np.concatenate((ranks[src[fill]], _at_most(
-        state_q, offset, src[paid], dist[paid], "left"))) - 1)
+    read = pos[tail] + rank_start[np.concatenate((ranks[src[fill]], _at_most(
+        state_q, offset, src[paid], dist[paid], "left"))) - 1]
     leave = np.concatenate((np.full(len(fill), q_max), dist[paid]))
-    count = np.bincount(land, minlength=size)
+    count = np.bincount(land, minlength=len(state_v))
     long = count >= _SHORT_RUN
     order = np.lexsort((land, long[land]))
     land, tail, read, leave = land[order], tail[order], read[order], leave[order]
     long_state = long.nonzero()[0]
     long_start = len(land) - count[long].sum() + np.append(0, count[long_state].cumsum())[:-1]
     by_tail = tail.argsort(kind="stable").astype(np.int32)
+    by_id = renumber.argsort()
 
     return TableArrays(*map(_read_only, (
         price,
-        np.array([offset, nbr[column].searchsorted(vertex), tail[by_tail].searchsorted(vertex)]),
-        np.array([state_v, (np.arange(size) - offset[state_v]) * n + state_v]),
-        np.array([state_q, state_q * unit[state_v]]),
+        np.array([pos, nbr[column].searchsorted(vertex), tail[by_tail].searchsorted(vertex)]),
+        rank_start, state_v[by_id], np.array([state_q, state_q * unit[state_v]])[:, by_id],
         read, np.array([leave, leave * price[tail]]), land,
-        np.array([long_state, long_start]), by_tail,
-        column_read, dist[column], np.array(ranks.max()))))
+        np.array([long_state, long_start]), by_tail, column_read, dist[column])))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -247,12 +252,6 @@ def _at_most(values: np.ndarray, ptr: np.ndarray, run: np.ndarray, x: np.ndarray
     return keys.searchsorted(run * span + rank[len(values):], side) - ptr[run]
 
 
-# From this many vertices on, the prefix minima are taken one rank of the
-# grid at a time: numpy's accumulate walks the grid one column at a time.
-# On a 2.1-GHz Xeon it took 153 µs for 20 ranks of 2,025 vertices, against
-# 19 µs rank by rank, and 0.6 µs for 3 ranks of 6, against 1.4 µs.
-_ROW_BY_ROW = 128
-
 # Runs of fewer moves than this land by one unbuffered scatter-minimum
 # (np.minimum.at), about 2 ns a move; longer ones by one segment minimum
 # (np.minimum.reduceat), about 25 ns a run but less a move.  On a 2-CPU
@@ -267,12 +266,11 @@ _SHORT_RUN = 16
 class _Table:
     """One query's view of ``ReachGraph.table`` (base), in integral units.
 
-    The states and moves are the base's, read in place, never written.
-    state_v, state_q and offset are its arrays: state s is (state_v[s],
-    state_q[s]), and the states of v are offset[v]:offset[v + 1].  goal is
-    the goal's level 0; its levels above 0, goal + 1:top, hold +inf in
-    every layer.  The short runs are the moves before short.  column holds
-    the goal's column arcs as (read, leave, charge) arrays, like the moves.
+    The states and moves are the base's, read in place, never written:
+    state s is (state_v[s], state_q[s]), and starts is rank_start.  goal
+    is the goal's level 0; its levels above 0, the states above, hold +inf
+    in every layer.  The short runs are the moves before short.  column
+    holds the goal's column arcs as (read, leave, charge) arrays.
 
     initial lists the states that cost nothing, (vertex, level) in vertex
     order: the start and the free-coast arrivals; start_states holds those
@@ -289,14 +287,15 @@ class _Table:
     def __init__(self, inst: Instance, reach: ReachGraph):
         start, goal, q0 = inst.start, inst.goal, inst.q0
         self.base = base = reach.table
-        self.state_v, self.state_q = base.states[0], base.levels[0]
-        self.offset = offset = base.ptr[0]
-        self.goal, self.top = offset[goal:goal + 2].tolist()
+        self.state_v, self.state_q = base.states, base.levels[0]
+        self.starts = s = base.rank_start.tolist()
+        self.goal = p = base.ptr.item(0, goal)  # its level 0: rank 0 starts at state 0
+        self.above = np.array([a + p for a, b in zip(s[1:], s[2:]) if a + p < b], dtype=np.int64)
         self.short = base.long_runs.item(1, 0) if base.long_runs.shape[1] else len(base.land)
         price = base.price
         column = slice(*base.ptr[1, goal:goal + 2].tolist())
         read, leave = base.column_read[column], base.column_dist[column]
-        self.column = read, leave, leave * price[read % len(price)]
+        self.column = read, leave, leave * price[self.state_v[read]]
 
         # The start level and the coast arrivals (an empty tank coasts
         # nowhere); a vertex has one at most.
@@ -306,13 +305,11 @@ class _Table:
         self.initial = initial = sorted(initial)
         self.start_states, new = [], 0
         for v, x in initial:
-            lo, hi = offset[v:v + 2].tolist()
-            s = lo + int(self.state_q[lo:hi].searchsorted(x))
-            if s < hi and self.state_q.item(s) == x:
-                self.start_states.append(s)
-            else:
+            try:
+                self.start_states.append(self.state(v, x))
+            except KeyError:
                 new += 1
-        self.size = len(self.state_v) - (self.top - self.goal - 1) + new
+        self.size = len(self.state_v) - len(self.above) + new
         self.depth = min(inst.k_max, self.size)
         self.relaxed = 0
 
@@ -335,11 +332,13 @@ class _Table:
     def state(self, v: int, q: float) -> int:
         """The state (v, q); KeyError for none, for the goal's levels above
         0 and for an initial level the base lacks."""
-        lo, hi = self.offset[v:v + 2].tolist()
-        i = lo + int(self.state_q[lo:hi].searchsorted(q))
-        if i == hi or self.state_q[i] != q or self.goal < i < self.top:
-            raise KeyError((v, q))
-        return i
+        p = self.base.ptr.item(0, v)
+        for lo, hi in zip(self.starts, self.starts[1:]):  # v's levels, increasing
+            if lo + p >= hi or self.state_q.item(lo + p) > q:
+                break
+            if self.state_q.item(lo + p) == q and (lo == 0 or p != self.goal):
+                return lo + p
+        raise KeyError((v, q))
 
 
 def build_layers(
@@ -347,48 +346,47 @@ def build_layers(
     reach: ReachGraph,
     *,
     deadline: float | None = None,
-) -> tuple[_Table, np.ndarray]:
+) -> tuple[_Table, list[np.ndarray]]:
     """Relax up to table.depth layers and return (table, layers).
 
     inst and reach are in integral units (``reach.integral``).  layers[k]
-    is A_k over the base's states.  Layer 1 lands the moves out of the
-    initial states.  Every later layer writes the layer before into the
-    grid, takes its prefix minima, reads every base move, lands the short
-    runs by one scatter-minimum and the long runs by one segment minimum,
-    and takes the goal's level 0 from its column.  The loop stops after the
-    first layer with no state below the least goal value so far, and
-    table.relaxed counts the layers relaxed; the rest stay +inf.  Past the
-    deadline, raises SolveTimeout with the states and the count of the
-    layers relaxed so far.
+    is A_k over the base's states, allocated as it is relaxed.  Layer 1
+    lands the moves out of the initial states.  Every later layer takes the
+    prefix minima of the layer before less the fuel's worth, rank by rank,
+    reads every base move, lands the short runs by one scatter-minimum and
+    the long runs by one segment minimum, and takes the goal's level 0 from
+    its column.  The loop stops after the first layer with no state below
+    the least goal value so far; table.relaxed counts the layers relaxed.
+    Past the deadline, raises SolveTimeout with the states and the count
+    of the layers relaxed so far.
     """
     table = _Table(inst, reach)
-    base, n = table.base, inst.graph.n
-    layers = np.full((table.depth + 1, len(table.state_v)), math.inf)
+    base = table.base
+    unreached = np.full(len(table.state_v), math.inf)  # each layer starts as a copy
+    layers = [unreached.copy()]
     layers[0][table.start_states] = 0.0
-    grid = np.full(base.width.item() * n, math.inf)
-    lanes = grid.reshape(-1, n)
-    cell, worth, read, charge = base.states[1], base.levels[1], base.move_read, base.moves[1]
+    worth, read, charge = base.levels[1], base.move_read, base.moves[1]
     land, (long_state, long_start) = base.land[:table.short], base.long_runs
     column_read, _, column_charge = table.column
-    above = slice(table.goal + 1, table.top)  # the goal's levels above 0
     best = math.inf  # the least goal value of the layers relaxed
     for k in range(1, table.depth + 1):
         if deadline is not None and perf_counter() > deadline:
             raise SolveTimeout(SearchStats(dp_states_computed=(k - 1) * table.size,
                                            dp_layers=k - 1))
-        layer = layers[k]
+        layer = unreached.copy()
         if k == 1:
             _, into, cost = table.first
             np.minimum.at(layer, into, cost)
             at_goal = min((cost for cost, *_ in table.into_goal), default=math.inf)
         else:
-            grid[cell] = layers[k - 1] - worth
-            grid[inst.goal] = math.inf  # the goal's level 0
-            if n < _ROW_BY_ROW:
-                np.minimum.accumulate(lanes, axis=0, out=lanes)
-            else:
-                for j in range(1, len(lanes)):
-                    np.minimum(lanes[j], lanes[j - 1], out=lanes[j])
+            if k == 2:  # built late, as many queries stop after layer 1
+                # Each rank after the first, and its vertices' cells in the rank before.
+                grid, s = np.empty(len(unreached)), table.starts
+                ranks = [(grid[b:c], grid[a:a + c - b]) for a, b, c in zip(s, s[1:], s[2:])]
+            np.subtract(layers[-1], worth, out=grid)
+            grid[table.goal] = math.inf
+            for cells, prev in ranks:
+                np.minimum(cells, prev, out=cells)
             cost = grid[read]
             cost += charge
             np.minimum.at(layer, land, cost[:len(land)])
@@ -396,8 +394,9 @@ def build_layers(
                 layer[long_state] = np.minimum.reduceat(cost, long_start)
             del cost  # freed before the next layer's gather, which then reuses its pages
             at_goal = (grid[column_read] + column_charge).min(initial=math.inf)
-        layer[above] = math.inf
+        layer[table.above] = math.inf
         layer[table.goal] = at_goal
+        layers.append(layer)
         table.relaxed = k
         best = min(best, at_goal)
         if not layer.min() < best:  # no later layer can undercut best
@@ -411,7 +410,7 @@ def _step(table: _Table, prev: np.ndarray, target: float, state: int) -> tuple[i
 
     Each move is priced from every level of its tail up to the rank it
     reads, so it leaves from the first level that attains the prefix
-    minimum it reads, and the first move from the lowest such state wins.
+    minimum it reads, and the move from the lowest in (v, q) order wins.
     """
     base = table.base
     if state == table.goal:
@@ -421,16 +420,17 @@ def _step(table: _Table, prev: np.ndarray, target: float, state: int) -> tuple[i
         if lo == hi:  # a long run
             lo, hi = table.short + base.land[table.short:].searchsorted([state, state + 1])
         read, (leave, charge) = base.move_read[lo:hi], base.moves[:, lo:hi]
-    rank, tail = np.divmod(read, len(base.price))
-    count = rank + 1
+    tail = table.state_v[read]
+    count = base.rank_start.searchsorted(read, "right")  # the levels each move is open to
     end = count.cumsum()
     move = np.arange(len(read)).repeat(count)
-    source = np.arange(end.item(-1)) + (table.offset[tail] + count - end).repeat(count)
+    rank = np.arange(end.item(-1)) - (end - count).repeat(count)
+    source = base.rank_start[rank] + base.ptr[0, tail[move]]
     # No move from the goal, whose cells the layers never read, attains
     # target: before k_star the goal costs more than the answer, which is at
     # least target, as no cost is negative.
     hit = (prev[source] - base.levels[1, source] + charge[move] == target).nonzero()[0]
-    j = hit.item(source[hit].argmin())
+    j = hit.item((tail[move[hit]] * len(base.rank_start) + rank[hit]).argmin())
     best = source.item(j)
     return best, leave.item(move.item(j)) - table.state_q.item(best)
 
@@ -442,26 +442,25 @@ def _first_step(table: _Table, target: float, state: int) -> tuple[int, float, f
         return next((v, x, a) for cost, v, x, a in table.into_goal if cost == target)
     move, into, cost = table.first
     move = move[(into == state) & (cost == target)]
-    tail = table.base.move_read[move] % len(table.base.price)
+    tail = table.state_v[table.base.move_read[move]]
     j = tail.argmin()
     v = tail.item(j)
     x = dict(table.initial)[v]
     return v, x, table.base.moves.item(0, move.item(j)) - x
 
 
-def _reconstruct(inst: Instance, reach: ReachGraph, table: _Table, layers: np.ndarray,
+def _reconstruct(inst: Instance, reach: ReachGraph, table: _Table, layers: list[np.ndarray],
                  k_star: int) -> Solution:
     # The schedule is collected goal first; nothing is bought at the goal.
-    # Each step takes the optimal move from the lowest state.
     state = table.goal
-    cost = layers.item(k_star, state)
+    cost = layers[k_star].item(state)
     vertices, bought, arrival = [inst.goal], [0.0], [0.0]
     for k in range(k_star, 1, -1):
-        state, amount = _step(table, layers[k - 1], layers.item(k, state), state)
+        state, amount = _step(table, layers[k - 1], layers[k].item(state), state)
         vertices.append(table.state_v.item(state))
         arrival.append(table.state_q.item(state))
         bought.append(amount)
-    v, x, amount = _first_step(table, layers.item(1, state), state)
+    v, x, amount = _first_step(table, layers[1].item(state), state)
     vertices.append(v)
     arrival.append(x)
     bought.append(amount)
@@ -502,8 +501,8 @@ def dp_solve(
         table, layers = build_layers(inst, reach, deadline=deadline)
         stats.dp_states_computed = inst.k_max * table.size
         stats.dp_layers = table.relaxed
-        at_goal = layers[:, table.goal]
-        best_k = int(at_goal.argmin())  # the fewest stops among the cheapest
+        at_goal = [layer.item(table.goal) for layer in layers]
+        best_k = at_goal.index(min(at_goal))  # the fewest stops among the cheapest
         if not math.isfinite(at_goal[best_k]):
             return Infeasible(), stats
         return _reconstruct(inst, reach, table, layers, best_k).from_units(unit, money), stats

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from time import perf_counter
@@ -168,7 +169,7 @@ class TestDpSolve:
                 layers[k][into]]
         result, _ = dp_solve(inst, reach=reach)
         assert result.stops == stops
-        assert table.state(result.route[k - 1][0], result.arrival_fuel[k - 1]) == min(src)
+        assert (result.route[k - 1][0], result.arrival_fuel[k - 1]) == min(sources)
         assert result.total_cost == cost
 
     @pytest.mark.parametrize("edges, start, goal, route", [
@@ -193,10 +194,32 @@ class TestDpSolve:
     def test_a_huge_stop_limit_relaxes_no_more_layers_than_states(self, wx_reach):
         result, stats = dp_solve(worked_example(k_max=10**12), reach=wx_reach)
         table, layers = build_layers(worked_example(k_max=10**12), wx_reach)
-        assert len(layers) == table.size + 1
+        assert len(layers) == table.relaxed + 1
         assert repr(result) == repr(dp_solve(worked_example(k_max=2), reach=wx_reach)[0])
         assert stats.dp_states_computed == 10**12 * table.size
         assert stats.dp_layers == 2 < table.depth
+        # A grid query relaxes 7 of its 1,330 layers and allocates no others.
+        small = _grid_instance(40, 90, rows=22)
+        huge = Instance(small.graph, small.start, small.goal, small.q_max, 10**6)
+        reach = compute_reachable_sets(small.graph, small.q_max)
+        cost = dp_solve(small, reach=reach)[0].total_cost  # builds reach.table
+        (result, stats), peak = _traced(dp_solve, huge, reach=reach)
+        assert peak < 2**20
+        assert result.total_cost == cost == 68.0
+        assert stats.dp_layers == 7 and _Table(huge, reach).depth == 1330
+
+    def test_a_star_keeps_one_cell_per_state(self):
+        """A hub with 600 levels and 599 leaves with one each: 1,199 states,
+        which no query pads to 600 per vertex."""
+        price = [100.0] + [float(1 + i % 50) for i in range(1, 600)]
+        edges = [(i, 0, float(i)) for i in range(1, 600)] + [(0, i, 600.0) for i in range(1, 600)]
+        inst = Instance(FuelGraph.build(price, edges), 5, 7, 600.0, 3)
+        reach = compute_reachable_sets(inst.graph, inst.q_max)
+        dp_solve(inst, reach=reach)  # builds reach.table
+        assert _Table(inst, reach).size == 1199
+        (result, _), peak = _traced(dp_solve, inst, reach=reach)
+        assert peak < 2**20
+        assert result.total_cost == rfastar_solve(inst, reach=reach)[0].total_cost == 4100.0
 
     def test_fill_up_leaves_the_lowest_level_of_its_tail(self):
         """From a dry start with 3 units, u = 3 is reached in one stop empty
@@ -227,6 +250,15 @@ class TestDpSolve:
                 assert isinstance(oracle_result, Infeasible)
             else:
                 assert dp_result.total_cost == oracle_result.total_cost
+
+
+def _traced(fn, *args, **kwargs):
+    """(fn's result, the peak of the memory it allocated, in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _decimal(inst):
@@ -343,33 +375,33 @@ def _table_moves(inst, table):
     """Every (source, landing, cost, amount) move a table relaxes, with
     (vertex, level) states: (those of layer 1, out of the initial states;
     those of every later layer).  A per-arc move from tail u stands for one
-    move from every level of u up to the rank it reads.  The goal's cells
+    move from every level of u up to the level it reads.  The goal's cells
     are never read, and only its column lands in its level 0."""
-    n, price, base = inst.graph.n, inst.graph.price, table.base
+    price, base = inst.graph.price, table.base
     level = dict(table.initial)
 
     def pair(s):
         return int(table.state_v[s]), float(table.state_q[s])
 
-    def into_goal(s):
-        return table.goal <= s < table.top
-
-    per_arc = [(read, leave, s) for read, leave, s in zip(
-        base.move_read.tolist(), base.moves[0].tolist(), base.land.tolist()) if not into_goal(s)]
-    per_arc += [(read, leave, table.goal)
+    levels = {}  # every vertex's levels
+    for v, q in map(pair, range(len(table.state_v))):
+        levels.setdefault(v, []).append(q)
+    per_arc = [(pair(read), leave, pair(s)) for read, leave, s in zip(
+        base.move_read.tolist(), base.moves[0].tolist(), base.land.tolist())
+        if pair(s)[0] != inst.goal]
+    per_arc += [(pair(read), leave, pair(table.goal))
                 for read, leave in zip(table.column[0].tolist(), table.column[1].tolist())]
     later = []
-    for read, leave, s in per_arc:
-        u, rank = read % n, read // n
+    for (u, top), leave, into in per_arc:
         if u == inst.goal:
             continue
-        for source in range(table.offset[u], table.offset[u] + rank + 1):
-            a = leave - float(table.state_q[source])
-            later.append((pair(source), pair(s), a * price[u], a))
+        for q in levels[u]:
+            if q <= top:
+                later.append(((u, q), into, (leave - q) * price[u], leave - q))
     first = [((v, x), pair(table.goal), cost, a) for cost, v, x, a in table.into_goal]
     for move, s, cost in zip(*(a.tolist() for a in table.first)):
-        u = base.move_read[move] % n
-        if cost < math.inf and not into_goal(s):
+        u = pair(base.move_read[move])[0]
+        if cost < math.inf and pair(s)[0] != inst.goal:
             first.append(((u, level[u]), pair(s), cost, float(base.moves[0][move]) - level[u]))
     return first, later
 
@@ -392,14 +424,15 @@ class TestArrayTable:
         inst = random_instance(seed, with_q0=with_q0)
         reach = compute_reachable_sets(inst.graph, inst.q_max)
         table = _Table(inst, reach)
+        base = reach.table
         for v in range(inst.graph.n):  # the goal and the start included
-            lo, hi = table.offset[v], table.offset[v + 1]
+            states = np.flatnonzero(table.state_v == v)  # by rank
+            assert (states == base.rank_start[:len(states)] + base.ptr[0, v]).all()
             if v == inst.goal:
-                assert lo == table.goal and hi == table.top
-                hi = lo + 1  # its levels above 0 are no states
-            assert table.state_q[lo:hi].tolist() == gas_values(reach, inst.graph, v, goal=inst.goal)
-            assert (table.state_v[lo:hi] == v).all()
-        assert table.offset[-1] == len(table.state_v)
+                assert states[0] == table.goal and states[1:].tolist() == table.above.tolist()
+                states = states[:1]  # its levels above 0 are no states
+            assert table.state_q[states].tolist() == gas_values(
+                reach, inst.graph, v, goal=inst.goal)
         levels, initial = _naive_states(inst, reach)
         assert table.initial == sorted(initial)
         assert [table.state(v, q) for v, q in table.initial if (v, q) in levels] == (
@@ -427,32 +460,34 @@ class TestArrayTable:
 
     @pytest.mark.parametrize("inst", _LAYER_INPUTS)
     def test_layers_match_a_python_relaxation(self, inst):
-        """Every layer up to the exit equals the reference's, and every row
-        after it is +inf.  The reference stops at the same rule, the first
-        layer with no state below the least goal value so far, and relaxed
-        on to k_max it never gives the goal less."""
+        """Every layer up to the exit equals the reference's, and no layer
+        after it is allocated.  The reference stops at the same rule, the
+        first layer with no state below the least goal value so far, and
+        relaxed on to k_max it never gives the goal less."""
         inst, reach = _integral(inst)
         table, layers = build_layers(inst, reach)
         levels, initial = _naive_states(inst, reach)
         goal = (inst.goal, 0.0)
-        assert len(layers) == inst.k_max + 1
-        # A column of layers is a state of the base: no hub has one.  The
-        # fill-up moves the hubs stood for are among the reference moves.
-        assert layers.shape[1] == len(table.state_v)
+        assert len(layers) == table.relaxed + 1
+        above = set(table.above.tolist())
         best, exit_k = math.inf, None
-        for k, (row, prev) in enumerate(zip(layers, _python_layers(inst, reach), strict=True)):
+        for k, prev in enumerate(_python_layers(inst, reach)):
             if exit_k is None:
+                # A cell of a layer is a state of the base: no hub has one.
+                # The fill-up moves the hubs stood for are among the
+                # reference moves.
+                row = layers[k]
+                assert len(row) == len(table.state_v)
                 assert {(int(table.state_v[s]), float(table.state_q[s])): row[s]
-                        for s in range(len(row)) if not table.goal < s < table.top} == {
+                        for s in range(len(row)) if s not in above} == {
                             state: prev[state] for state in levels}
-                assert (row[table.goal + 1:table.top] == math.inf).all()
+                assert (row[table.above] == math.inf).all()
                 if k:  # nothing lands in an initial level the base lacks
                     assert all(prev[state] == math.inf for state in initial - levels)
                     best = min(best, prev[goal])
                     if not min(prev.values()) < best:
                         exit_k = k
             else:
-                assert (row == math.inf).all()
                 assert not prev[goal] < best
         assert table.relaxed == (inst.k_max if exit_k is None else exit_k)
 
@@ -463,10 +498,10 @@ class TestArrayTable:
         table; the scaled examples lie on each side of the 2**53 limit, and
         the one past it is refused."""
         reach = compute_reachable_sets(_grid_graph(), 20.0)
-        levels = np.diff(reach.table.ptr[0])
+        levels = np.bincount(reach.table.states)
         assert levels.max() >= 10
         assert levels[35] > 1 and levels[21] > 1
-        assert _grid_graph(22).n >= dp._ROW_BY_ROW  # the prefix minima go rank by rank
+        assert len(set(np.diff(reach.table.rank_start).tolist())) > 2  # ranks of several lengths
         for inst in (_grid_instance(0, 35, 7.0), _grid_instance(14, 21, 12.0)):
             table = _Table(inst, reach)
             levels, _ = _naive_states(inst, reach)
@@ -499,7 +534,8 @@ class TestArrayTable:
                 scaled, reach = _integral(inst)
                 table, layers = build_layers(scaled, reach)
                 result, stats = dp_solve(inst, reach=reach if scaled is inst else None)
-                out.append((layers.shape, layers.tobytes(), repr(result), stats.dp_states_computed))
+                out.append(([row.tobytes() for row in layers], repr(result),
+                            stats.dp_states_computed))
                 if dp._SHORT_RUN == 1:  # every run is long
                     assert table.short == 0
                 elif dp._SHORT_RUN == 10**9:
@@ -528,7 +564,7 @@ class TestExit:
         inst = Instance(graph, 0, 2, 4.0, 3)
         table, layers = build_layers(inst, compute_reachable_sets(graph, 4.0))
         assert table.depth == 3 and table.relaxed == 1
-        assert (layers[2:] == math.inf).all()
+        assert len(layers) == table.relaxed + 1
         result, stats = dp_solve(inst)
         assert result.stops == ((0, 4.0),) and result.total_cost == 0.0
         assert stats.dp_layers == 1 and stats.dp_states_computed == 3 * table.size
@@ -540,7 +576,7 @@ class TestExit:
         inst = Instance(graph, 0, 2, 2.0, 4)
         table, layers = build_layers(inst, compute_reachable_sets(graph, 2.0))
         assert table.depth == 3 and table.relaxed == 2
-        assert (layers[2:] == math.inf).all()
+        assert len(layers) == table.relaxed + 1
         result, stats = dp_solve(inst)
         assert isinstance(result, Infeasible)
         assert stats.dp_layers == 2 and stats.dp_states_computed == 4 * table.size
@@ -557,10 +593,11 @@ class TestExit:
         reach = compute_reachable_sets(graph, 4.0)
         table, layers = build_layers(inst, reach)
         full = [layer[(3, 0.0)] for layer in _python_layers(inst, reach)]
-        assert full[:5] == layers[:5, table.goal].tolist() == [math.inf, 24.0, math.inf, 16.0, 43.0]
+        assert full[:5] == [row[table.goal] for row in layers] == [
+            math.inf, 24.0, math.inf, 16.0, 43.0]
         assert min(full[4:]) > 16.0  # relaxed on to k_max
         assert table.depth == 6 and table.relaxed == 4
-        assert (layers[5:] == math.inf).all()
+        assert len(layers) == table.relaxed + 1
         result, stats = dp_solve(inst, reach=reach)
         assert result.stops == ((0, 1.0), (1, 4.0), (0, 1.0)) and result.total_cost == min(full)
         assert stats.dp_layers == 4
@@ -583,7 +620,7 @@ def _solve_key(inst, reach):
 def _table_key(inst, table):
     first, later = _table_moves(inst, table)
     return (table.state_v.tolist(), table.state_q.tolist(), table.initial, table.start_states,
-            table.goal, table.top, table.size, table.depth, sorted(first), sorted(later))
+            table.goal, table.above.tolist(), table.size, table.depth, sorted(first), sorted(later))
 
 
 class TestTableBase:
@@ -629,7 +666,7 @@ class TestTableBase:
         first, _ = _table_moves(inst, table)
         assert not [a for source, _, _, a in first if source == (0, 10.0) and a > 0.0]
         move, _, cost = table.first
-        from_start = table.base.move_read[move] % graph.n == 0
+        from_start = table.state_v[table.base.move_read[move]] == 0
         assert from_start.any() and (cost[from_start] == math.inf).all()
 
     def test_built_once_on_the_first_dp_query(self):
@@ -695,7 +732,7 @@ class TestOverlay:
         table, base = _Table(inst, reach), reach.table
         assert table.base is base
         for a, b in [(table.state_v, base.states), (table.state_q, base.levels),
-                     (table.offset, base.ptr), (table.column[0], base.column_read),
+                     (table.column[0], base.column_read),
                      (table.column[1], base.column_dist)]:
             assert np.shares_memory(a, b)
         rows = sum(len(reach.succ[v]) for v, _ in table.initial)
@@ -722,7 +759,7 @@ class TestOverlay:
         table, layers = build_layers(inst, reach)
         assert lookups.names["minimum"] >= table.relaxed
         lookups.names.clear()
-        k = int(layers[:, table.goal].argmin())
+        k = int(np.argmin([row[table.goal] for row in layers]))
         assert k >= 2
         result = dp._reconstruct(inst, reach, table, layers, k)
         assert lookups.names and not {"minimum", "full"} & lookups.names.keys()
